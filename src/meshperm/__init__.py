@@ -6,6 +6,7 @@ distributions, ships a catalog of shading pairs for the patterns 123 and
 equidistributions, together with exhaustive verification of those claims.
 """
 from .bijections import (
+    FAMILY_NAMES,
     INVOLUTION_FAMILIES,
     UnsupportedShadingError,
     VerificationReport,

@@ -3,9 +3,11 @@
 Every transform here sends a permutation pi to a permutation pi' such that
 the number of occurrences of the first pattern in pi equals the number of
 occurrences of the second pattern in pi', and vice versa.  Each transform
-belongs to a family keyed by the structure of the shading it supports;
-:func:`transform_for` dispatches a catalog family record to a callable and
-:func:`verify_pair` checks the swap property exhaustively over S_n.
+belongs to a family keyed by the structure of the shading it supports.
+:data:`FAMILIES` is the registry: one row per family with its accept rule,
+its transform builder and its involution flag.  :func:`transform_for`
+resolves a catalog family record through it, and :func:`verify_pair`
+checks the swap property exhaustively over S_n.
 
 Families and their parameters:
 
@@ -29,10 +31,13 @@ Families and their parameters:
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Sequence
+import functools
+import itertools
+from collections.abc import Callable, Iterable, Sequence
+from typing import NamedTuple
 
 from . import engine
-from .mesh import MeshPattern, ShadingSet, occurrence_box_mask, occurrences
+from .mesh import Box, MeshPattern, ShadingSet, occurrence_box_mask, occurrences
 from .perms import (
     Perm,
     complement,
@@ -44,23 +49,11 @@ from .perms import (
     standardize,
 )
 
-FAMILY_NAMES = (
-    "direct",
-    "oth1",
-    "complement_after_one",
-    "len2_reduction",
-    "ltr_interval_complement",
-    "per_interval_len2",
-    "pair_swap",
-    "a1_complement",
-    "nine_box",
-    "per_interval_nine_box",
-)
+Transform = Callable[[Sequence[int]], Perm]
 
-#: Families whose transform is its own inverse.
-INVOLUTION_FAMILIES = frozenset(
-    ("direct", "oth1", "complement_after_one", "ltr_interval_complement", "pair_swap", "a1_complement")
-)
+#: Largest n that :func:`verify_pair` checks exhaustively; it builds the
+#: count table of all of S_n at once.
+VERIFY_MAX_N = 8
 
 
 class UnsupportedShadingError(ValueError):
@@ -74,6 +67,22 @@ def _pair_for(shading: ShadingSet) -> tuple[MeshPattern, MeshPattern]:
 def _pair_occurrences(p: Sequence[int], shading: ShadingSet) -> list[tuple[int, ...]]:
     p1, p2 = _pair_for(shading)
     return sorted(occurrences(p, p1) + occurrences(p, p2))
+
+
+def _subsets(boxes: Iterable[Box]) -> list[set[Box]]:
+    boxes = sorted(boxes)
+    return [set(c) for r in range(len(boxes) + 1) for c in itertools.combinations(boxes, r)]
+
+
+def _lift(base: frozenset[Box], inner: ShadingSet) -> ShadingSet:
+    """The length-3 shading made of ``base`` plus the length-2 ``inner``
+    moved one box up and one box right."""
+    return ShadingSet.from_boxes(3, base | {(i + 1, j + 1) for i, j in inner.boxes()})
+
+
+#: The left column and bottom row of a length-3 diagram: shaded, they force
+#: every occurrence to start at a leading 1.
+_EDGE_K3 = frozenset((i, j) for i in range(4) for j in range(4) if i == 0 or j == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +197,13 @@ def complement_after_one(p: Sequence[int]) -> Perm:
     return complement_on_set(p, range(2, len(p) + 1))
 
 
-def _is_complement_after_one_shading(shading: ShadingSet) -> bool:
-    """Occurrences must be rooted at a leading 1 and the stripped shading
-    must be value-symmetric, so that complementing the tail swaps the pair."""
-    if shading.k != 3:
-        return False
-    boxes = set(shading.boxes())
-    if not (_COL0_K3 | _ROW0_REST_K3) <= boxes:
-        return False
-    inner = {(i - 1, j - 1) for i, j in boxes if i >= 1 and j >= 1}
-    if boxes != _COL0_K3 | _ROW0_REST_K3 | _shift_up(inner):
-        return False
-    return inner == {(i, 2 - j) for i, j in inner}
+#: Occurrences are rooted at a leading 1 and the length-2 shading above the
+#: edge is value-symmetric, so complementing the tail swaps the pair.  Each
+#: symmetric shading is a set of boxes in the lower two rows plus its mirror.
+_AFTER_ONE_SHADINGS = frozenset(
+    _lift(_EDGE_K3, ShadingSet.from_boxes(2, low | {(i, 2 - j) for i, j in low}))
+    for low in _subsets((i, j) for i in range(3) for j in (0, 1))
+)
 
 
 # ---------------------------------------------------------------------------
@@ -209,38 +213,31 @@ _L2_BASE = ((0, 0), (0, 1), (1, 0), (1, 1))
 _L2_TAIL = (2, 2)
 
 
-def _k2_box_map(symmetry: str | None) -> Callable[[tuple[int, int]], tuple[int, int]]:
-    if symmetry is None:
-        return lambda b: b
-    if symmetry == "reverse":
-        return lambda b: (2 - b[0], b[1])
-    if symmetry == "complement":
-        return lambda b: (b[0], 2 - b[1])
-    return lambda b: (2 - b[0], 2 - b[1])  # reverse then complement
+class Frame(NamedTuple):
+    """How a supported length-2 shading arises from the lower 2x2 frame: the
+    host symmetry that carries it there, and whether its tail box is shaded."""
+
+    reverse: bool
+    complement: bool
+    tail_box: bool
 
 
-def _len2_frames() -> dict[int, tuple[str | None, bool]]:
-    frames: dict[int, tuple[str | None, bool]] = {}
-    for symmetry in (None, "reverse", "complement", "rc"):
-        f = _k2_box_map(symmetry)
-        for tail in (False, True):
-            boxes = _L2_BASE + ((_L2_TAIL,) if tail else ())
-            frames[ShadingSet.from_boxes(2, map(f, boxes)).mask] = (symmetry, tail)
+def _len2_frames() -> dict[ShadingSet, Frame]:
+    frames: dict[ShadingSet, Frame] = {}
+    for frame in itertools.starmap(Frame, itertools.product((False, True), repeat=3)):
+        boxes = _L2_BASE + ((_L2_TAIL,) if frame.tail_box else ())
+        flipped = ((2 - i if frame.reverse else i, 2 - j if frame.complement else j) for i, j in boxes)
+        frames[ShadingSet.from_boxes(2, flipped)] = frame
     return frames
 
 
-#: mask of a supported length-2 shading -> (host symmetry, tail box present)
+#: supported length-2 shading -> its frame
 _LEN2_FRAMES = _len2_frames()
 
 
-def _host_sym(p: Sequence[int], symmetry: str | None) -> Perm:
-    if symmetry is None:
-        return tuple(p)
-    if symmetry == "reverse":
-        return reverse(p)
-    if symmetry == "complement":
-        return complement(p)
-    return reverse(complement(p))
+def _host_sym(p: Sequence[int], frame: Frame) -> Perm:
+    p = complement(p) if frame.complement else tuple(p)
+    return reverse(p) if frame.reverse else p
 
 
 def _sweep_lower(vals: Sequence[int], tail_box: bool) -> tuple[int, ...]:
@@ -275,6 +272,10 @@ def _sweep_lower(vals: Sequence[int], tail_box: bool) -> tuple[int, ...]:
     return tuple(w)
 
 
+def _len2_sweep(p: Sequence[int], frame: Frame) -> Perm:
+    return _host_sym(_sweep_lower(_host_sym(p, frame), frame.tail_box), frame)
+
+
 def len2_swap_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
     """Length-2 sweep for any of the eight supported frames.
 
@@ -282,61 +283,38 @@ def len2_swap_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
     opposite tail box, are handled by conjugating the host with the matching
     symmetry and running the canonical sweep.
     """
-    if shading.k != 2 or shading.mask not in _LEN2_FRAMES:
+    if shading not in _LEN2_FRAMES:
         raise UnsupportedShadingError(f"length-2 sweep does not support shading {shading.boxes()}")
-    symmetry, tail = _LEN2_FRAMES[shading.mask]
-    return _host_sym(_sweep_lower(_host_sym(p, symmetry), tail), symmetry)
+    return _len2_sweep(p, _LEN2_FRAMES[shading])
 
 
-_COL0_K3 = frozenset((0, j) for j in range(4))
-_ROW0_REST_K3 = frozenset((i, 0) for i in range(1, 4))
+#: shading accepted by ``len2_reduction`` -> frame of its length-2 sweep:
+#: the frames themselves, and each frame under a shaded edge, which forces
+#: a leading 1.
+_PREPEND_ONE_FRAMES = {
+    **_LEN2_FRAMES,
+    **{_lift(_EDGE_K3, shading): frame for shading, frame in _LEN2_FRAMES.items()},
+}
 
 
-def _shift_up(boxes: frozenset[tuple[int, int]] | set[tuple[int, int]]) -> set[tuple[int, int]]:
-    return {(i + 1, j + 1) for i, j in boxes}
-
-
-def _reduce_prepend_one(shading: ShadingSet) -> ShadingSet | None:
-    """Length-2 shading left after stripping a forced minimal first element."""
-    boxes = set(shading.boxes())
-    if not (_COL0_K3 | _ROW0_REST_K3) <= boxes:
-        return None
-    inner = {(i - 1, j - 1) for i, j in boxes if i >= 1 and j >= 1}
-    if boxes != _COL0_K3 | _ROW0_REST_K3 | _shift_up(inner):
-        return None
-    reduced = ShadingSet.from_boxes(2, inner)
-    return reduced if reduced.mask in _LEN2_FRAMES else None
-
-
-def len2_reduction_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
+def _prepend_one_sweep(p: Sequence[int], frame: Frame) -> Perm:
     """Strip the forced leading 1 and sweep the standardized remainder.
 
     Occurrences of the supported shadings must start at a first entry equal
     to 1, so permutations not starting with 1 are fixed points.
     """
-    reduced = _reduce_prepend_one(shading)
-    if reduced is None:
-        raise UnsupportedShadingError(f"not a prepend-one reducible shading: {shading.boxes()}")
     p = tuple(p)
     if len(p) < 3 or p[0] != 1:
         return p
-    image = len2_swap_transform(standardize(p[1:]), reduced)
+    image = _len2_sweep(standardize(p[1:]), frame)
     return (1, *(v + 1 for v in image))
 
 
 _L5_K3 = frozenset({(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)})
 
-
-def _reduce_interval(shading: ShadingSet) -> ShadingSet | None:
-    """Length-2 shading left after rooting occurrences at left-to-right minima."""
-    boxes = set(shading.boxes())
-    if not _L5_K3 <= boxes:
-        return None
-    inner = {(i - 1, j - 1) for i, j in boxes if i >= 1 and j >= 1}
-    if boxes != _L5_K3 | _shift_up(inner):
-        return None
-    reduced = ShadingSet.from_boxes(2, inner)
-    return reduced if reduced.mask in _LEN2_FRAMES else None
+#: shading accepted by ``per_interval_len2`` -> frame of its length-2 sweep;
+#: the shaded L roots every occurrence at a left-to-right minimum.
+_INTERVAL_FRAMES = {_lift(_L5_K3, shading): frame for shading, frame in _LEN2_FRAMES.items()}
 
 
 def _minimum_rectangles(p: Sequence[int]):
@@ -358,20 +336,21 @@ def _minimum_rectangles(p: Sequence[int]):
             yield sel, [p[q - 1] for q in sel]
 
 
-def per_interval_len2(p: Sequence[int], shading: ShadingSet) -> Perm:
-    """Run the length-2 sweep independently on each minimum's rectangle."""
-    reduced = _reduce_interval(shading)
-    if reduced is None:
-        raise UnsupportedShadingError(f"not an interval-reducible shading: {shading.boxes()}")
+def _per_interval_sweep(p: Sequence[int], frame: Frame) -> Perm:
     out = list(p)
     for sel, vals in _minimum_rectangles(p):
         if len(vals) < 2:
             continue
-        image = len2_swap_transform(standardize(vals), reduced)
+        image = _len2_sweep(standardize(vals), frame)
         ordered = sorted(vals)
         for q, v in zip(sel, image):
             out[q - 1] = ordered[v - 1]
     return tuple(out)
+
+
+def per_interval_len2(p: Sequence[int], shading: ShadingSet) -> Perm:
+    """Run the length-2 sweep independently on each minimum's rectangle."""
+    return transform_for({"name": "per_interval_len2"}, shading)(p)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +371,8 @@ _NE_EXTRAS = (
 )
 _L3_K3 = frozenset({(0, 0), (0, 2), (2, 0)})
 
-_LTR_SHADING_MASKS = frozenset(
-    ShadingSet.from_boxes(3, base | extra).mask
+_LTR_SHADINGS = frozenset(
+    ShadingSet.from_boxes(3, base | extra)
     for base in (_L5_K3, _L3_K3)
     for extra in _NE_EXTRAS
 )
@@ -426,13 +405,13 @@ def ltr_interval_complement(p: Sequence[int]) -> Perm:
 
 _L3C_K3 = frozenset({(0, 0), (0, 2), (0, 3), (2, 0), (3, 0)})
 
-_PAIR_SWAP_MASKS = frozenset(
-    ShadingSet.from_boxes(3, base | extra).mask
+_PAIR_SWAP_SHADINGS = frozenset(
+    ShadingSet.from_boxes(3, base | extra)
     for base, extra in ((_L3_K3, _NE_BLOCK - {(3, 3)}), (_L3C_K3, _NE_BLOCK - {(3, 3)}))
 )
 
-_A1_MASKS = frozenset(
-    ShadingSet.from_boxes(3, _L3C_K3 | extra).mask
+_A1_SHADINGS = frozenset(
+    ShadingSet.from_boxes(3, _L3C_K3 | extra)
     for extra in (_NE_CROSS, _NE_CROSS | {(2, 2)}, _NE_BLOCK - {(2, 2)}, _NE_BLOCK)
 )
 
@@ -445,8 +424,10 @@ def pair_swap_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
     may hang off the same tail pair (one per eligible root), so the swaps
     are deduplicated by position pair; distinct pairs never overlap.
     """
-    if shading.k != 3 or shading.mask not in _PAIR_SWAP_MASKS:
-        raise UnsupportedShadingError(f"pair_swap does not support shading {shading.boxes()}")
+    return transform_for({"name": "pair_swap"}, shading)(p)
+
+
+def _pair_swap(p: Sequence[int], shading: ShadingSet) -> Perm:
     out = list(p)
     for b, c in {(occ[1], occ[2]) for occ in _pair_occurrences(p, shading)}:
         out[b - 1], out[c - 1] = out[c - 1], out[b - 1]
@@ -488,8 +469,10 @@ def a1_complement(p: Sequence[int], shading: ShadingSet) -> Perm:
     the tails split into groups no occurrence straddles, and each group's
     block is complemented on its own.
     """
-    if shading.k != 3 or shading.mask not in _A1_MASKS:
-        raise UnsupportedShadingError(f"a1_complement does not support shading {shading.boxes()}")
+    return transform_for({"name": "a1_complement"}, shading)(p)
+
+
+def _a1_complement(p: Sequence[int], shading: ShadingSet) -> Perm:
     occs = _pair_occurrences(p, shading)
     if not occs:
         return tuple(p)
@@ -547,22 +530,22 @@ _SQ_EXTRA = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
 _SQ2_CORE = _NE_BLOCK - {(1, 1)}
 _SQ22_CORE = frozenset({(0, 2), (0, 3), (2, 0), (2, 2), (2, 3), (3, 0), (3, 2), (3, 3)})
 
-#: (mandatory core, allowed additions) for the block sweep families.
-_BLOCK_SWEEP_RULES = (
-    (_NE_BLOCK, _L5_K3),
-    (_SQ2_CORE, _L5_K3),
-    (_SQ_CORE, _SQ_EXTRA),
-    (_SQ22_CORE, _SQ_EXTRA),
+#: Shadings of the ``nine_box`` family: a mandatory core plus any subset of
+#: its allowed additions.
+_NINE_BOX_SHADINGS = frozenset(
+    ShadingSet.from_boxes(3, core | extra)
+    for core, allowed in (
+        (_NE_BLOCK, _L5_K3),
+        (_SQ2_CORE, _L5_K3),
+        (_SQ_CORE, _SQ_EXTRA),
+        (_SQ22_CORE, _SQ_EXTRA),
+    )
+    for extra in _subsets(allowed)
 )
 
-_PER_INTERVAL_BLOCK_MASKS = frozenset(
-    ShadingSet.from_boxes(3, _L5_K3 | _SQ_CORE | extra).mask for extra in (frozenset(), frozenset({(1, 1)}))
+_INTERVAL_BLOCK_SHADINGS = frozenset(
+    ShadingSet.from_boxes(3, _L5_K3 | _SQ_CORE | extra) for extra in (frozenset(), frozenset({(1, 1)}))
 )
-
-
-def _is_block_sweep_shading(shading: ShadingSet) -> bool:
-    boxes = set(shading.boxes())
-    return any(core <= boxes and boxes - core <= extra for core, extra in _BLOCK_SWEEP_RULES)
 
 
 class _DisjointSets:
@@ -637,15 +620,12 @@ def nine_box_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
     by construction, so :func:`nine_box_inverse` undoes it explicitly with
     the mirrored sweep.
     """
-    if shading.k != 3 or not _is_block_sweep_shading(shading):
-        raise UnsupportedShadingError(f"nine_box does not support shading {shading.boxes()}")
-    return _block_sweep_raw(p, shading)
+    return transform_for({"name": "nine_box"}, shading)(p)
 
 
 def nine_box_inverse(p: Sequence[int], shading: ShadingSet) -> Perm:
     """Inverse of :func:`nine_box_transform` (the same sweep, right to left)."""
-    if shading.k != 3 or not _is_block_sweep_shading(shading):
-        raise UnsupportedShadingError(f"nine_box does not support shading {shading.boxes()}")
+    _accepting("nine_box", shading)
     return _block_sweep_raw_inverse(p, shading)
 
 
@@ -656,74 +636,102 @@ def per_interval_nine_box(p: Sequence[int], shading: ShadingSet) -> Perm:
     Occurrences of these shadings never straddle two rectangles, so the
     global block sweep computes the per-rectangle one.
     """
-    if shading.k != 3 or shading.mask not in _PER_INTERVAL_BLOCK_MASKS:
-        raise UnsupportedShadingError(f"per_interval_nine_box does not support shading {shading.boxes()}")
-    return _block_sweep_raw(p, shading)
+    return transform_for({"name": "per_interval_nine_box"}, shading)(p)
 
 
 # ---------------------------------------------------------------------------
-# dispatch and exhaustive verification
+# the family registry
+
+#: A family's transform builder: (catalog family record, accepted shading) -> transform.
+Build = Callable[[dict, ShadingSet], Transform]
 
 
-def transform_for(family: dict, shading: ShadingSet) -> Callable[[Sequence[int]], Perm]:
+@dataclasses.dataclass(frozen=True)
+class Family:
+    """One row of the family registry.
+
+    ``accepts`` tells whether the family handles a shading; a shading
+    carries its pattern length, so the rule fixes the length too.
+    ``build`` turns a catalog family record and an accepted shading into
+    the transform, which checks nothing further per host.  ``involution``
+    marks families whose transform is its own inverse.
+    """
+
+    name: str
+    accepts: Callable[[ShadingSet], bool]
+    build: Build
+    involution: bool
+
+
+def _fixed(transform: Transform) -> Build:
+    """Build rule of a family whose map is the same for every shading."""
+    return lambda family, shading: transform
+
+
+def _with_shading(transform: Callable[[Sequence[int], ShadingSet], Perm]) -> Build:
+    """Build rule of a family whose map reads the shading's occurrences."""
+    return lambda family, shading: functools.partial(transform, shading=shading)
+
+
+def _build_direct(family: dict, shading: ShadingSet) -> Transform:
+    pair_id = family["pair_id"]
+    if not 1 <= pair_id <= 11:
+        raise ValueError(f"no direct rule for pair id {pair_id}")
+    return functools.partial(direct_transform, pair_id=pair_id)
+
+
+def _build_len2_reduction(family: dict, shading: ShadingSet) -> Transform:
+    sweep = _len2_sweep if shading.k == 2 else _prepend_one_sweep
+    return functools.partial(sweep, frame=_PREPEND_ONE_FRAMES[shading])
+
+
+def _build_per_interval_len2(family: dict, shading: ShadingSet) -> Transform:
+    return functools.partial(_per_interval_sweep, frame=_INTERVAL_FRAMES[shading])
+
+
+#: The two nine-box families run the same sweep behind different accept rules.
+_build_block_sweep = _with_shading(_block_sweep_raw)
+
+
+#: The family registry, one row per family; FAMILY_NAMES lists the rows in this order.
+FAMILIES = (
+    Family("direct", lambda s: s.k == 3, _build_direct, True),  # the rule is picked by pair id
+    Family("oth1", lambda s: s == _OTH1_SHADING, _fixed(oth1_transform), True),
+    Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one), True),
+    Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction, False),
+    Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement), True),
+    Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _build_per_interval_len2, False),
+    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _with_shading(_pair_swap), True),
+    Family("a1_complement", lambda s: s in _A1_SHADINGS, _with_shading(_a1_complement), True),
+    Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _build_block_sweep, False),
+    Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _build_block_sweep, False),
+)
+
+_BY_NAME = {family.name: family for family in FAMILIES}
+
+FAMILY_NAMES = tuple(family.name for family in FAMILIES)
+
+#: Families whose transform is its own inverse.
+INVOLUTION_FAMILIES = frozenset(family.name for family in FAMILIES if family.involution)
+
+
+def _accepting(name: str, shading: ShadingSet) -> Family:
+    """The registry row ``name``, after checking that it accepts ``shading``."""
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown bijection family {name!r}")
+    family = _BY_NAME[name]
+    if not family.accepts(shading):
+        raise UnsupportedShadingError(f"{name} does not support shading {shading.boxes()}")
+    return family
+
+
+def transform_for(family: dict, shading: ShadingSet) -> Transform:
     """Resolve a catalog family record to the transform for ``shading``.
 
     Raises :class:`UnsupportedShadingError` when the shading does not have
     the structure the family requires, and ValueError for unknown names.
     """
-    name = family.get("name")
-    if name == "direct":
-        pair_id = family["pair_id"]
-        if not 1 <= pair_id <= 11:
-            raise ValueError(f"no direct rule for pair id {pair_id}")
-        return lambda p: direct_transform(p, pair_id)
-    if name == "oth1":
-        if shading != _OTH1_SHADING:
-            raise UnsupportedShadingError(f"oth1 supports only {_OTH1_SHADING.boxes()}")
-        return oth1_transform
-    if name == "complement_after_one":
-        if not _is_complement_after_one_shading(shading):
-            raise UnsupportedShadingError(
-                f"complement_after_one does not support shading {shading.boxes()}"
-            )
-        return complement_after_one
-    if name == "len2_reduction":
-        if shading.k == 2:
-            return lambda p: len2_swap_transform(p, shading)
-        if _reduce_prepend_one(shading) is None:
-            raise UnsupportedShadingError(f"not a prepend-one reducible shading: {shading.boxes()}")
-        return lambda p: len2_reduction_transform(p, shading)
-    if name == "ltr_interval_complement":
-        if shading.mask not in _LTR_SHADING_MASKS:
-            raise UnsupportedShadingError(
-                f"ltr_interval_complement does not support shading {shading.boxes()}"
-            )
-        return ltr_interval_complement
-    if name == "per_interval_len2":
-        if _reduce_interval(shading) is None:
-            raise UnsupportedShadingError(f"not an interval-reducible shading: {shading.boxes()}")
-        return lambda p: per_interval_len2(p, shading)
-    if name == "pair_swap":
-        if shading.k != 3 or shading.mask not in _PAIR_SWAP_MASKS:
-            raise UnsupportedShadingError(f"pair_swap does not support shading {shading.boxes()}")
-        return lambda p: pair_swap_transform(p, shading)
-    if name == "a1_complement":
-        if shading.k != 3 or shading.mask not in _A1_MASKS:
-            raise UnsupportedShadingError(
-                f"a1_complement does not support shading {shading.boxes()}"
-            )
-        return lambda p: a1_complement(p, shading)
-    if name == "nine_box":
-        if shading.k != 3 or not _is_block_sweep_shading(shading):
-            raise UnsupportedShadingError(f"nine_box does not support shading {shading.boxes()}")
-        return lambda p: nine_box_transform(p, shading)
-    if name == "per_interval_nine_box":
-        if shading.k != 3 or shading.mask not in _PER_INTERVAL_BLOCK_MASKS:
-            raise UnsupportedShadingError(
-                f"per_interval_nine_box does not support shading {shading.boxes()}"
-            )
-        return lambda p: per_interval_nine_box(p, shading)
-    raise ValueError(f"unknown bijection family {name!r}")
+    return _accepting(family.get("name"), shading).build(family, shading)
 
 
 def frame_tail_box(name: str, shading: ShadingSet) -> bool | None:
@@ -731,17 +739,8 @@ def frame_tail_box(name: str, shading: ShadingSet) -> bool | None:
 
     Returns None when the shading is not reducible for that family.
     """
-    if shading.k == 2:
-        reduced: ShadingSet | None = shading
-    elif name == "len2_reduction":
-        reduced = _reduce_prepend_one(shading)
-    elif name == "per_interval_len2":
-        reduced = _reduce_interval(shading)
-    else:
-        return None
-    if reduced is None or reduced.mask not in _LEN2_FRAMES:
-        return None
-    return _LEN2_FRAMES[reduced.mask][1]
+    frames = {"len2_reduction": _PREPEND_ONE_FRAMES, "per_interval_len2": _INTERVAL_FRAMES}.get(name, {})
+    return frames[shading].tail_box if shading in frames else None
 
 
 def apply_family(entry, p: Sequence[int]) -> Perm:
@@ -786,7 +785,7 @@ class VerificationReport:
 def verify_pair(
     pattern1: MeshPattern,
     pattern2: MeshPattern,
-    transform: Callable[[Sequence[int]], Perm],
+    transform: Transform,
     n: int,
     *,
     check_involution: bool = True,
@@ -798,30 +797,36 @@ def verify_pair(
     With ``fail_fast`` the scan stops at the first violation; checks not yet
     decided are reported as None.
     """
-    if n > engine._SINGLE_BLOCK_MAX:
-        raise ValueError(f"verify_pair supports n <= {engine._SINGLE_BLOCK_MAX}")
+    if n > VERIFY_MAX_N:
+        raise ValueError(f"verify_pair supports n <= {VERIFY_MAX_N}")
     occ1 = engine.count_vector(n, pattern1)
     occ2 = engine.count_vector(n, pattern2)
     seen = bytearray(len(occ1))
+    values = set(range(1, n + 1))
     bijective = joint = True
     involution: bool | None = True if check_involution else None
     witness: Perm | None = None
     stopped = False
     for r, p in enumerate(enumerate_sn(n)):
         image = transform(p)
-        s = lex_rank(image)
         bad = False
-        if len(image) != n or seen[s]:
+        if len(image) != n or set(image) != values:
+            # not in S_n: it has no rank and no counts to compare
             bijective = False
             bad = True
         else:
-            seen[s] = 1
-        if occ1[r] != occ2[s] or occ2[r] != occ1[s]:
-            joint = False
-            bad = True
-        if check_involution and involution and transform(image) != p:
-            involution = False
-            bad = True
+            s = lex_rank(image)
+            if seen[s]:
+                bijective = False
+                bad = True
+            else:
+                seen[s] = 1
+            if occ1[r] != occ2[s] or occ2[r] != occ1[s]:
+                joint = False
+                bad = True
+            if check_involution and involution and transform(image) != p:
+                involution = False
+                bad = True
         if bad and witness is None:
             witness = p
             if fail_fast:

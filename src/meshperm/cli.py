@@ -53,16 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", type=_pattern_arg, required=True, help='literal like "123|0/0,0/1"')
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=_cmd_dist, n_arg="n")
 
     p = sub.add_parser("joint", help="joint distribution of two patterns over S_n")
     p.add_argument("--pattern", type=_pattern_arg, required=True)
     p.add_argument("--pattern2", type=_pattern_arg, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=_cmd_joint, n_arg="n")
 
     p = sub.add_parser("avoid", help="avoidance counts for n = 0..max_n")
     p.add_argument("--pattern", type=_pattern_arg, required=True)
     p.add_argument("--max-n", type=int, required=True)
+    p.set_defaults(func=_cmd_avoid, n_arg="max_n")
 
     p = sub.add_parser("check-pair", help="search for the first size where a pair's distributions differ")
     p.add_argument("--pair-id", type=int)
@@ -70,34 +73,50 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern2", type=_pattern_arg)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--expect-equal", action="store_true", help="exit 1 if the pair diverges")
+    p.set_defaults(func=_cmd_check_pair, n_arg="max_n")
 
     p = sub.add_parser("scan", help="scan all 1024 inverse-symmetric shadings of length 3")
     p.add_argument("--max-n", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--long", action="store_true", help="confirm a long run (n >= 9)")
     p.add_argument("--out", help="write the JSON-lines report here instead of stdout")
+    p.set_defaults(func=_cmd_scan, n_arg="max_n")
 
     p = sub.add_parser("apply", help="apply a catalog entry's bijection to a permutation")
     p.add_argument("--pair-id", type=int, required=True)
     p.add_argument("--perm", type=_perm_arg, required=True, help='comma-separated, like "3,1,2"')
+    p.set_defaults(func=_cmd_apply, n_arg=None)
 
     p = sub.add_parser("verify", help="exhaustively verify a catalog entry's bijection on S_n")
     p.add_argument("--pair-id", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--skip-involution", action="store_true")
+    p.set_defaults(func=_cmd_verify, n_arg="n")
 
-    sub.add_parser("catalog-validate", help="check the shipped catalog's structure")
+    p = sub.add_parser("catalog-validate", help="check the shipped catalog's structure")
+    p.set_defaults(func=_cmd_catalog_validate, n_arg=None)
 
     p = sub.add_parser("sequences", help="print a reference sequence")
     p.add_argument("--name", choices=("catalan", "bell", "stirling1"), required=True)
     p.add_argument("--max-n", type=int, required=True)
+    p.set_defaults(func=_cmd_sequences, n_arg="max_n")
 
     return parser
 
 
-def _check_n(parser: argparse.ArgumentParser, n: int) -> None:
-    if n < 0:
-        parser.error("n must be non-negative")
+class _UsageError(Exception):
+    """A usage error found after parsing; :func:`main` reports it through the parser."""
+
+
+def _catalog_entry(pair_id: int, *, with_family: bool = False) -> catalog.CatalogEntry:
+    """Catalog entry ``pair_id``; with ``with_family`` it must carry a bijection."""
+    try:
+        entry = catalog.entry_by_id(pair_id)
+    except KeyError as exc:
+        raise _UsageError(str(exc)) from None
+    if with_family and entry.family is None:
+        raise _UsageError(f"catalog entry {entry.id} has status {entry.status} and no bijection")
+    return entry
 
 
 def _cmd_dist(args) -> int:
@@ -138,17 +157,13 @@ def _cmd_avoid(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check_pair(parser, args) -> int:
+def _cmd_check_pair(args) -> int:
     if args.pair_id is not None:
-        try:
-            entry = catalog.entry_by_id(args.pair_id)
-        except KeyError as exc:
-            parser.error(str(exc))
-        p1, p2 = entry.patterns()
+        p1, p2 = _catalog_entry(args.pair_id).patterns()
     elif args.pattern is not None and args.pattern2 is not None:
         p1, p2 = args.pattern, args.pattern2
     else:
-        parser.error("check-pair needs --pair-id or both --pattern and --pattern2")
+        raise _UsageError("check-pair needs --pair-id or both --pattern and --pattern2")
     cap = min(args.max_n, effective_cap())
     n = first_divergence(p1, p2, args.max_n, cap=cap)
     verdict = "equidistributed" if n is None else "diverges"
@@ -172,25 +187,15 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _cmd_apply(parser, args) -> int:
-    try:
-        entry = catalog.entry_by_id(args.pair_id)
-    except KeyError as exc:
-        parser.error(str(exc))
-    if entry.family is None:
-        parser.error(f"catalog entry {entry.id} has status {entry.status} and no bijection")
+def _cmd_apply(args) -> int:
+    entry = _catalog_entry(args.pair_id, with_family=True)
     print(format_perm(bijections.apply_family(entry, args.perm)))
     return EXIT_OK
 
 
-def _cmd_verify(parser, args) -> int:
-    try:
-        entry = catalog.entry_by_id(args.pair_id)
-    except KeyError as exc:
-        parser.error(str(exc))
-    if entry.family is None:
-        parser.error(f"catalog entry {entry.id} has status {entry.status} and no bijection")
-    limit = min(effective_cap(), 8)  # exhaustive verification is capped at S_8
+def _cmd_verify(args) -> int:
+    entry = _catalog_entry(args.pair_id, with_family=True)
+    limit = min(effective_cap(), bijections.VERIFY_MAX_N)
     if args.n > limit:
         raise CapExceededError(f"n = {args.n} exceeds the verification cap of {limit}")
     report = bijections.verify_entry(entry, args.n, check_involution=not args.skip_involution)
@@ -198,7 +203,7 @@ def _cmd_verify(parser, args) -> int:
     return EXIT_OK if report.ok() else EXIT_FAILED
 
 
-def _cmd_catalog_validate() -> int:
+def _cmd_catalog_validate(args) -> int:
     problems = catalog.validate_catalog()
     if problems:
         for problem in problems:
@@ -225,40 +230,19 @@ def _cmd_sequences(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # n_arg names the subcommand's size argument, if it has one
+    if args.n_arg is not None and getattr(args, args.n_arg) < 0:
+        parser.error("n must be non-negative")
     try:
-        if args.command == "dist":
-            _check_n(parser, args.n)
-            return _cmd_dist(args)
-        if args.command == "joint":
-            _check_n(parser, args.n)
-            return _cmd_joint(args)
-        if args.command == "avoid":
-            _check_n(parser, args.max_n)
-            return _cmd_avoid(args)
-        if args.command == "check-pair":
-            _check_n(parser, args.max_n)
-            return _cmd_check_pair(parser, args)
-        if args.command == "scan":
-            _check_n(parser, args.max_n)
-            return _cmd_scan(args)
-        if args.command == "apply":
-            return _cmd_apply(parser, args)
-        if args.command == "verify":
-            _check_n(parser, args.n)
-            return _cmd_verify(parser, args)
-        if args.command == "catalog-validate":
-            return _cmd_catalog_validate()
-        if args.command == "sequences":
-            _check_n(parser, args.max_n)
-            return _cmd_sequences(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except (CapExceededError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except bijections.UnsupportedShadingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

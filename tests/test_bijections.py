@@ -2,8 +2,10 @@
 
 import pytest
 
+import meshperm
 from meshperm import bijections as bj
 from meshperm.bijections import (
+    FAMILIES,
     FAMILY_NAMES,
     INVOLUTION_FAMILIES,
     UnsupportedShadingError,
@@ -13,7 +15,7 @@ from meshperm.bijections import (
     verify_pair,
 )
 from meshperm.catalog import entry_by_id
-from meshperm.mesh import count_occurrences
+from meshperm.mesh import ShadingSet, count_occurrences
 from meshperm.perms import enumerate_sn
 
 
@@ -45,6 +47,37 @@ def test_family_registry():
             "a1_complement",
         )
     )
+
+
+def test_family_names_are_exported():
+    assert meshperm.FAMILY_NAMES == FAMILY_NAMES
+
+
+def test_accepted_shadings_per_family_and_length():
+    # Counts over every shading of length 2 and 3.  The length-3 families
+    # accept no length-2 shading, and len2_reduction accepts only its eight
+    # length-2 frames.  The direct rules are picked by pair id, not shading.
+    expected = {
+        "direct": (0, 1 << 16),
+        "oth1": (0, 1),
+        "complement_after_one": (0, 64),
+        "len2_reduction": (8, 8),
+        "ltr_interval_complement": (0, 16),
+        "per_interval_len2": (0, 8),
+        "pair_swap": (0, 2),
+        "a1_complement": (0, 4),
+        "nine_box": (0, 96),
+        "per_interval_nine_box": (0, 2),
+    }
+    shadings = {k: [ShadingSet(k, m) for m in range(1 << (k + 1) ** 2)] for k in (2, 3)}
+    counts = {
+        family.name: tuple(sum(map(family.accepts, shadings[k])) for k in (2, 3))
+        for family in FAMILIES
+    }
+    assert counts == expected
+    # transform_for refuses at once, before any host is transformed.
+    with pytest.raises(UnsupportedShadingError):
+        transform_for({"name": "len2_reduction"}, ShadingSet(2, 0))
 
 
 def test_direct_transform_examples():
@@ -283,6 +316,20 @@ def test_verify_pair_fail_fast_leaves_flags_undecided():
     rep = verify_pair(p1, p2, lambda p: tuple(p), 3, fail_fast=True)
     assert rep.joint_swap is False
     assert not rep.ok()
+
+
+def test_verify_pair_rejects_images_outside_sn():
+    # Shifted values would pass the rank and count checks; an image one entry
+    # too long has no rank in S_n at all.  Both must fail as non-bijective.
+    p1, p2 = entry_by_id(23).patterns()
+    shifted = verify_pair(
+        p1, p2, lambda p: tuple(v + 10 for v in bj.ltr_interval_complement(p)), 5, check_involution=False
+    )
+    longer = verify_pair(p1, p2, lambda p: (*p, len(p) + 1), 5, check_involution=False)
+    for rep in (shifted, longer):
+        assert rep.bijective is False
+        assert rep.counterexample == (1, 2, 3, 4, 5)
+        assert not rep.ok()
 
 
 def test_verify_pair_rejects_oversize_n():

@@ -158,6 +158,14 @@ def test_cap_exceeded_exit_code(capsys):
     assert code == EXIT_CAP
 
 
+def test_verify_limit_holds_above_raised_cap(capsys, monkeypatch):
+    monkeypatch.setenv("MESHPERM_MAX_N", "10")
+    code, out, err = run(capsys, ["verify", "--pair-id", "1", "--n", "9"])
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "error: n = 9 exceeds the verification cap of 8" in err
+
+
 def test_bad_literals_are_usage_errors(capsys):
     for argv in (
         ["dist", "--pattern", "122|", "--n", "3"],
