@@ -4,10 +4,11 @@ Every transform here sends a permutation pi to a permutation pi' such that
 the number of occurrences of the first pattern in pi equals the number of
 occurrences of the second pattern in pi', and vice versa.  Each transform
 belongs to a family keyed by the structure of the shading it supports.
-:data:`FAMILIES` is the registry: one row per family with its accept rule,
-its transform builder and its involution flag.  :func:`transform_for`
-resolves a catalog family record through it, and :func:`verify_pair`
-checks the swap property exhaustively over S_n.
+:data:`FAMILIES` is the registry: one row per family with its accept rule
+and its transform builder.  :func:`transform_for` resolves a catalog family
+record through it, and :func:`verify_pair` checks exhaustively over S_n
+that a transform is a bijection, swaps the counts and is its own inverse:
+every family's transform is an involution.
 
 Families and their parameters:
 
@@ -37,7 +38,7 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 from . import engine
-from .mesh import Box, MeshPattern, ShadingSet, occurrence_box_mask, occurrences
+from .mesh import Box, MeshPattern, ShadingSet, is_occurrence, occurrences
 from .perms import (
     Perm,
     complement,
@@ -150,16 +151,10 @@ _OTH1_SHADING = ShadingSet.from_boxes(
 
 def _occurrence_rooted_at(host: Sequence[int], pattern: MeshPattern, first: int) -> tuple[int, ...] | None:
     """Lexicographically first occurrence whose first position is ``first``."""
-    n = len(host)
-    shading = pattern.shading
-    for b in range(first + 1, n):
-        for c in range(b + 1, n + 1):
-            positions = (first, b, c)
-            sub = (host[first - 1], host[b - 1], host[c - 1])
-            if standardize(sub) != pattern.tau:
-                continue
-            if occurrence_box_mask(host, positions).disjoint_from(shading):
-                return positions
+    for tail in itertools.combinations(range(first + 1, len(host) + 1), 2):
+        positions = (first, *tail)
+        if is_occurrence(host, pattern, positions):
+            return positions
     return None
 
 
@@ -600,33 +595,16 @@ def _block_sweep_raw(p: Sequence[int], shading: ShadingSet) -> Perm:
     return tuple(out)
 
 
-def _block_sweep_raw_inverse(p: Sequence[int], shading: ShadingSet) -> Perm:
-    out = list(p)
-    for positions in _occurrence_blocks(p, shading):
-        for a in range(len(positions) - 2, -1, -1):
-            rest = positions[a + 1 :]
-            m = max(rest, key=lambda q: out[q - 1])
-            out[positions[a] - 1], out[m - 1] = out[m - 1], out[positions[a] - 1]
-    return tuple(out)
-
-
 def nine_box_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
     """Within each block of entangled occurrences, repeatedly swap the
     leftmost tail position with the maximum value to its right.
 
     Entangled means sharing a second or third entry (a shared root alone
     does not tie occurrences together); the sweep runs over the sorted
-    second-and-third positions of each block.  The sweep is not self-inverse
-    by construction, so :func:`nine_box_inverse` undoes it explicitly with
-    the mirrored sweep.
+    second-and-third positions of each block.  Like every family's map the
+    sweep is its own inverse; :func:`verify_pair` checks that on all of S_n.
     """
     return transform_for({"name": "nine_box"}, shading)(p)
-
-
-def nine_box_inverse(p: Sequence[int], shading: ShadingSet) -> Perm:
-    """Inverse of :func:`nine_box_transform` (the same sweep, right to left)."""
-    _accepting("nine_box", shading)
-    return _block_sweep_raw_inverse(p, shading)
 
 
 def per_interval_nine_box(p: Sequence[int], shading: ShadingSet) -> Perm:
@@ -653,14 +631,13 @@ class Family:
     ``accepts`` tells whether the family handles a shading; a shading
     carries its pattern length, so the rule fixes the length too.
     ``build`` turns a catalog family record and an accepted shading into
-    the transform, which checks nothing further per host.  ``involution``
-    marks families whose transform is its own inverse.
+    the transform, which checks nothing further per host.  Every family's
+    transform is its own inverse.
     """
 
     name: str
     accepts: Callable[[ShadingSet], bool]
     build: Build
-    involution: bool
 
 
 def _fixed(transform: Transform) -> Build:
@@ -695,24 +672,24 @@ _build_block_sweep = _with_shading(_block_sweep_raw)
 
 #: The family registry, one row per family; FAMILY_NAMES lists the rows in this order.
 FAMILIES = (
-    Family("direct", lambda s: s.k == 3, _build_direct, True),  # the rule is picked by pair id
-    Family("oth1", lambda s: s == _OTH1_SHADING, _fixed(oth1_transform), True),
-    Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one), True),
-    Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction, False),
-    Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement), True),
-    Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _build_per_interval_len2, False),
-    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _with_shading(_pair_swap), True),
-    Family("a1_complement", lambda s: s in _A1_SHADINGS, _with_shading(_a1_complement), True),
-    Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _build_block_sweep, False),
-    Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _build_block_sweep, False),
+    Family("direct", lambda s: s.k == 3, _build_direct),  # the rule is picked by pair id
+    Family("oth1", lambda s: s == _OTH1_SHADING, _fixed(oth1_transform)),
+    Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one)),
+    Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction),
+    Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement)),
+    Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _build_per_interval_len2),
+    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _with_shading(_pair_swap)),
+    Family("a1_complement", lambda s: s in _A1_SHADINGS, _with_shading(_a1_complement)),
+    Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _build_block_sweep),
+    Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _build_block_sweep),
 )
 
 _BY_NAME = {family.name: family for family in FAMILIES}
 
 FAMILY_NAMES = tuple(family.name for family in FAMILIES)
 
-#: Families whose transform is its own inverse.
-INVOLUTION_FAMILIES = frozenset(family.name for family in FAMILIES if family.involution)
+#: Families whose transform is its own inverse: all of them.
+INVOLUTION_FAMILIES = frozenset(FAMILY_NAMES)
 
 
 def _accepting(name: str, shading: ShadingSet) -> Family:
@@ -755,9 +732,10 @@ def apply_family(entry, p: Sequence[int]) -> Perm:
 class VerificationReport:
     """Outcome of an exhaustive check over S_n.
 
-    A flag is None when the run stopped (fail_fast) before deciding it, or
-    when the check was not requested.  ``counterexample`` is the
-    lexicographically first permutation violating any requested property.
+    A flag is None when it was never checked: ``involution`` when the check
+    was not requested, ``joint_swap`` and ``involution`` when no image lies
+    in S_n.  ``counterexample`` is the lexicographically first permutation
+    violating any checked property.
     """
 
     n: int
@@ -766,11 +744,9 @@ class VerificationReport:
     involution: bool | None
     counterexample: Perm | None
 
-    def ok(self, *, expect_involution: bool = False) -> bool:
-        good = self.bijective is True and self.joint_swap is True
-        if expect_involution:
-            good = good and self.involution is True
-        return good
+    def ok(self) -> bool:
+        """Bijective and count-swapping, with no failed involution check (a skipped one passes)."""
+        return self.bijective is True and self.joint_swap is True and self.involution is not False
 
     def to_json(self) -> dict:
         return {
@@ -789,13 +765,10 @@ def verify_pair(
     n: int,
     *,
     check_involution: bool = True,
-    fail_fast: bool = False,
 ) -> VerificationReport:
     """Check over all of S_n that ``transform`` is a bijection carrying the
-    joint occurrence counts of (pattern1, pattern2) to their swap.
-
-    With ``fail_fast`` the scan stops at the first violation; checks not yet
-    decided are reported as None.
+    joint occurrence counts of (pattern1, pattern2) to their swap, and, with
+    ``check_involution``, that it is its own inverse.
     """
     if n > VERIFY_MAX_N:
         raise ValueError(f"verify_pair supports n <= {VERIFY_MAX_N}")
@@ -803,10 +776,9 @@ def verify_pair(
     occ2 = engine.count_vector(n, pattern2)
     seen = bytearray(len(occ1))
     values = set(range(1, n + 1))
-    bijective = joint = True
-    involution: bool | None = True if check_involution else None
+    bijective = joint = involution = True
+    in_sn = False
     witness: Perm | None = None
-    stopped = False
     for r, p in enumerate(enumerate_sn(n)):
         image = transform(p)
         bad = False
@@ -815,6 +787,7 @@ def verify_pair(
             bijective = False
             bad = True
         else:
+            in_sn = True
             s = lex_rank(image)
             if seen[s]:
                 bijective = False
@@ -829,19 +802,10 @@ def verify_pair(
                 bad = True
         if bad and witness is None:
             witness = p
-            if fail_fast:
-                stopped = True
-                break
-    if stopped:
-        # undecided checks stay unknown
-        return VerificationReport(
-            n,
-            False if not bijective else None,
-            False if not joint else None,
-            (False if not involution else None) if check_involution else None,
-            witness,
-        )
-    return VerificationReport(n, bijective, joint, involution, witness)
+    if not in_sn:
+        # no counts were compared and no image was mapped back
+        joint = involution = None
+    return VerificationReport(n, bijective, joint, involution if check_involution else None, witness)
 
 
 def verify_entry(entry, n: int, **kwargs) -> VerificationReport:

@@ -145,7 +145,7 @@ def occurrence_box_mask(host: Sequence[int], positions: Sequence[int]) -> Shadin
 def _matches_tau(host: Sequence[int], positions: Sequence[int], tau: Perm) -> bool:
     sub = [host[q - 1] for q in positions]
     order = sorted(sub)
-    return all(order[t - 1] == v for t, v in zip(tau, sub))
+    return [order[t - 1] for t in tau] == sub
 
 
 def is_occurrence(host: Sequence[int], pattern: MeshPattern, positions: Sequence[int]) -> bool:
@@ -180,14 +180,8 @@ def count_occurrences(host: Sequence[int], pattern: MeshPattern) -> int:
 
 def avoids(host: Sequence[int], pattern: MeshPattern) -> bool:
     """True when ``host`` contains no occurrence of ``pattern``."""
-    n = len(host)
-    k = len(pattern)
-    for positions in itertools.combinations(range(1, n + 1), k):
-        if _matches_tau(host, positions, pattern.tau) and occurrence_box_mask(
-            host, positions
-        ).disjoint_from(pattern.shading):
-            return False
-    return True
+    combos = itertools.combinations(range(1, len(host) + 1), len(pattern))
+    return not any(is_occurrence(host, pattern, positions) for positions in combos)
 
 
 def transform_pattern(pattern: MeshPattern, symmetry: str) -> MeshPattern:

@@ -284,7 +284,7 @@ def test_criterion_11_involution_invariant():
         for host in enumerate_sn(6):
             assert f(f(host)) == host, entry.id
     # One representative per involution family at n = 7.
-    for eid in (2, 12, 13, 23, 39, 41):
+    for eid in (2, 12, 13, 19, 23, 30, 39, 41, 46, 74):
         entry = entry_by_id(eid)
         f = transform_for(entry.family, entry.patterns()[0].shading)
         for host in enumerate_sn(7):
@@ -321,3 +321,15 @@ def test_long_running_scan_to_nine():
     results = scan_symmetric_pairs(9, jobs=1, long_running=True)
     survivors = {r.shading.mask for r in results if r.equidistributed}
     assert len(survivors) == 93
+
+
+@pytest.mark.long_running
+def test_long_running_every_family_entry_is_an_involution_at_seven():
+    # f(f(p)) == p on all of S_7 for each of the 111 entries with a family
+    # (about 220 s); run with ``pytest -m long_running``.
+    entries = [e for e in load_catalog() if e.family]
+    assert len(entries) == 111
+    for entry in entries:
+        f = transform_for(entry.family, entry.patterns()[0].shading)
+        for host in enumerate_sn(7):
+            assert f(f(host)) == host, (entry.id, host)
