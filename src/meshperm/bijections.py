@@ -37,6 +37,8 @@ import itertools
 from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
+import numpy as np
+
 from . import engine
 from .mesh import Box, MeshPattern, ShadingSet, is_occurrence, occurrences
 from .perms import (
@@ -45,7 +47,6 @@ from .perms import (
     complement_on_set,
     enumerate_sn,
     left_to_right_minima,
-    lex_rank,
     reverse,
     standardize,
 )
@@ -732,21 +733,21 @@ def apply_family(entry, p: Sequence[int]) -> Perm:
 class VerificationReport:
     """Outcome of an exhaustive check over S_n.
 
-    A flag is None when it was never checked: ``involution`` when the check
-    was not requested, ``joint_swap`` and ``involution`` when no image lies
-    in S_n.  ``counterexample`` is the lexicographically first permutation
-    violating any checked property.
+    ``joint_swap`` and ``involution`` are None only when no image lies in
+    S_n, so no counts were compared; ``bijective`` is then False.
+    ``counterexample`` is the lexicographically first permutation violating
+    any property.
     """
 
     n: int
-    bijective: bool | None
+    bijective: bool
     joint_swap: bool | None
     involution: bool | None
     counterexample: Perm | None
 
     def ok(self) -> bool:
-        """Bijective and count-swapping, with no failed involution check (a skipped one passes)."""
-        return self.bijective is True and self.joint_swap is True and self.involution is not False
+        """Bijective, count-swapping and its own inverse."""
+        return self.bijective is True and self.joint_swap is True and self.involution is True
 
     def to_json(self) -> dict:
         return {
@@ -754,62 +755,44 @@ class VerificationReport:
             "bijective": self.bijective,
             "joint_swap": self.joint_swap,
             "involution": self.involution,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
+            "counterexample": None if self.counterexample is None else list(self.counterexample),
         }
 
 
-def verify_pair(
-    pattern1: MeshPattern,
-    pattern2: MeshPattern,
-    transform: Transform,
-    n: int,
-    *,
-    check_involution: bool = True,
-) -> VerificationReport:
+def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transform, n: int) -> VerificationReport:
     """Check over all of S_n that ``transform`` is a bijection carrying the
-    joint occurrence counts of (pattern1, pattern2) to their swap, and, with
-    ``check_involution``, that it is its own inverse.
+    joint occurrence counts of (pattern1, pattern2) to their swap, and that
+    it is its own inverse.
+
+    The transform runs once per host.  The rank of each image in S_n is
+    looked up once, and all three properties are read from that table: an
+    image in S_n is itself a host, so T(T(p)) is the image of the image.
     """
     if n > VERIFY_MAX_N:
         raise ValueError(f"verify_pair supports n <= {VERIFY_MAX_N}")
     occ1 = engine.count_vector(n, pattern1)
     occ2 = engine.count_vector(n, pattern2)
-    seen = bytearray(len(occ1))
-    values = set(range(1, n + 1))
-    bijective = joint = involution = True
-    in_sn = False
-    witness: Perm | None = None
-    for r, p in enumerate(enumerate_sn(n)):
-        image = transform(p)
-        bad = False
-        if len(image) != n or set(image) != values:
-            # not in S_n: it has no rank and no counts to compare
-            bijective = False
-            bad = True
-        else:
-            in_sn = True
-            s = lex_rank(image)
-            if seen[s]:
-                bijective = False
-                bad = True
-            else:
-                seen[s] = 1
-            if occ1[r] != occ2[s] or occ2[r] != occ1[s]:
-                joint = False
-                bad = True
-            if check_involution and involution and transform(image) != p:
-                involution = False
-                bad = True
-        if bad and witness is None:
-            witness = p
-    if not in_sn:
-        # no counts were compared and no image was mapped back
-        joint = involution = None
-    return VerificationReport(n, bijective, joint, involution if check_involution else None, witness)
+    hosts = list(enumerate_sn(n))
+    rank = {p: r for r, p in enumerate(hosts)}
+    # the rank of each host's image, or -1 when the image is not in S_n
+    image = np.array([rank.get(tuple(transform(p)), -1) for p in hosts])
+    inside = image >= 0
+    first_hit = np.zeros(len(hosts), dtype=bool)
+    first_hit[np.unique(image, return_index=True)[1]] = True
+    # a host is non-bijective when its image is outside S_n or repeats an earlier host's
+    not_bijective = ~(inside & first_hit)
+    s = np.where(inside, image, 0)
+    no_swap = inside & ((occ1 != occ2[s]) | (occ2 != occ1[s]))
+    no_inverse = inside & (image[s] != np.arange(len(hosts)))
+    bad = not_bijective | no_swap | no_inverse
+    witness = hosts[bad.argmax()] if bad.any() else None
+    if not inside.any():
+        return VerificationReport(n, False, None, None, witness)
+    return VerificationReport(n, not not_bijective.any(), not no_swap.any(), not no_inverse.any(), witness)
 
 
-def verify_entry(entry, n: int, **kwargs) -> VerificationReport:
+def verify_entry(entry, n: int) -> VerificationReport:
     """Run :func:`verify_pair` on a catalog entry with its own family."""
     pattern1, pattern2 = entry.patterns()
     transform = transform_for(entry.family, pattern1.shading)
-    return verify_pair(pattern1, pattern2, transform, n, **kwargs)
+    return verify_pair(pattern1, pattern2, transform, n)

@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify a catalog entry's bijection on S_n")
     p.add_argument("--pair-id", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--skip-involution", action="store_true")
     p.set_defaults(func=_cmd_verify, n_arg="n")
 
     p = sub.add_parser("catalog-validate", help="check the shipped catalog's structure")
@@ -198,7 +197,7 @@ def _cmd_verify(args) -> int:
     limit = min(effective_cap(), bijections.VERIFY_MAX_N)
     if args.n > limit:
         raise CapExceededError(f"n = {args.n} exceeds the verification cap of {limit}")
-    report = bijections.verify_entry(entry, args.n, check_involution=not args.skip_involution)
+    report = bijections.verify_entry(entry, args.n)
     print(json.dumps({"pair_id": entry.id, **report.to_json()}))
     return EXIT_OK if report.ok() else EXIT_FAILED
 

@@ -314,25 +314,43 @@ def test_verify_pair_requires_an_involution():
     rep = verify_pair(p1, p2, cycle, 3)
     assert rep == VerificationReport(3, True, True, False, (2, 1, 3))
     assert not rep.ok()
-    # A skipped check is not a failed one.
-    skipped = verify_pair(p1, p2, cycle, 3, check_involution=False)
-    assert skipped == VerificationReport(3, True, True, None, None)
-    assert skipped.ok()
 
 
 def test_verify_pair_rejects_images_outside_sn():
     # Shifted values would pass the rank and count checks; an image one entry
     # too long has no rank in S_n at all.  Both must fail as non-bijective.
     p1, p2 = entry_by_id(23).patterns()
-    shifted = verify_pair(
-        p1, p2, lambda p: tuple(v + 10 for v in bj.ltr_interval_complement(p)), 5, check_involution=False
-    )
-    longer = verify_pair(p1, p2, lambda p: (*p, len(p) + 1), 5, check_involution=False)
+    shifted = verify_pair(p1, p2, lambda p: tuple(v + 10 for v in bj.ltr_interval_complement(p)), 5)
+    longer = verify_pair(p1, p2, lambda p: (*p, len(p) + 1), 5)
     for rep in (shifted, longer):
         assert rep.bijective is False
         assert rep.joint_swap is None  # no image in S_n, so no counts were compared
+        assert rep.involution is None
         assert rep.counterexample == (1, 2, 3, 4, 5)
         assert not rep.ok()
+
+
+def test_verify_pair_reports_the_empty_witness():
+    # S_0 has one host, (); an image outside S_0 makes () the witness.
+    p1, p2 = entry_by_id(1).patterns()
+    rep = verify_pair(p1, p2, lambda p: (*p, len(p) + 1), 0)
+    assert rep.counterexample == ()
+    assert rep.to_json()["counterexample"] == []
+
+
+def test_verify_pair_maps_each_host_once():
+    entry = entry_by_id(23)
+    p1, p2 = entry.patterns()
+    transform = transform_for(entry.family, p1.shading)
+    calls = 0
+
+    def counted(p):
+        nonlocal calls
+        calls += 1
+        return transform(p)
+
+    assert verify_pair(p1, p2, counted, 5).ok()
+    assert calls == 120
 
 
 def test_verify_pair_rejects_oversize_n():

@@ -108,10 +108,11 @@ def test_verify(capsys):
     }
 
 
-def test_verify_skip_involution(capsys):
-    code, out, _ = run(capsys, ["verify", "--pair-id", "46", "--n", "4", "--skip-involution"])
-    assert code == EXIT_OK
-    assert json.loads(out)["involution"] is None
+def test_verify_has_no_skip_involution_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--pair-id", "46", "--n", "4", "--skip-involution"])
+    assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_catalog_validate(capsys):
