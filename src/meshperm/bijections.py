@@ -8,7 +8,10 @@ belongs to a family keyed by the structure of the shading it supports.
 and its transform builder.  :func:`transform_for` resolves a catalog family
 record through it, and :func:`verify_pair` checks exhaustively over S_n
 that a transform is a bijection, swaps the counts and is its own inverse:
-every family's transform is an involution.
+every family's transform is an involution.  The families that act on
+occurrences get them from an occurrence provider: the pure-Python finder
+:func:`meshperm.mesh.occurrences` by default, the engine's S_n tables in
+:func:`verify_entry`.
 
 Families and their parameters:
 
@@ -52,6 +55,10 @@ from .perms import (
 )
 
 Transform = Callable[[Sequence[int]], Perm]
+
+#: (host, shading) -> the host's occurrences of the pair (123, R), (132, R)
+#: under that shading, as sorted 1-based position triples.
+OccurrenceProvider = Callable[[Sequence[int], ShadingSet], Sequence[tuple[int, ...]]]
 
 #: Largest n that :func:`verify_pair` checks exhaustively; it builds the
 #: count table of all of S_n at once.
@@ -98,7 +105,7 @@ _DIRECT_SEARCH_SHADINGS = {
 }
 
 
-def direct_transform(p: Sequence[int], pair_id: int) -> Perm:
+def direct_transform(p: Sequence[int], pair_id: int, provider: OccurrenceProvider = _pair_occurrences) -> Perm:
     """One-rule bijections for the eleven heavily shaded pairs.
 
     Each rule swaps the unique way the two patterns can occur: a boundary
@@ -131,7 +138,7 @@ def direct_transform(p: Sequence[int], pair_id: int) -> Perm:
         return p
     if pair_id in (6, 7, 8):
         out = list(p)
-        for occ in _pair_occurrences(p, _DIRECT_SEARCH_SHADINGS[pair_id]):
+        for occ in provider(p, _DIRECT_SEARCH_SHADINGS[pair_id]):
             b, c = occ[1], occ[2]
             out[b - 1], out[c - 1] = out[c - 1], out[b - 1]
         return tuple(out)
@@ -423,21 +430,21 @@ def pair_swap_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
     return transform_for({"name": "pair_swap"}, shading)(p)
 
 
-def _pair_swap(p: Sequence[int], shading: ShadingSet) -> Perm:
+def _pair_swap(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
     out = list(p)
-    for b, c in {(occ[1], occ[2]) for occ in _pair_occurrences(p, shading)}:
+    for b, c in {(occ[1], occ[2]) for occ in provider(p, shading)}:
         out[b - 1], out[c - 1] = out[c - 1], out[b - 1]
     return tuple(out)
 
 
-def _a1_complement_raw(p: Sequence[int], shading: ShadingSet) -> Perm:
+def _a1_complement_raw(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Perm:
     """Complement, as a set, the values serving as second or third entries.
 
     This naive reading of the tail-complement rule swaps the counts for small
     n but is not a bijection in general; it is kept so that
     :func:`verify_pair` can demonstrate the failure on the refuted shadings.
     """
-    values = {p[q - 1] for occ in _pair_occurrences(p, shading) for q in occ[1:]}
+    values = {p[q - 1] for occ in provider(p, shading) for q in occ[1:]}
     if not values:
         return tuple(p)
     return complement_on_set(p, values)
@@ -468,8 +475,8 @@ def a1_complement(p: Sequence[int], shading: ShadingSet) -> Perm:
     return transform_for({"name": "a1_complement"}, shading)(p)
 
 
-def _a1_complement(p: Sequence[int], shading: ShadingSet) -> Perm:
-    occs = _pair_occurrences(p, shading)
+def _a1_complement(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
+    occs = provider(p, shading)
     if not occs:
         return tuple(p)
     n = len(p)
@@ -562,14 +569,14 @@ class _DisjointSets:
         self.parent[self.find(x)] = self.find(y)
 
 
-def _occurrence_blocks(p: Sequence[int], shading: ShadingSet) -> list[list[int]]:
+def _occurrence_blocks(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> list[list[int]]:
     """Group occurrences that share a second or third entry; return each
     block's sorted second-and-third positions.
 
     A root may start occurrences in several blocks: only the swept tail
     entries tie occurrences together, never the shared root.
     """
-    occs = _pair_occurrences(p, shading)
+    occs = provider(p, shading)
     if not occs:
         return []
     sets = _DisjointSets(len(occs))
@@ -586,9 +593,9 @@ def _occurrence_blocks(p: Sequence[int], shading: ShadingSet) -> list[list[int]]
     return sorted((sorted(g) for g in grouped.values()), key=lambda g: g[0])
 
 
-def _block_sweep_raw(p: Sequence[int], shading: ShadingSet) -> Perm:
+def _block_sweep_raw(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Perm:
     out = list(p)
-    for positions in _occurrence_blocks(p, shading):
+    for positions in _occurrence_blocks(p, shading, provider):
         for a in range(len(positions) - 1):
             rest = positions[a + 1 :]
             m = max(rest, key=lambda q: out[q - 1])
@@ -621,8 +628,9 @@ def per_interval_nine_box(p: Sequence[int], shading: ShadingSet) -> Perm:
 # ---------------------------------------------------------------------------
 # the family registry
 
-#: A family's transform builder: (catalog family record, accepted shading) -> transform.
-Build = Callable[[dict, ShadingSet], Transform]
+#: A family's transform builder: (catalog family record, accepted shading,
+#: occurrence provider) -> transform.
+Build = Callable[[dict, ShadingSet, OccurrenceProvider], Transform]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -631,9 +639,10 @@ class Family:
 
     ``accepts`` tells whether the family handles a shading; a shading
     carries its pattern length, so the rule fixes the length too.
-    ``build`` turns a catalog family record and an accepted shading into
-    the transform, which checks nothing further per host.  Every family's
-    transform is its own inverse.
+    ``build`` turns a catalog family record, an accepted shading and an
+    occurrence provider into the transform, which checks nothing further
+    per host; families that read no occurrences ignore the provider.
+    Every family's transform is its own inverse.
     """
 
     name: str
@@ -643,27 +652,27 @@ class Family:
 
 def _fixed(transform: Transform) -> Build:
     """Build rule of a family whose map is the same for every shading."""
-    return lambda family, shading: transform
+    return lambda family, shading, provider: transform
 
 
-def _with_shading(transform: Callable[[Sequence[int], ShadingSet], Perm]) -> Build:
+def _with_shading(transform: Callable[[Sequence[int], ShadingSet, OccurrenceProvider], Perm]) -> Build:
     """Build rule of a family whose map reads the shading's occurrences."""
-    return lambda family, shading: functools.partial(transform, shading=shading)
+    return lambda family, shading, provider: functools.partial(transform, shading=shading, provider=provider)
 
 
-def _build_direct(family: dict, shading: ShadingSet) -> Transform:
+def _build_direct(family: dict, shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
     pair_id = family["pair_id"]
     if not 1 <= pair_id <= 11:
         raise ValueError(f"no direct rule for pair id {pair_id}")
-    return functools.partial(direct_transform, pair_id=pair_id)
+    return functools.partial(direct_transform, pair_id=pair_id, provider=provider)
 
 
-def _build_len2_reduction(family: dict, shading: ShadingSet) -> Transform:
+def _build_len2_reduction(family: dict, shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
     sweep = _len2_sweep if shading.k == 2 else _prepend_one_sweep
     return functools.partial(sweep, frame=_PREPEND_ONE_FRAMES[shading])
 
 
-def _build_per_interval_len2(family: dict, shading: ShadingSet) -> Transform:
+def _build_per_interval_len2(family: dict, shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
     return functools.partial(_per_interval_sweep, frame=_INTERVAL_FRAMES[shading])
 
 
@@ -703,13 +712,17 @@ def _accepting(name: str, shading: ShadingSet) -> Family:
     return family
 
 
-def transform_for(family: dict, shading: ShadingSet) -> Transform:
+def transform_for(family: dict, shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Transform:
     """Resolve a catalog family record to the transform for ``shading``.
 
-    Raises :class:`UnsupportedShadingError` when the shading does not have
-    the structure the family requires, and ValueError for unknown names.
+    The occurrence-driven families (``direct`` pairs 6-8, ``pair_swap``,
+    ``a1_complement`` and both nine-box families) ask ``provider`` for each
+    host's occurrences; by default that is the pure-Python finder
+    :func:`meshperm.mesh.occurrences`.  Raises
+    :class:`UnsupportedShadingError` when the shading does not have the
+    structure the family requires, and ValueError for unknown names.
     """
-    return _accepting(family.get("name"), shading).build(family, shading)
+    return _accepting(family.get("name"), shading).build(family, shading, provider)
 
 
 def frame_tail_box(name: str, shading: ShadingSet) -> bool | None:
@@ -759,6 +772,25 @@ class VerificationReport:
         }
 
 
+def _host_ranks(n: int) -> dict[Perm, int]:
+    """The {host: rank} index of S_n; its keys list S_n in lexicographic order."""
+    if n > VERIFY_MAX_N:
+        raise ValueError(f"verify_pair supports n <= {VERIFY_MAX_N}")
+    return {p: r for r, p in enumerate(enumerate_sn(n))}
+
+
+def _table_provider(rank: dict[Perm, int]) -> OccurrenceProvider:
+    """Occurrence provider for the hosts of S_n that reads the engine tables.
+
+    ``rank`` is the index of :func:`_host_ranks`.  The lists of one
+    shading are built on its first request and kept until another shading
+    is asked for, so at most one shading's lists are alive at a time.
+    """
+    n = len(next(iter(rank)))
+    lists = functools.lru_cache(maxsize=1)(functools.partial(engine.pair_occurrences, n))
+    return lambda host, shading: lists(shading)[rank[tuple(host)]]
+
+
 def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transform, n: int) -> VerificationReport:
     """Check over all of S_n that ``transform`` is a bijection carrying the
     joint occurrence counts of (pattern1, pattern2) to their swap, and that
@@ -768,12 +800,15 @@ def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transfo
     looked up once, and all three properties are read from that table: an
     image in S_n is itself a host, so T(T(p)) is the image of the image.
     """
-    if n > VERIFY_MAX_N:
-        raise ValueError(f"verify_pair supports n <= {VERIFY_MAX_N}")
+    return _verify(pattern1, pattern2, transform, _host_ranks(n))
+
+
+def _verify(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transform, rank: dict[Perm, int]) -> VerificationReport:
+    """:func:`verify_pair` over the hosts of the index ``rank``."""
+    hosts = list(rank)
+    n = len(hosts[0])
     occ1 = engine.count_vector(n, pattern1)
     occ2 = engine.count_vector(n, pattern2)
-    hosts = list(enumerate_sn(n))
-    rank = {p: r for r, p in enumerate(hosts)}
     # the rank of each host's image, or -1 when the image is not in S_n
     image = np.array([rank.get(tuple(transform(p)), -1) for p in hosts])
     inside = image >= 0
@@ -792,7 +827,14 @@ def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transfo
 
 
 def verify_entry(entry, n: int) -> VerificationReport:
-    """Run :func:`verify_pair` on a catalog entry with its own family."""
+    """Run :func:`verify_pair` on a catalog entry with its own family.
+
+    The transform reads occurrences from the engine's S_n tables, which
+    the count vectors have already built, instead of the pure-Python
+    finder; both give the same lists.  The occurrence lists live for this
+    call only.
+    """
     pattern1, pattern2 = entry.patterns()
-    transform = transform_for(entry.family, pattern1.shading)
-    return verify_pair(pattern1, pattern2, transform, n)
+    rank = _host_ranks(n)
+    transform = transform_for(entry.family, pattern1.shading, _table_provider(rank))
+    return _verify(pattern1, pattern2, transform, rank)

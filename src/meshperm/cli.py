@@ -22,8 +22,8 @@ from .distribution import (
     scan_symmetric_pairs,
     stirling_first_kind,
 )
-from .mesh import parse_pattern, pattern_literal
-from .perms import EnumerationCapError, format_perm, parse_perm
+from .mesh import count_occurrences, parse_pattern, pattern_literal
+from .perms import EnumerationCapError, Perm, format_perm, is_perm, parse_perm
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -199,7 +199,25 @@ def _cmd_verify(args) -> int:
         raise CapExceededError(f"n = {args.n} exceeds the verification cap of {limit}")
     report = bijections.verify_entry(entry, args.n)
     print(json.dumps({"pair_id": entry.id, **report.to_json()}))
-    return EXIT_OK if report.ok() else EXIT_FAILED
+    if report.ok():
+        return EXIT_OK
+    print(_counterexample_line(entry, report.counterexample), file=sys.stderr)
+    return EXIT_FAILED
+
+
+def _counterexample_line(entry: catalog.CatalogEntry, host: Perm) -> str:
+    """The failing host and its image, each with its counts of the entry's
+    two patterns, recomputed with the pure-Python occurrence finder."""
+    p1, p2 = entry.patterns()
+    image = tuple(bijections.transform_for(entry.family, p1.shading)(host))
+
+    def counts(p: Perm) -> str:
+        return f"({count_occurrences(p, p1)}, {count_occurrences(p, p2)})"
+
+    line = f"counterexample: host {json.dumps(list(host))} has counts {counts(host)}; "
+    if len(image) == len(host) and is_perm(image):
+        return line + f"its image {json.dumps(list(image))} has counts {counts(image)}"
+    return line + f"its image {json.dumps(list(image))} is outside S_{len(host)}"
 
 
 def _cmd_catalog_validate(args) -> int:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .mesh import MeshPattern
+from .mesh import MeshPattern, ShadingSet
 from .perms import Perm
 
 #: Largest n whose full table is built in one block.
@@ -109,6 +109,27 @@ def count_vector(n: int, pattern: MeshPattern, first: int | None = None) -> np.n
     tid = pattern_type_id(pattern.tau)
     hit = (types == tid) & ((masks & np.uint16(pattern.shading.mask)) == 0)
     return hit.sum(axis=1, dtype=np.int64)
+
+
+def pair_occurrences(n: int, shading: ShadingSet) -> list[list[tuple[int, int, int]]]:
+    """Occurrences of (123, R) and (132, R) in every permutation of S_n.
+
+    Entry r lists the 1-based position triples of the rank-r permutation
+    in lexicographic order: the combos of its table row whose type is 123
+    (0) or 132 (1) and whose box mask misses ``shading``.  A triple has one
+    type, so for host p the entry equals
+    ``sorted(occurrences(p, (123, R)) + occurrences(p, (132, R)))``.
+    """
+    if shading.k != 3 or n > _SINGLE_BLOCK_MAX:
+        raise ValueError(f"pair_occurrences needs a length-3 shading and n <= {_SINGLE_BLOCK_MAX}")
+    # the same cache key as count_vector's lookup, so its table is reused
+    combos, types, masks = subseq_tables(n, 3, None)
+    hit = (types <= 1) & ((masks & np.uint16(shading.mask)) == 0)
+    triples = [(a + 1, b + 1, c + 1) for a, b, c in combos]
+    rows, cols = np.nonzero(hit)
+    bounds = np.searchsorted(rows, np.arange(hit.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    return [[triples[c] for c in cols[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def max_occurrences(n: int, k: int) -> int:

@@ -116,6 +116,16 @@ def test_criterion_07_bijection_harness():
     done()
 
 
+def test_every_family_entry_verifies_at_seven():
+    # Exhaustive check on all of S_7 for each of the 111 entries with a
+    # family, the 36 nonsymmetric-proved ones included.
+    entries = [e for e in load_catalog() if e.family]
+    assert len(entries) == 111
+    for entry in entries:
+        report = verify_entry(entry, 7)
+        assert report.ok(), (entry.id, report)
+
+
 def test_criterion_08_worked_examples():
     done = elapsed_under(1)
     # Shared-first-element bijection.
@@ -333,3 +343,14 @@ def test_long_running_every_family_entry_is_an_involution_at_seven():
         f = transform_for(entry.family, entry.patterns()[0].shading)
         for host in enumerate_sn(7):
             assert f(f(host)) == host, (entry.id, host)
+
+
+@pytest.mark.long_running
+def test_long_running_every_family_entry_verifies_at_eight():
+    # Exhaustive check on all of S_8, the verification limit, for each of
+    # the 111 entries with a family; run with ``pytest -m long_running``.
+    entries = [e for e in load_catalog() if e.family]
+    assert len(entries) == 111
+    for entry in entries:
+        report = verify_entry(entry, 8)
+        assert report.ok(), (entry.id, report)

@@ -1,5 +1,7 @@
 """Unit and regression tests for the count-swapping bijection families."""
 
+import random
+
 import pytest
 
 import meshperm
@@ -15,7 +17,7 @@ from meshperm.bijections import (
     verify_entry,
     verify_pair,
 )
-from meshperm.catalog import entry_by_id
+from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.mesh import ShadingSet, count_occurrences
 from meshperm.perms import enumerate_sn
 
@@ -351,6 +353,42 @@ def test_verify_pair_maps_each_host_once():
 
     assert verify_pair(p1, p2, counted, 5).ok()
     assert calls == 120
+
+
+def test_table_provider_matches_the_finder():
+    # verify_entry's engine-table provider against the pure-Python finder on
+    # every host of S_0..S_6 (no position triples below n = 3), for every
+    # family entry's shading, the direct search shadings and random ones.
+    rng = random.Random(7)
+    shadings = {e.patterns()[0].shading for e in load_catalog() if e.family}
+    shadings |= set(bj._DIRECT_SEARCH_SHADINGS.values())
+    shadings |= {ShadingSet(3, rng.randrange(1 << 16)) for _ in range(8)}
+    for n in range(7):
+        provider = bj._table_provider(bj._host_ranks(n))
+        for shading in sorted(shadings, key=lambda s: s.mask):
+            for host in enumerate_sn(n):
+                assert provider(host, shading) == bj._pair_occurrences(host, shading), (n, shading, host)
+
+
+def test_verify_entry_reads_occurrences_from_the_tables(monkeypatch):
+    finder = bj.occurrences
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return finder(*args)
+
+    monkeypatch.setattr(bj, "occurrences", counted)
+    # one entry per occurrence-driven family (direct 6-8, pair_swap,
+    # a1_complement, nine_box, per_interval_nine_box) and a
+    # nonsymmetric-proved one
+    for eid in (6, 39, 41, 46, 74, 101):
+        assert verify_entry(entry_by_id(eid), 5).ok(), eid
+    assert calls == 0
+    # the patched finder is the one apply_family still reads
+    assert apply_family(entry_by_id(46), (1, 2, 3, 4)) != (1, 2, 3, 4)
+    assert calls > 0
 
 
 def test_verify_pair_rejects_oversize_n():

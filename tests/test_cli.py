@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from meshperm import bijections
 from meshperm.cli import EXIT_CAP, EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -113,6 +114,21 @@ def test_verify_has_no_skip_involution_flag(capsys):
         main(["verify", "--pair-id", "46", "--n", "4", "--skip-involution"])
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_verify_failure_names_the_counterexample(capsys, monkeypatch):
+    code, _, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
+    assert (code, err) == (EXIT_OK, "")
+    # the identity does not swap the counts of host 1234
+    monkeypatch.setattr(bijections, "transform_for", lambda family, shading, *provider: tuple)
+    code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
+    assert code == EXIT_FAILED
+    assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
+    assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); its image [1, 2, 3, 4] has counts (1, 0)\n"
+    monkeypatch.setattr(bijections, "transform_for", lambda family, shading, *provider: lambda p: (*p, 4))
+    code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "3"])
+    assert code == EXIT_FAILED
+    assert err == "counterexample: host [1, 2, 3] has counts (1, 0); its image [1, 2, 3, 4] is outside S_3\n"
 
 
 def test_catalog_validate(capsys):

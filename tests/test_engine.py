@@ -92,3 +92,24 @@ def test_shading_full_kills_all_but_adjacent():
     vec = engine.count_vector(3, pattern)
     assert vec[lex_rank((1, 2, 3))] == 1
     assert int(vec.sum()) == 1
+
+
+def test_pair_occurrences_rows():
+    # rank order, 1-based triples; bijections tests the lists against the
+    # pure-Python finder on all of S_0..S_6
+    rows = engine.pair_occurrences(4, ShadingSet.empty(3))
+    assert len(rows) == 24
+    assert rows[lex_rank((1, 2, 4, 3))] == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert engine.pair_occurrences(2, ShadingSet.empty(3)) == [[], []]
+    with pytest.raises(ValueError):
+        engine.pair_occurrences(4, ShadingSet.empty(2))
+    with pytest.raises(ValueError):
+        engine.pair_occurrences(engine._SINGLE_BLOCK_MAX + 1, ShadingSet.empty(3))
+
+
+def test_pair_occurrences_reuses_the_count_vector_table():
+    engine.clear_caches()
+    engine.count_vector(5, parse_pattern("123|1/1"))
+    built = engine.subseq_tables.cache_info().misses
+    engine.pair_occurrences(5, ShadingSet.empty(3))
+    assert engine.subseq_tables.cache_info().misses == built
