@@ -37,13 +37,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
 from . import engine
-from .mesh import Box, MeshPattern, ShadingSet, is_occurrence, occurrences
+from .distribution import check_cap
+from .mesh import Box, MeshPattern, ShadingSet, occurrences
 from .perms import (
     Perm,
     complement,
@@ -59,10 +60,6 @@ Transform = Callable[[Sequence[int]], Perm]
 #: (host, shading) -> the host's occurrences of the pair (123, R), (132, R)
 #: under that shading, as sorted 1-based position triples.
 OccurrenceProvider = Callable[[Sequence[int], ShadingSet], Sequence[tuple[int, ...]]]
-
-#: Largest n that :func:`verify_pair` checks exhaustively; it builds the
-#: count table of all of S_n at once.
-VERIFY_MAX_N = 8
 
 
 class UnsupportedShadingError(ValueError):
@@ -157,15 +154,6 @@ _OTH1_SHADING = ShadingSet.from_boxes(
 )
 
 
-def _occurrence_rooted_at(host: Sequence[int], pattern: MeshPattern, first: int) -> tuple[int, ...] | None:
-    """Lexicographically first occurrence whose first position is ``first``."""
-    for tail in itertools.combinations(range(first + 1, len(host) + 1), 2):
-        positions = (first, *tail)
-        if is_occurrence(host, pattern, positions):
-            return positions
-    return None
-
-
 def oth1_transform(p: Sequence[int]) -> Perm:
     """Swap the tail of the occurrence rooted at each left-to-right minimum.
 
@@ -174,10 +162,13 @@ def oth1_transform(p: Sequence[int]) -> Perm:
     and third values are exchanged.  The swaps never move a minimum, so the
     root positions are fixed up front.
     """
-    p1, p2 = _pair_for(_OTH1_SHADING)
+    return transform_for({"name": "oth1"}, _OTH1_SHADING)(p)
+
+
+def _oth1(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
     cur = list(p)
     for pos in left_to_right_minima(p):
-        occ = _occurrence_rooted_at(cur, p1, pos) or _occurrence_rooted_at(cur, p2, pos)
+        occ = next((o for o in provider(cur, shading) if o[0] == pos), None)
         if occ is not None:
             b, c = occ[1], occ[2]
             cur[b - 1], cur[c - 1] = cur[c - 1], cur[b - 1]
@@ -683,7 +674,7 @@ _build_block_sweep = _with_shading(_block_sweep_raw)
 #: The family registry, one row per family; FAMILY_NAMES lists the rows in this order.
 FAMILIES = (
     Family("direct", lambda s: s.k == 3, _build_direct),  # the rule is picked by pair id
-    Family("oth1", lambda s: s == _OTH1_SHADING, _fixed(oth1_transform)),
+    Family("oth1", lambda s: s == _OTH1_SHADING, _with_shading(_oth1)),
     Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one)),
     Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction),
     Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement)),
@@ -715,10 +706,10 @@ def _accepting(name: str, shading: ShadingSet) -> Family:
 def transform_for(family: dict, shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Transform:
     """Resolve a catalog family record to the transform for ``shading``.
 
-    The occurrence-driven families (``direct`` pairs 6-8, ``pair_swap``,
-    ``a1_complement`` and both nine-box families) ask ``provider`` for each
-    host's occurrences; by default that is the pure-Python finder
-    :func:`meshperm.mesh.occurrences`.  Raises
+    The occurrence-driven families (``direct`` pairs 6-8, ``oth1``,
+    ``pair_swap``, ``a1_complement`` and both nine-box families) ask
+    ``provider`` for each host's occurrences; by default that is the
+    pure-Python finder :func:`meshperm.mesh.occurrences`.  Raises
     :class:`UnsupportedShadingError` when the shading does not have the
     structure the family requires, and ValueError for unknown names.
     """
@@ -772,23 +763,54 @@ class VerificationReport:
         }
 
 
-def _host_ranks(n: int) -> dict[Perm, int]:
-    """The {host: rank} index of S_n; its keys list S_n in lexicographic order."""
-    if n > VERIFY_MAX_N:
-        raise ValueError(f"verify_pair supports n <= {VERIFY_MAX_N}")
-    return {p: r for r, p in enumerate(enumerate_sn(n))}
-
-
-def _table_provider(rank: dict[Perm, int]) -> OccurrenceProvider:
+class _TableProvider:
     """Occurrence provider for the hosts of S_n that reads the engine tables.
 
-    ``rank`` is the index of :func:`_host_ranks`.  The lists of one
-    shading are built on its first request and kept until another shading
-    is asked for, so at most one shading's lists are alive at a time.
+    The lists of one shading and block are built on their first request and
+    kept until another is asked for, so at most one block's lists of one
+    shading are alive at a time.  A permutation's lists are found by its row
+    in its block: :meth:`hosts` walks a block and knows the row of the host
+    it hands out; any other permutation, such as those oth1 builds from its
+    host, is ranked.
     """
-    n = len(next(iter(rank)))
-    lists = functools.lru_cache(maxsize=1)(functools.partial(engine.pair_occurrences, n))
-    return lambda host, shading: lists(shading)[rank[tuple(host)]]
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._lists = functools.lru_cache(maxsize=1)(functools.partial(engine.pair_occurrences, n))
+        self._host: Perm | None = None
+        self._first: int | None = None
+        self._row = 0
+
+    def hosts(self, first: int | None) -> Iterator[Perm]:
+        """The hosts of block ``first`` in rank order."""
+        self._first = first
+        for self._row, self._host in enumerate(enumerate_sn(self.n, first=first)):
+            yield self._host
+
+    def __call__(self, host: Sequence[int], shading: ShadingSet) -> list[tuple[int, int, int]]:
+        host = tuple(host)
+        if host == self._host:
+            first, row = self._first, self._row
+        else:
+            first, row = engine.block_row(host)
+        return self._lists(shading, first)[row]
+
+
+def _image_ranks(transform: Transform, hosts: Iterable[Perm], n: int) -> np.ndarray:
+    """The rank in S_n of each host's image, or -1 when the image is not a
+    permutation of 1..n or the transform raised on the host."""
+    images = []
+    for host in hosts:
+        try:
+            images.append(transform(host))
+        except Exception:  # whatever the map raises, it has no image for this host
+            images.append(None)
+    sized = [image is not None and len(image) == n for image in images]
+    if not all(sized):
+        images = [image if fits else (0,) * n for image, fits in zip(images, sized)]
+    table = np.fromiter(itertools.chain.from_iterable(images), np.int64, len(images) * n).reshape(len(images), n)
+    valid = np.array(sized) & (np.sort(table, axis=1) == np.arange(1, n + 1)).all(axis=1)
+    return np.where(valid, engine.lex_ranks(table), -1)
 
 
 def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transform, n: int) -> VerificationReport:
@@ -796,31 +818,42 @@ def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transfo
     joint occurrence counts of (pattern1, pattern2) to their swap, and that
     it is its own inverse.
 
-    The transform runs once per host.  The rank of each image in S_n is
-    looked up once, and all three properties are read from that table: an
-    image in S_n is itself a host, so T(T(p)) is the image of the image.
+    The transform runs once per host, block by block (see
+    :func:`meshperm.engine.blocks`); a host on which it raises fails the
+    check.  Each image is ranked in S_n, and all three properties are read
+    from that table: an image in S_n is itself a host, so T(T(p)) is the
+    image of the image.  ``n`` obeys the same size cap as the distributions.
     """
-    return _verify(pattern1, pattern2, transform, _host_ranks(n))
+    return _verify(pattern1, pattern2, transform, n, lambda first: enumerate_sn(n, first=first))
 
 
-def _verify(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transform, rank: dict[Perm, int]) -> VerificationReport:
-    """:func:`verify_pair` over the hosts of the index ``rank``."""
-    hosts = list(rank)
-    n = len(hosts[0])
-    occ1 = engine.count_vector(n, pattern1)
-    occ2 = engine.count_vector(n, pattern2)
-    # the rank of each host's image, or -1 when the image is not in S_n
-    image = np.array([rank.get(tuple(transform(p)), -1) for p in hosts])
+def _verify(
+    pattern1: MeshPattern,
+    pattern2: MeshPattern,
+    transform: Transform,
+    n: int,
+    hosts: Callable[[int | None], Iterable[Perm]],
+) -> VerificationReport:
+    """:func:`verify_pair` with the hosts of each block listed by ``hosts``."""
+    check_cap(n)
+    keys = engine.blocks(n)
+    occ1 = np.concatenate([engine.count_vector(n, pattern1, first) for first in keys])
+    occ2 = np.concatenate([engine.count_vector(n, pattern2, first) for first in keys])
+    image = np.concatenate([_image_ranks(transform, hosts(first), n) for first in keys])
     inside = image >= 0
-    first_hit = np.zeros(len(hosts), dtype=bool)
+    first_hit = np.zeros(len(image), dtype=bool)
     first_hit[np.unique(image, return_index=True)[1]] = True
     # a host is non-bijective when its image is outside S_n or repeats an earlier host's
     not_bijective = ~(inside & first_hit)
     s = np.where(inside, image, 0)
     no_swap = inside & ((occ1 != occ2[s]) | (occ2 != occ1[s]))
-    no_inverse = inside & (image[s] != np.arange(len(hosts)))
+    no_inverse = inside & (image[s] != np.arange(len(image)))
     bad = not_bijective | no_swap | no_inverse
-    witness = hosts[bad.argmax()] if bad.any() else None
+    witness = None
+    if bad.any():
+        # every block holds the same number of hosts
+        block, row = divmod(int(bad.argmax()), len(image) // len(keys))
+        witness = tuple(engine.perm_block(n, keys[block])[row].tolist())
     if not inside.any():
         return VerificationReport(n, False, None, None, witness)
     return VerificationReport(n, not not_bijective.any(), not no_swap.any(), not no_inverse.any(), witness)
@@ -829,12 +862,11 @@ def _verify(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transform, 
 def verify_entry(entry, n: int) -> VerificationReport:
     """Run :func:`verify_pair` on a catalog entry with its own family.
 
-    The transform reads occurrences from the engine's S_n tables, which
-    the count vectors have already built, instead of the pure-Python
-    finder; both give the same lists.  The occurrence lists live for this
-    call only.
+    The transform reads occurrences from the engine's tables, block by
+    block, instead of the pure-Python finder; both give the same lists.
+    The occurrence lists live for this call only.
     """
     pattern1, pattern2 = entry.patterns()
-    rank = _host_ranks(n)
-    transform = transform_for(entry.family, pattern1.shading, _table_provider(rank))
-    return _verify(pattern1, pattern2, transform, rank)
+    provider = _TableProvider(n)
+    transform = transform_for(entry.family, pattern1.shading, provider)
+    return _verify(pattern1, pattern2, transform, n, provider.hosts)

@@ -188,15 +188,24 @@ def _cmd_scan(args) -> int:
 
 def _cmd_apply(args) -> int:
     entry = _catalog_entry(args.pair_id, with_family=True)
-    print(format_perm(bijections.apply_family(entry, args.perm)))
+    # a shading the family does not support is a usage error; a map that
+    # fails on a valid host is a defect
+    transform = bijections.transform_for(entry.family, entry.patterns()[0].shading)
+    try:
+        image = transform(args.perm)
+    except Exception as exc:
+        print(f"error: the map of entry {entry.id} failed on {format_perm(args.perm)}: {_describe(exc)}", file=sys.stderr)
+        return EXIT_FAILED
+    print(format_perm(image))
     return EXIT_OK
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _cmd_verify(args) -> int:
     entry = _catalog_entry(args.pair_id, with_family=True)
-    limit = min(effective_cap(), bijections.VERIFY_MAX_N)
-    if args.n > limit:
-        raise CapExceededError(f"n = {args.n} exceeds the verification cap of {limit}")
     report = bijections.verify_entry(entry, args.n)
     print(json.dumps({"pair_id": entry.id, **report.to_json()}))
     if report.ok():
@@ -207,14 +216,18 @@ def _cmd_verify(args) -> int:
 
 def _counterexample_line(entry: catalog.CatalogEntry, host: Perm) -> str:
     """The failing host and its image, each with its counts of the entry's
-    two patterns, recomputed with the pure-Python occurrence finder."""
+    two patterns, recomputed with the pure-Python occurrence finder, or the
+    error the map raised on the host."""
     p1, p2 = entry.patterns()
-    image = tuple(bijections.transform_for(entry.family, p1.shading)(host))
 
     def counts(p: Perm) -> str:
         return f"({count_occurrences(p, p1)}, {count_occurrences(p, p2)})"
 
     line = f"counterexample: host {json.dumps(list(host))} has counts {counts(host)}; "
+    try:
+        image = tuple(bijections.transform_for(entry.family, p1.shading)(host))
+    except Exception as exc:
+        return line + f"the map raised {_describe(exc)}"
     if len(image) == len(host) and is_perm(image):
         return line + f"its image {json.dumps(list(image))} has counts {counts(image)}"
     return line + f"its image {json.dumps(list(image))} is outside S_{len(host)}"

@@ -44,7 +44,8 @@ def effective_cap() -> int:
     return min(cap, HARD_ENUMERATION_CAP)
 
 
-def _check_cap(n: int, cap: int | None) -> None:
+def check_cap(n: int, cap: int | None = None) -> None:
+    """Raise CapExceededError when n exceeds ``cap`` (default: the active cap)."""
     limit = min(cap, HARD_ENUMERATION_CAP) if cap is not None else effective_cap()
     if n > limit:
         raise CapExceededError(f"n = {n} exceeds the active cap of {limit}")
@@ -99,7 +100,7 @@ class JointTable:
 
 def distribution(pattern: MeshPattern, n: int, *, cap: int | None = None) -> DistributionTable:
     """Occurrence-count distribution of ``pattern`` over all of S_n."""
-    _check_cap(n, cap)
+    check_cap(n, cap)
     counts: Counter[int] = Counter()
     if len(pattern) in engine.SUPPORTED_LENGTHS:
         for first in engine.blocks(n):
@@ -117,7 +118,7 @@ def joint_distribution(
     pattern1: MeshPattern, pattern2: MeshPattern, n: int, *, cap: int | None = None
 ) -> JointTable:
     """Joint distribution of the two patterns' occurrence counts over S_n."""
-    _check_cap(n, cap)
+    check_cap(n, cap)
     counts: Counter[tuple[int, int]] = Counter()
     if len(pattern1) in engine.SUPPORTED_LENGTHS and len(pattern2) in engine.SUPPORTED_LENGTHS:
         width = engine.max_occurrences(n, len(pattern2)) + 1

@@ -15,11 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from .mesh import MeshPattern, ShadingSet
-from .perms import Perm
+from .perms import Perm, lex_rank
 
 #: Largest n whose full table is built in one block.
 _SINGLE_BLOCK_MAX = 8
@@ -111,25 +112,52 @@ def count_vector(n: int, pattern: MeshPattern, first: int | None = None) -> np.n
     return hit.sum(axis=1, dtype=np.int64)
 
 
-def pair_occurrences(n: int, shading: ShadingSet) -> list[list[tuple[int, int, int]]]:
-    """Occurrences of (123, R) and (132, R) in every permutation of S_n.
+def pair_occurrences(n: int, shading: ShadingSet, first: int | None = None) -> list[list[tuple[int, int, int]]]:
+    """Occurrences of (123, R) and (132, R) in every permutation of the block.
 
-    Entry r lists the 1-based position triples of the rank-r permutation
-    in lexicographic order: the combos of its table row whose type is 123
-    (0) or 132 (1) and whose box mask misses ``shading``.  A triple has one
-    type, so for host p the entry equals
+    Entry r lists the 1-based position triples of the block's rank-r
+    permutation in lexicographic order: the combos of its table row whose
+    type is 123 (0) or 132 (1) and whose box mask misses ``shading``.  A
+    triple has one type, so for host p the entry equals
     ``sorted(occurrences(p, (123, R)) + occurrences(p, (132, R)))``.
     """
-    if shading.k != 3 or n > _SINGLE_BLOCK_MAX:
-        raise ValueError(f"pair_occurrences needs a length-3 shading and n <= {_SINGLE_BLOCK_MAX}")
+    if shading.k != 3:
+        raise ValueError("pair_occurrences needs a length-3 shading")
     # the same cache key as count_vector's lookup, so its table is reused
-    combos, types, masks = subseq_tables(n, 3, None)
+    combos, types, masks = subseq_tables(n, 3, first)
     hit = (types <= 1) & ((masks & np.uint16(shading.mask)) == 0)
     triples = [(a + 1, b + 1, c + 1) for a, b, c in combos]
     rows, cols = np.nonzero(hit)
     bounds = np.searchsorted(rows, np.arange(hit.shape[0] + 1)).tolist()
     cols = cols.tolist()
     return [[triples[c] for c in cols[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def lex_ranks(perms: np.ndarray) -> np.ndarray:
+    """Rank in the lexicographic order of S_n of each row of ``perms``.
+
+    Every row must be a permutation of 1..n.  The rank is the Lehmer code
+    read in the factorial base: position i counts the later entries below
+    it, with weight (n - 1 - i)!.  This is :func:`meshperm.perms.lex_rank`
+    for a whole block at once.
+    """
+    rows, n = perms.shape
+    cols = np.ascontiguousarray(perms.T)
+    ranks = np.zeros(rows, dtype=np.int64)
+    for i in range(n):
+        below = np.zeros(rows, dtype=np.int64)
+        for j in range(i + 1, n):
+            below += cols[j] < cols[i]
+        ranks = ranks * (n - i) + below
+    return ranks
+
+
+def block_row(p: Sequence[int]) -> tuple[int | None, int]:
+    """The key of the block of S_n holding ``p`` and the row of ``p`` in it."""
+    n = len(p)
+    if len(blocks(n)) == 1:
+        return None, lex_rank(p)
+    return p[0], lex_rank(p) % math.factorial(n - 1)
 
 
 def max_occurrences(n: int, k: int) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 import meshperm
 from meshperm import bijections as bj
+from meshperm import mesh
 from meshperm.bijections import (
     FAMILIES,
     FAMILY_NAMES,
@@ -364,31 +365,95 @@ def test_table_provider_matches_the_finder():
     shadings |= set(bj._DIRECT_SEARCH_SHADINGS.values())
     shadings |= {ShadingSet(3, rng.randrange(1 << 16)) for _ in range(8)}
     for n in range(7):
-        provider = bj._table_provider(bj._host_ranks(n))
+        provider = bj._TableProvider(n)
         for shading in sorted(shadings, key=lambda s: s.mask):
             for host in enumerate_sn(n):
                 assert provider(host, shading) == bj._pair_occurrences(host, shading), (n, shading, host)
 
 
+def test_table_provider_reads_the_blocks_of_s9():
+    # every 97th host of the block of S_9 that starts with 5, both while the
+    # provider walks the block and when a host is asked about on its own
+    shadings = [bj._OTH1_SHADING] + [entry_by_id(eid).patterns()[0].shading for eid in (41, 46)]
+    walker, lone = bj._TableProvider(9), bj._TableProvider(9)
+    for shading in shadings:
+        for row, host in enumerate(walker.hosts(5)):
+            if row % 97 == 0:
+                expected = bj._pair_occurrences(host, shading)
+                assert walker(host, shading) == expected, (shading, host)
+                assert lone(host, shading) == expected, (shading, host)
+
+
 def test_verify_entry_reads_occurrences_from_the_tables(monkeypatch):
-    finder = bj.occurrences
     calls = 0
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return finder(*args)
+    def counting(fn):
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+        return counted
 
-    monkeypatch.setattr(bj, "occurrences", counted)
-    # one entry per occurrence-driven family (direct 6-8, pair_swap,
+    # both pure-Python occurrence tests, wherever they are looked up
+    for module in (bj, mesh):
+        for name in ("occurrences", "is_occurrence"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    # one entry per occurrence-driven family (direct 6-8, oth1, pair_swap,
     # a1_complement, nine_box, per_interval_nine_box) and a
     # nonsymmetric-proved one
-    for eid in (6, 39, 41, 46, 74, 101):
+    for eid in (6, 12, 39, 41, 46, 74, 101):
         assert verify_entry(entry_by_id(eid), 5).ok(), eid
     assert calls == 0
     # the patched finder is the one apply_family still reads
     assert apply_family(entry_by_id(46), (1, 2, 3, 4)) != (1, 2, 3, 4)
     assert calls > 0
+
+
+def test_verify_pair_fails_a_host_on_which_the_map_raises():
+    entry = entry_by_id(1)
+    p1, p2 = entry.patterns()
+    transform = transform_for(entry.family, p1.shading)
+
+    def partial(p):
+        if tuple(p) in ((2, 1, 3), (3, 2, 1)):
+            raise UnsupportedShadingError("no image")
+        return transform(p)
+
+    rep = verify_pair(p1, p2, partial, 3)
+    assert rep == VerificationReport(3, False, True, True, (2, 1, 3))
+    assert not rep.ok()
+
+
+A1_WITNESS_42 = (2, 5, 1, 3, 4, 7, 6, 9, 8)
+A1_WITNESS_41 = (2, 5, 1, 3, 4, 6, 8, 7, 9)
+
+
+def test_a1_complement_defect_at_2_5_1_3_4_7_6_9_8():
+    # what the map does today to the S_9 witness of entry 42; once the map
+    # is mended this test fails and the strict xfail below passes
+    entry = entry_by_id(42)
+    image = apply_family(entry, A1_WITNESS_42)
+    assert pair_counts(A1_WITNESS_42, entry) == (1, 4)
+    assert image == (2, 5, 1, 4, 3, 6, 7, 8, 9)
+    assert pair_counts(image, entry) == (6, 1)
+    assert apply_family(entry, image) != A1_WITNESS_42
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a1_complement sends counts (1, 4) to (6, 1) on S_9")
+def test_a1_complement_swaps_counts_at_2_5_1_3_4_7_6_9_8():
+    entry = entry_by_id(42)
+    image = apply_family(entry, A1_WITNESS_42)
+    assert pair_counts(image, entry) == pair_counts(A1_WITNESS_42, entry)[::-1]
+    assert apply_family(entry, image) == A1_WITNESS_42
+
+
+@pytest.mark.xfail(strict=True, raises=UnsupportedShadingError, reason="a1_complement finds no tail block on S_9")
+def test_a1_complement_maps_2_5_1_3_4_6_8_7_9():
+    entry = entry_by_id(41)
+    image = apply_family(entry, A1_WITNESS_41)
+    assert pair_counts(image, entry) == pair_counts(A1_WITNESS_41, entry)[::-1]
+    assert apply_family(entry, image) == A1_WITNESS_41
 
 
 def test_verify_pair_rejects_oversize_n():

@@ -131,6 +131,42 @@ def test_verify_failure_names_the_counterexample(capsys, monkeypatch):
     assert err == "counterexample: host [1, 2, 3] has counts (1, 0); its image [1, 2, 3, 4] is outside S_3\n"
 
 
+def test_verify_failure_names_the_error_of_the_map(capsys, monkeypatch):
+    build = bijections.transform_for
+
+    def transform_for(family, shading, *provider):
+        transform = build(family, shading, *provider)
+
+        def partial(p):
+            if tuple(p) == (1, 2, 3, 4):
+                raise ValueError("no image")
+            return transform(p)
+        return partial
+
+    monkeypatch.setattr(bijections, "transform_for", transform_for)
+    code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
+    assert code == EXIT_FAILED
+    assert json.loads(out)["bijective"] is False
+    assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
+    assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); the map raised ValueError: no image\n"
+
+
+def test_apply_reports_a_failing_map_as_a_defect(capsys, monkeypatch):
+    code, out, err = run(capsys, ["apply", "--pair-id", "41", "--perm", "2,5,1,3,4,6,8,7,9"])
+    assert code == EXIT_FAILED
+    assert out == ""
+    assert err.startswith("error: the map of entry 41 failed on 2,5,1,3,4,6,8,7,9: UnsupportedShadingError: ")
+    assert err.count("\n") == 1
+    # a shading the family does not support is still a usage error
+
+    def unsupported(family, shading, *provider):
+        raise bijections.UnsupportedShadingError("not this shading")
+
+    monkeypatch.setattr(bijections, "transform_for", unsupported)
+    code, out, err = run(capsys, ["apply", "--pair-id", "41", "--perm", "1,2,3"])
+    assert (code, out, err) == (EXIT_USAGE, "", "error: not this shading\n")
+
+
 def test_catalog_validate(capsys):
     code, out, _ = run(capsys, ["catalog-validate"])
     assert code == EXIT_OK
@@ -175,12 +211,27 @@ def test_cap_exceeded_exit_code(capsys):
     assert code == EXIT_CAP
 
 
-def test_verify_limit_holds_above_raised_cap(capsys, monkeypatch):
+def test_verify_obeys_the_shared_cap(capsys, monkeypatch):
     monkeypatch.setenv("MESHPERM_MAX_N", "10")
-    code, out, err = run(capsys, ["verify", "--pair-id", "1", "--n", "9"])
-    assert code == EXIT_CAP
-    assert out == ""
-    assert "error: n = 9 exceeds the verification cap of 8" in err
+    for argv in (["verify", "--pair-id", "1", "--n", "11"], ["dist", "--pattern", "123|", "--n", "11"]):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err == "error: n = 11 exceeds the active cap of 10\n"
+
+
+def test_verify_at_nine_under_raised_cap(capsys, monkeypatch):
+    monkeypatch.setenv("MESHPERM_MAX_N", "9")
+    code, out, err = run(capsys, ["verify", "--pair-id", "13", "--n", "9"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == {
+        "pair_id": 13,
+        "n": 9,
+        "bijective": True,
+        "joint_swap": True,
+        "involution": True,
+        "counterexample": None,
+    }
 
 
 def test_bad_literals_are_usage_errors(capsys):

@@ -103,8 +103,8 @@ def test_pair_occurrences_rows():
     assert engine.pair_occurrences(2, ShadingSet.empty(3)) == [[], []]
     with pytest.raises(ValueError):
         engine.pair_occurrences(4, ShadingSet.empty(2))
-    with pytest.raises(ValueError):
-        engine.pair_occurrences(engine._SINGLE_BLOCK_MAX + 1, ShadingSet.empty(3))
+    # a block key selects the rows of the hosts with that first value
+    assert engine.pair_occurrences(4, ShadingSet.empty(3), 2) == rows[6:12]
 
 
 def test_pair_occurrences_reuses_the_count_vector_table():
@@ -113,3 +113,28 @@ def test_pair_occurrences_reuses_the_count_vector_table():
     built = engine.subseq_tables.cache_info().misses
     engine.pair_occurrences(5, ShadingSet.empty(3))
     assert engine.subseq_tables.cache_info().misses == built
+
+
+def test_lex_ranks_match_lex_rank():
+    rng = random.Random(3)
+    for n in range(8):
+        hosts = list(enumerate_sn(n))
+        rng.shuffle(hosts)
+        ranks = engine.lex_ranks(np.array(hosts, dtype=np.int8).reshape(len(hosts), n))
+        assert ranks.tolist() == [lex_rank(p) for p in hosts], n
+
+
+def test_lex_ranks_of_the_blocks_of_s9():
+    n = engine._SINGLE_BLOCK_MAX + 1
+    for first in engine.blocks(n):
+        block = engine.perm_block(n, first)
+        offset = lex_rank(tuple(block[0].tolist()))
+        assert np.array_equal(engine.lex_ranks(block), offset + np.arange(block.shape[0])), first
+
+
+def test_block_row():
+    assert engine.block_row(()) == (None, 0)
+    assert engine.block_row((2, 1, 4, 3)) == (None, lex_rank((2, 1, 4, 3)))
+    host = (5, 1, 2, 3, 4, 6, 7, 9, 8)
+    assert engine.block_row(host) == (5, 1)
+    assert tuple(engine.perm_block(9, 5)[1].tolist()) == host
