@@ -182,16 +182,10 @@ class ScanResult:
 def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> list[tuple[list[int], list[int]]]:
     """Histogram the counts of (123, R) and (132, R) over one block of S_n."""
     n, first, masks = task
-    _, types, mtab = engine.subseq_tables(n, 3, first)
-    want1 = types == engine.pattern_type_id((1, 2, 3))
-    want2 = types == engine.pattern_type_id((1, 3, 2))
     width = engine.max_occurrences(n, 3) + 1
     out = []
-    for mask in masks:
-        clear = (mtab & np.uint16(mask)) == 0
-        h1 = np.bincount((clear & want1).sum(axis=1), minlength=width)
-        h2 = np.bincount((clear & want2).sum(axis=1), minlength=width)
-        out.append((h1.tolist(), h2.tolist()))
+    for c1, c2 in engine.pair_count_vectors(n, masks, first):
+        out.append((np.bincount(c1, minlength=width).tolist(), np.bincount(c2, minlength=width).tolist()))
     return out
 
 

@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 import sympy
 
+from meshperm import engine
 from meshperm.catalog import entry_by_id
 from meshperm.distribution import (
     CapExceededError,
+    _scan_block,
     avoidance_sequence,
     bell,
     catalan,
@@ -18,7 +21,7 @@ from meshperm.distribution import (
     scan_symmetric_pairs,
     stirling_first_kind,
 )
-from meshperm.mesh import ShadingSet, parse_pattern
+from meshperm.mesh import MeshPattern, ShadingSet, parse_pattern
 
 P123 = parse_pattern("123|")
 P132 = parse_pattern("132|")
@@ -127,6 +130,21 @@ def test_scan_symmetric_pairs_counts():
     assert empty.first_divergence_n == 4
     # A catalogued equidistributed shading survives.
     assert by_literal["0/0,0/1,0/2,1/0,2/0"].equidistributed
+
+
+def test_scan_block_matches_the_count_vectors():
+    # the scan kernel shares one OR of the shaded planes between 123 and 132;
+    # on an n = 9 block it must give count_vector's histograms for both
+    n, first = 9, 4
+    shadings = [ShadingSet.empty(3), ShadingSet.full(3)]
+    shadings += [entry_by_id(i).patterns()[0].shading for i in (23, 87)]
+    hists = _scan_block((n, first, tuple(s.mask for s in shadings)))
+    width = math.comb(n, 3) + 1
+    for shading, pair in zip(shadings, hists):
+        for tau, hist in zip(((1, 2, 3), (1, 3, 2)), pair):
+            vec = engine.count_vector(n, MeshPattern(tau, shading), first)
+            assert hist == np.bincount(vec, minlength=width).tolist(), (shading, tau)
+    engine.clear_caches()
 
 
 def test_scan_parallel_merge_is_deterministic():

@@ -1,13 +1,14 @@
 """Tests for the vectorized counting engine against the direct counter."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from meshperm import engine
-from meshperm.mesh import MeshPattern, ShadingSet, count_occurrences, parse_pattern
-from meshperm.perms import enumerate_sn, lex_rank
+from meshperm.mesh import MeshPattern, ShadingSet, count_occurrences, occurrence_box_mask, parse_pattern
+from meshperm.perms import enumerate_sn, lex_rank, standardize
 
 
 def test_blocks_partition():
@@ -35,13 +36,63 @@ def test_pattern_type_ids_distinct():
 
 
 def test_subseq_tables_shapes_and_length_guard():
-    combos, types, masks = engine.subseq_tables(5, 3)
+    combos, planes = engine.subseq_tables(5, 3)
     assert len(combos) == 10
-    assert types.shape == (120, 10)
-    assert masks.shape == (120, 10)
-    assert types.dtype == np.uint8 and masks.dtype == np.uint16
+    # 16 box planes and 3 type-bit planes; the 10 combos fill one word
+    assert planes.shape == (19, 1, 120)
+    assert planes.dtype == np.uint32
+    combos, planes = engine.subseq_tables(9, 2, 4)
+    # 9 box planes and 2 type-bit planes; 36 combos take two words
+    assert len(combos) == 36
+    assert planes.shape == (11, 2, 40320)
     with pytest.raises(ValueError):
         engine.subseq_tables(5, 7)
+    engine.clear_caches()
+
+
+def _plane_bits(planes, combos):
+    """(planes, rows, combos) 0/1 array of the table's bits."""
+    as_bytes = np.ascontiguousarray(planes.transpose(0, 2, 1), dtype="<u4").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=2, count=len(combos), bitorder="little")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_subseq_tables_bits_match_the_definition(k):
+    combos, planes = engine.subseq_tables(5, k)
+    bits = _plane_bits(planes, combos)
+    boxes = (k + 1) ** 2
+    for r, p in enumerate(enumerate_sn(5)):
+        for c, idx in enumerate(combos):
+            positions = [q + 1 for q in idx]
+            box_mask = occurrence_box_mask(p, positions).mask
+            tid = engine.pattern_type_id(standardize([p[q] for q in idx]))
+            assert [int(b) for b in bits[:boxes, r, c]] == [box_mask >> i & 1 for i in range(boxes)]
+            assert [int(b) for b in bits[boxes:, r, c]] == [tid >> t & 1 for t in range(len(planes) - boxes)]
+
+
+def test_subseq_tables_argument_forms_share_one_entry():
+    engine.clear_caches()
+    tables = engine.subseq_tables(5, 3)
+    assert engine.subseq_tables(5, 3, None) is tables
+    assert engine.subseq_tables(5, 3, first=None) is tables
+    info = engine.subseq_tables.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_padding_bits_never_count():
+    # 84 combos span three uint32 words at n = 9, 36 span two; every combo has
+    # exactly one type, so the empty-shaded patterns of a length split C(n, k)
+    # among themselves, and with every box shaded only a host of length k
+    # keeps its one combo
+    for n in range(10):
+        for first in engine.blocks(n):
+            for k in (2, 3):
+                vectors = [engine.count_vector(n, MeshPattern.of(tau, []), first) for tau in enumerate_sn(k)]
+                assert np.all(sum(vectors) == math.comb(n, k)), (n, first, k)
+                full = [engine.count_vector(n, MeshPattern.of(tau, ShadingSet.full(k).boxes()), first)
+                        for tau in enumerate_sn(k)]
+                assert np.all(sum(full) == (1 if n == k else 0)), (n, first, k)
+        engine.clear_caches()
 
 
 def test_count_vector_matches_direct_counter():
