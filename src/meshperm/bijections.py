@@ -837,8 +837,9 @@ def _verify(
     """:func:`verify_pair` with the hosts of each block listed by ``hosts``."""
     check_cap(n)
     keys = engine.blocks(n)
-    occ1 = np.concatenate([engine.count_vector(n, pattern1, first) for first in keys])
-    occ2 = np.concatenate([engine.count_vector(n, pattern2, first) for first in keys])
+    counts = [engine.count_vectors(n, (pattern1, pattern2), first) for first in keys]
+    occ1 = np.concatenate([c1 for c1, _ in counts])
+    occ2 = np.concatenate([c2 for _, c2 in counts])
     image = np.concatenate([_image_ranks(transform, hosts(first), n) for first in keys])
     inside = image >= 0
     first_hit = np.zeros(len(image), dtype=bool)

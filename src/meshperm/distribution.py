@@ -104,14 +104,22 @@ def distribution(pattern: MeshPattern, n: int, *, cap: int | None = None) -> Dis
     counts: Counter[int] = Counter()
     if len(pattern) in engine.SUPPORTED_LENGTHS:
         for first in engine.blocks(n):
-            vec = engine.count_vector(n, pattern, first)
-            for k, c in enumerate(np.bincount(vec)):
-                if c:
-                    counts[k] += int(c)
+            _tally(counts, engine.count_vector(n, pattern, first))
     else:
         for p in enumerate_sn(n):
             counts[count_occurrences(p, pattern)] += 1
     return DistributionTable(pattern, n, dict(counts))
+
+
+def _tally(counts: Counter[int], vec: np.ndarray) -> None:
+    """Add the histogram of the count vector ``vec`` to ``counts``."""
+    for k, c in enumerate(np.bincount(vec)):
+        if c:
+            counts[k] += int(c)
+
+
+def _both_supported(pattern1: MeshPattern, pattern2: MeshPattern) -> bool:
+    return len(pattern1) in engine.SUPPORTED_LENGTHS and len(pattern2) in engine.SUPPORTED_LENGTHS
 
 
 def joint_distribution(
@@ -120,11 +128,10 @@ def joint_distribution(
     """Joint distribution of the two patterns' occurrence counts over S_n."""
     check_cap(n, cap)
     counts: Counter[tuple[int, int]] = Counter()
-    if len(pattern1) in engine.SUPPORTED_LENGTHS and len(pattern2) in engine.SUPPORTED_LENGTHS:
+    if _both_supported(pattern1, pattern2):
         width = engine.max_occurrences(n, len(pattern2)) + 1
         for first in engine.blocks(n):
-            v1 = engine.count_vector(n, pattern1, first)
-            v2 = engine.count_vector(n, pattern2, first)
+            v1, v2 = engine.count_vectors(n, (pattern1, pattern2), first)
             flat = np.bincount(v1 * width + v2)
             for code in np.nonzero(flat)[0]:
                 counts[(int(code) // width, int(code) % width)] += int(flat[code])
@@ -141,9 +148,23 @@ def first_divergence(
     if cap is None:
         cap = max_n
     for n in range(max_n + 1):
-        if distribution(pattern1, n, cap=cap).counts != distribution(pattern2, n, cap=cap).counts:
+        counts1, counts2 = _distributions(pattern1, pattern2, n, cap)
+        if counts1 != counts2:
             return n
     return None
+
+
+def _distributions(pattern1: MeshPattern, pattern2: MeshPattern, n: int, cap: int) -> tuple[dict, dict]:
+    """Both patterns' distributions over S_n, as :attr:`DistributionTable.counts`;
+    where the engine counts both, one count per block serves the pair."""
+    if not _both_supported(pattern1, pattern2):
+        return distribution(pattern1, n, cap=cap).counts, distribution(pattern2, n, cap=cap).counts
+    check_cap(n, cap)
+    counts: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
+    for first in engine.blocks(n):
+        for tally, vec in zip(counts, engine.count_vectors(n, (pattern1, pattern2), first)):
+            _tally(tally, vec)
+    return counts
 
 
 def avoidance_sequence(pattern: MeshPattern, max_n: int, *, cap: int | None = None) -> list[int]:
@@ -155,6 +176,9 @@ def avoidance_sequence(pattern: MeshPattern, max_n: int, *, cap: int | None = No
 
 # ---------------------------------------------------------------------------
 # symmetric-shading scan
+
+
+_SCAN_PAIR = ((1, 2, 3), (1, 3, 2))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,13 +204,17 @@ class ScanResult:
 
 
 def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> list[tuple[list[int], list[int]]]:
-    """Histogram the counts of (123, R) and (132, R) over one block of S_n."""
+    """Histogram the counts of (123, R) and (132, R) over one block of S_n.
+
+    The block's table is built here and dropped on return: the scan reads
+    it once, so caching it would keep every block of every n alive.
+    """
     n, first, masks = task
     width = engine.max_occurrences(n, 3) + 1
-    out = []
-    for c1, c2 in engine.pair_count_vectors(n, masks, first):
-        out.append((np.bincount(c1, minlength=width).tolist(), np.bincount(c2, minlength=width).tolist()))
-    return out
+    _, planes = engine.build_tables(n, 3, first)
+    patterns = [MeshPattern(tau, ShadingSet(3, mask)) for mask in masks for tau in _SCAN_PAIR]
+    hists = [np.bincount(vec, minlength=width).tolist() for vec in engine.occurrence_counts(planes, patterns)]
+    return list(zip(hists[::2], hists[1::2]))
 
 
 def _pair_histograms(

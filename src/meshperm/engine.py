@@ -13,12 +13,19 @@ the same n reuses all of the heavy work.
 
 Permutations are partitioned by their first value when n >= 9 to keep the
 tables at a manageable size; callers aggregate over ``blocks(n)``.
+
+A block's table is built by :func:`build_tables`, and every count is read
+from the planes it returns by one kernel, :func:`occurrence_counts`.
+Queries that come back to the same n read :func:`subseq_tables`, which
+caches the built tables; the symmetric-shading scan reads each block once,
+so it builds the block's table, counts every pending shading and drops it.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -42,17 +49,31 @@ def blocks(n: int) -> tuple[int | None, ...]:
 
 @functools.lru_cache(maxsize=64)
 def perm_block(n: int, first: int | None = None) -> np.ndarray:
-    """S_n in lexicographic order as an int8 array, optionally with p(1) fixed."""
-    if first is None:
-        rows = itertools.permutations(range(1, n + 1))
-    else:
-        rest = [v for v in range(1, n + 1) if v != first]
-        rows = ((first, *tail) for tail in itertools.permutations(rest))
-    arr = np.array(list(rows), dtype=np.int8)
-    if arr.ndim == 1:  # S_0 collapses to shape (1, 0)
-        arr = arr.reshape(1, n)
+    """S_n in lexicographic order as an int8 array, optionally with p(1) fixed.
+
+    S_0 is the one empty permutation, shape ``(1, 0)``.
+    """
+    arr = _lex_sn(n) if first is None else _prefixed(_lex_sn(n - 1), first)
     arr.setflags(write=False)
     return arr
+
+
+def _lex_sn(m: int) -> np.ndarray:
+    """S_m in lexicographic order: for each first value v in turn, S_(m-1)
+    with its entries from v up raised by one."""
+    block = np.zeros((1, 0), dtype=np.int8)
+    for size in range(1, m + 1):
+        block = np.concatenate([_prefixed(block, v) for v in range(1, size + 1)])
+    return block
+
+
+def _prefixed(rest: np.ndarray, first: int) -> np.ndarray:
+    """``first`` followed by each row of ``rest`` with its entries from
+    ``first`` up raised by one; rows of 1..m become rows of 1..m+1."""
+    out = np.empty((rest.shape[0], rest.shape[1] + 1), dtype=np.int8)
+    out[:, 0] = first
+    out[:, 1:] = rest + (rest >= first)
+    return out
 
 
 def pattern_type_id(tau: Perm) -> int:
@@ -76,7 +97,7 @@ def _type_bits(k: int) -> int:
     return math.factorial(k).bit_length()
 
 
-def subseq_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+def build_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Bit planes of the length-k position subsets of every permutation in a block.
 
     Returns ``(combos, planes)``.  ``combos`` lists the 0-based position
@@ -90,16 +111,11 @@ def subseq_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple
     id, low bit first; the padding bits of the last word read as the code
     with every type bit set, which no type id has.
 
-    ``subseq_tables(n, k)``, ``subseq_tables(n, k, None)`` and
-    ``subseq_tables(n, k, first=None)`` share one cache entry.
+    Each call builds the table anew; :func:`subseq_tables` keeps what it
+    builds for the next query.
     """
     if k not in SUPPORTED_LENGTHS:
         raise ValueError(f"tables support pattern lengths {SUPPORTED_LENGTHS}, not {k}")
-    return _bit_planes(n, k, first)
-
-
-@functools.lru_cache(maxsize=128)
-def _bit_planes(n: int, k: int, first: int | None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     cols = np.ascontiguousarray(perm_block(n, first).T)
     rows = cols.shape[1]
     combos = tuple(itertools.combinations(range(n), k))
@@ -137,8 +153,21 @@ def _bit_planes(n: int, k: int, first: int | None) -> tuple[tuple[tuple[int, ...
     return combos, planes
 
 
-subseq_tables.cache_info = _bit_planes.cache_info
-subseq_tables.cache_clear = _bit_planes.cache_clear
+def subseq_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """:func:`build_tables`, kept for later calls with the same block.
+
+    The cache holds up to 128 tables, every block of every n a caller has
+    asked for, so queries that revisit an n (the distributions, joint
+    histograms, divergence checks and verification) build each table once.
+    ``subseq_tables(n, k)``, ``subseq_tables(n, k, None)`` and
+    ``subseq_tables(n, k, first=None)`` share one cache entry.
+    """
+    return _cached_tables(n, k, first)
+
+
+_cached_tables = functools.lru_cache(maxsize=128)(build_tables)
+subseq_tables.cache_info = _cached_tables.cache_info
+subseq_tables.cache_clear = _cached_tables.cache_clear
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -167,53 +196,76 @@ def _row_counts(hits: np.ndarray) -> np.ndarray:
     return np.bitwise_count(hits).sum(axis=0, dtype=np.uint16).astype(np.int64)
 
 
-def count_vector(n: int, pattern: MeshPattern, first: int | None = None) -> np.ndarray:
-    """Occurrence counts of ``pattern`` for every permutation in the block.
+def _shared_type_bits(planes: np.ndarray, k: int, tids: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Rule out the type codes that disagree with ``tids`` where they agree.
 
-    Entry r corresponds to the rank-r permutation of the block in
-    lexicographic order (see :func:`meshperm.perms.lex_rank`).  A combo is
-    an occurrence when no shaded box holds a point and its type bits equal
-    the pattern's type id: an OR of the shaded box planes and of the type
-    planes whose bit the id lacks, complemented, ANDed with the type planes
-    whose bit the id has, then a popcount per row.
+    Returns the OR of the type planes of the bits that every id has clear
+    and of the complements of those that every id has set, and the bits
+    on which the ids differ, which it leaves to the caller.
     """
-    k = len(pattern)
-    _, planes = subseq_tables(n, k, first)
-    boxes, tbits, tid = (k + 1) ** 2, _type_bits(k), pattern_type_id(pattern.tau)
-    lacking = ((1 << tbits) - 1) & ~tid
-    blocked = _or_planes(planes, pattern.shading.mask | lacking << boxes)
-    hits = np.invert(blocked, out=blocked)
+    base, tbits = (k + 1) ** 2, _type_bits(k)
+    differ = functools.reduce(operator.or_, (t ^ tids[0] for t in tids), 0)
+    out = np.zeros(planes.shape[1:], dtype=planes.dtype)
     for t in range(tbits):
-        if tid >> t & 1:
-            hits &= planes[boxes + t]
-    return _row_counts(hits)
+        if not differ >> t & 1:
+            out |= ~planes[base + t] if tids[0] >> t & 1 else planes[base + t]
+    return out, differ
 
 
-#: Index of the low type plane of a length-3 table, after its 16 box planes.
-_TYPE_PLANE_3 = 16
+def occurrence_counts(planes: np.ndarray, patterns: Sequence[MeshPattern]) -> Iterator[np.ndarray]:
+    """Occurrence counts of each pattern for every permutation of a block.
 
-#: The two high type planes of a length-3 table: both bits are 0 for exactly
-#: the type ids of 123 (0) and 132 (1), so the padding code 7 is excluded.
-_NOT_123_OR_132 = 0b110 << _TYPE_PLANE_3
-
-
-def pair_count_vectors(
-    n: int, masks: Sequence[int], first: int | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Count vectors of (123, R) and (132, R) over the block, for each
-    length-3 shading mask R in turn.
-
-    Yields ``(counts of 123, counts of 132)`` per mask; both read one OR of
-    the shaded box planes with the planes that rule out every other type.
+    ``planes`` is a block's table from :func:`build_tables` or
+    :func:`subseq_tables` for the patterns' one length k; yields one count
+    vector per pattern, in order, entry r for the block's rank-r
+    permutation.  A combo is an occurrence when no shaded box holds a point
+    and its type bits spell the pattern's type id.  The type bits that all
+    the ids share are checked once per call, by one OR of the type planes,
+    or their complements, that mark a combo whose type differs there.
+    Consecutive patterns with one shading share the complement of that OR
+    with the shading's box planes; each pattern then ANDs in, for every bit
+    on which the ids differ, the type plane or its complement that its id
+    calls for.  The count per row is a popcount of the bits left set.
     """
-    _, planes = subseq_tables(n, 3, first)
-    is_132 = planes[_TYPE_PLANE_3]
-    others = _or_planes(planes, _NOT_123_OR_132)
-    for mask in masks:
-        clear = _or_planes(planes, mask, others.copy())
-        np.invert(clear, out=clear)
-        hits_132 = clear & is_132
-        yield _row_counts(clear ^ hits_132), _row_counts(hits_132)
+    k = len(patterns[0])
+    base = (k + 1) ** 2
+    tids = [pattern_type_id(p.tau) for p in patterns]
+    others, differ = _shared_type_bits(planes, k, tids)
+    # per bit on which the ids differ: the plane for a 0 bit, then for a 1
+    split = {t: (~planes[base + t], planes[base + t]) for t in range(differ.bit_length()) if differ >> t & 1}
+    mask = None
+    for pattern, tid in zip(patterns, tids):
+        if pattern.shading.mask != mask:
+            mask = pattern.shading.mask
+            clear = _or_planes(planes, mask, others.copy())
+            np.invert(clear, out=clear)
+        hits = clear
+        for t, choice in split.items():
+            hits = hits & choice[tid >> t & 1]
+        yield _row_counts(hits)
+
+
+def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = None) -> list[np.ndarray]:
+    """Occurrence counts of each pattern for every permutation in the block.
+
+    Entry r of a vector corresponds to the rank-r permutation of the block
+    in lexicographic order (see :func:`meshperm.perms.lex_rank`).  The
+    patterns of each length are counted by one :func:`occurrence_counts`
+    call over the cached table, so a pair that shares a shading ORs its
+    box planes once.
+    """
+    counted = {}
+    for k in dict.fromkeys(len(p) for p in patterns):
+        same = [p for p in patterns if len(p) == k]
+        _, planes = subseq_tables(n, k, first)
+        counted[k] = occurrence_counts(planes, same)
+    return [next(counted[len(p)]) for p in patterns]
+
+
+def count_vector(n: int, pattern: MeshPattern, first: int | None = None) -> np.ndarray:
+    """Occurrence counts of ``pattern`` for every permutation in the block:
+    :func:`count_vectors` of the one pattern."""
+    return count_vectors(n, [pattern], first)[0]
 
 
 def pair_occurrences(n: int, shading: ShadingSet, first: int | None = None) -> list[list[tuple[int, int, int]]]:
@@ -228,7 +280,8 @@ def pair_occurrences(n: int, shading: ShadingSet, first: int | None = None) -> l
     if shading.k != 3:
         raise ValueError("pair_occurrences needs a length-3 shading")
     combos, planes = subseq_tables(n, 3, first)
-    hit_words = ~_or_planes(planes, _NOT_123_OR_132 | shading.mask)
+    others, _ = _shared_type_bits(planes, 3, (0, 1))
+    hit_words = ~_or_planes(planes, shading.mask, others)
     hit = np.unpackbits(np.ascontiguousarray(hit_words.T, dtype="<u4").view(np.uint8),
                         axis=1, count=len(combos), bitorder="little")
     triples = [(a + 1, b + 1, c + 1) for a, b, c in combos]
@@ -271,6 +324,8 @@ def max_occurrences(n: int, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop all memoized tables (used by tests and by worker processes)."""
+    """Drop all memoized blocks and tables, so that the next query starts
+    cold: the tests call it to free the tables they built, and the
+    benchmark before each pass."""
     perm_block.cache_clear()
     subseq_tables.cache_clear()

@@ -147,6 +147,15 @@ def test_scan_block_matches_the_count_vectors():
     engine.clear_caches()
 
 
+def test_scan_caches_no_tables():
+    # the scan builds each block's table for itself and drops it
+    engine.count_vector(5, P123)
+    before = engine.subseq_tables.cache_info()
+    scan_symmetric_pairs(6)
+    assert engine.subseq_tables.cache_info() == before
+    engine.clear_caches()
+
+
 def test_scan_parallel_merge_is_deterministic():
     single = scan_symmetric_pairs(4, jobs=1)
     multi = scan_symmetric_pairs(4, jobs=2)

@@ -1,5 +1,6 @@
 """Tests for the vectorized counting engine against the direct counter."""
 
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from meshperm import engine
+from meshperm.catalog import load_catalog
 from meshperm.mesh import MeshPattern, ShadingSet, count_occurrences, occurrence_box_mask, parse_pattern
 from meshperm.perms import enumerate_sn, lex_rank, standardize
 
@@ -27,6 +29,18 @@ def test_perm_block_matches_enumeration():
     assert [tuple(int(v) for v in row) for row in sub] == list(enumerate_sn(4, first=3))
     empty = engine.perm_block(0)
     assert empty.shape == (1, 0)
+
+
+def test_perm_block_matches_itertools_on_every_block():
+    for n in range(10):
+        keys = engine.blocks(n) if n > engine._SINGLE_BLOCK_MAX else (None, *range(1, n + 1))
+        for first in keys:
+            rows = [p for p in itertools.permutations(range(1, n + 1)) if first is None or p[0] == first]
+            block = engine.perm_block(n, first)
+            assert block.dtype == np.int8 and not block.flags.writeable, (n, first)
+            assert np.array_equal(block, np.array(rows, dtype=np.int8).reshape(len(rows), n)), (n, first)
+    assert engine.perm_block(0).shape == (1, 0)
+    engine.clear_caches()
 
 
 def test_pattern_type_ids_distinct():
@@ -121,6 +135,37 @@ def test_count_vector_per_first_value_block():
     whole = engine.count_vector(5, pattern)
     stacked = np.concatenate([engine.count_vector(5, pattern, first=f) for f in range(1, 6)])
     assert np.array_equal(whole, stacked)
+
+
+@pytest.mark.parametrize("n, first", [(5, None), (6, None), (7, None), (9, 4)])
+def test_count_vectors_of_catalog_pairs_match_count_vector(n, first):
+    # equal shadings of 123 and 132, the length-2 entries (equal shadings
+    # of 12 and 21) and the one pair whose two shadings differ
+    for entry in load_catalog():
+        pair = entry.patterns()
+        both = engine.count_vectors(n, pair, first)
+        for pattern, vec in zip(pair, both):
+            assert np.array_equal(vec, engine.count_vector(n, pattern, first)), (entry.id, pattern)
+    engine.clear_caches()
+
+
+def test_count_vectors_of_mixed_patterns_match_the_direct_counter():
+    # type ids that differ in more than one bit, a repeated shading that is
+    # not adjacent, and two lengths in one call
+    patterns = [
+        parse_pattern("123|1/1"),
+        parse_pattern("321|1/1"),
+        parse_pattern("213|0/0,3/3"),
+        parse_pattern("321|1/1"),
+        parse_pattern("12|0/0"),
+        parse_pattern("21|"),
+        parse_pattern("231|"),
+    ]
+    for n in (3, 6):
+        vectors = engine.count_vectors(n, patterns)
+        assert len(vectors) == len(patterns)
+        for pattern, vec in zip(patterns, vectors):
+            assert vec.tolist() == [count_occurrences(p, pattern) for p in enumerate_sn(n)], (n, pattern)
 
 
 def test_max_occurrences():
