@@ -149,7 +149,7 @@ def _cmd_joint(args) -> int:
 
 
 def _cmd_avoid(args) -> int:
-    values = avoidance_sequence(args.pattern, args.max_n, cap=min(args.max_n, effective_cap()))
+    values = avoidance_sequence(args.pattern, args.max_n, cap=effective_cap())
     print("n,count")
     for n, v in enumerate(values):
         print(f"{n},{v}")
@@ -163,8 +163,7 @@ def _cmd_check_pair(args) -> int:
         p1, p2 = args.pattern, args.pattern2
     else:
         raise _UsageError("check-pair needs --pair-id or both --pattern and --pattern2")
-    cap = min(args.max_n, effective_cap())
-    n = first_divergence(p1, p2, args.max_n, cap=cap)
+    n = first_divergence(p1, p2, args.max_n, cap=effective_cap())
     verdict = "equidistributed" if n is None else "diverges"
     print(json.dumps({"verdict": verdict, "first_divergence_n": n, "max_n": args.max_n}))
     if args.expect_equal and n is not None:

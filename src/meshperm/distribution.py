@@ -13,14 +13,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import engine
-from .mesh import MeshPattern, ShadingSet, count_occurrences, symmetric_shadings
-from .perms import HARD_ENUMERATION_CAP, enumerate_sn
+from .mesh import MeshPattern, ShadingSet, symmetric_shadings
+from .perms import HARD_ENUMERATION_CAP
 
 DEFAULT_MAX_N = 8
 
@@ -101,44 +100,40 @@ class JointTable:
 def distribution(pattern: MeshPattern, n: int, *, cap: int | None = None) -> DistributionTable:
     """Occurrence-count distribution of ``pattern`` over all of S_n."""
     check_cap(n, cap)
-    counts: Counter[int] = Counter()
-    if len(pattern) in engine.SUPPORTED_LENGTHS:
-        for first in engine.blocks(n):
-            _tally(counts, engine.count_vector(n, pattern, first))
-    else:
-        for p in enumerate_sn(n):
-            counts[count_occurrences(p, pattern)] += 1
-    return DistributionTable(pattern, n, dict(counts))
+    hist = sum(_bincount(engine.count_vector(n, pattern, first), n, len(pattern)) for first in engine.blocks(n))
+    return DistributionTable(pattern, n, _counts(hist))
 
 
-def _tally(counts: Counter[int], vec: np.ndarray) -> None:
-    """Add the histogram of the count vector ``vec`` to ``counts``."""
-    for k, c in enumerate(np.bincount(vec)):
-        if c:
-            counts[k] += int(c)
+def _bincount(vec: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Hosts per occurrence count 0..C(n, k) in a count vector of a length-k pattern."""
+    return np.bincount(vec, minlength=math.comb(n, k) + 1)
 
 
-def _both_supported(pattern1: MeshPattern, pattern2: MeshPattern) -> bool:
-    return len(pattern1) in engine.SUPPORTED_LENGTHS and len(pattern2) in engine.SUPPORTED_LENGTHS
+def _counts(hist: np.ndarray) -> dict[int, int]:
+    """The nonzero entries of a histogram, keyed by occurrence count in
+    ascending order: :attr:`DistributionTable.counts`."""
+    return {k: c for k, c in enumerate(hist.tolist()) if c}
 
 
 def joint_distribution(
     pattern1: MeshPattern, pattern2: MeshPattern, n: int, *, cap: int | None = None
 ) -> JointTable:
     """Joint distribution of the two patterns' occurrence counts over S_n."""
+    rows = _joint_histogram(pattern1, pattern2, n, cap).tolist()
+    counts = {(k, l): c for k, row in enumerate(rows) for l, c in enumerate(row) if c}
+    return JointTable(pattern1, pattern2, n, counts)
+
+
+def _joint_histogram(pattern1: MeshPattern, pattern2: MeshPattern, n: int, cap: int | None) -> np.ndarray:
+    """Hosts of S_n per pair of occurrence counts, as a
+    ``(C(n, k1) + 1, C(n, k2) + 1)`` array for pattern lengths k1, k2."""
     check_cap(n, cap)
-    counts: Counter[tuple[int, int]] = Counter()
-    if _both_supported(pattern1, pattern2):
-        width = engine.max_occurrences(n, len(pattern2)) + 1
-        for first in engine.blocks(n):
-            v1, v2 = engine.count_vectors(n, (pattern1, pattern2), first)
-            flat = np.bincount(v1 * width + v2)
-            for code in np.nonzero(flat)[0]:
-                counts[(int(code) // width, int(code) % width)] += int(flat[code])
-    else:
-        for p in enumerate_sn(n):
-            counts[(count_occurrences(p, pattern1), count_occurrences(p, pattern2))] += 1
-    return JointTable(pattern1, pattern2, n, dict(counts))
+    width1, width2 = (math.comb(n, len(p)) + 1 for p in (pattern1, pattern2))
+    hist = 0
+    for first in engine.blocks(n):
+        v1, v2 = engine.count_vectors(n, (pattern1, pattern2), first)
+        hist = hist + np.bincount(v1 * width2 + v2, minlength=width1 * width2)
+    return hist.reshape(width1, width2)
 
 
 def first_divergence(
@@ -148,23 +143,11 @@ def first_divergence(
     if cap is None:
         cap = max_n
     for n in range(max_n + 1):
-        counts1, counts2 = _distributions(pattern1, pattern2, n, cap)
-        if counts1 != counts2:
+        # each pattern's distribution is a marginal of the joint histogram
+        joint = _joint_histogram(pattern1, pattern2, n, cap)
+        if _counts(joint.sum(axis=1)) != _counts(joint.sum(axis=0)):
             return n
     return None
-
-
-def _distributions(pattern1: MeshPattern, pattern2: MeshPattern, n: int, cap: int) -> tuple[dict, dict]:
-    """Both patterns' distributions over S_n, as :attr:`DistributionTable.counts`;
-    where the engine counts both, one count per block serves the pair."""
-    if not _both_supported(pattern1, pattern2):
-        return distribution(pattern1, n, cap=cap).counts, distribution(pattern2, n, cap=cap).counts
-    check_cap(n, cap)
-    counts: tuple[Counter[int], Counter[int]] = (Counter(), Counter())
-    for first in engine.blocks(n):
-        for tally, vec in zip(counts, engine.count_vectors(n, (pattern1, pattern2), first)):
-            _tally(tally, vec)
-    return counts
 
 
 def avoidance_sequence(pattern: MeshPattern, max_n: int, *, cap: int | None = None) -> list[int]:
@@ -203,23 +186,23 @@ class ScanResult:
         }
 
 
-def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> list[tuple[list[int], list[int]]]:
+def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
     """Histogram the counts of (123, R) and (132, R) over one block of S_n.
 
-    The block's table is built here and dropped on return: the scan reads
-    it once, so caching it would keep every block of every n alive.
+    Returns a ``(2 * len(masks), C(n, 3) + 1)`` array: row 2i is the
+    histogram of (123, R) for R = ``masks[i]``, row 2i + 1 that of
+    (132, R).  The block's table is built here and dropped on return: the
+    scan reads it once, so caching it would keep every block of every n
+    alive.
     """
     n, first, masks = task
-    width = engine.max_occurrences(n, 3) + 1
     _, planes = engine.build_tables(n, 3, first)
     patterns = [MeshPattern(tau, ShadingSet(3, mask)) for mask in masks for tau in _SCAN_PAIR]
-    hists = [np.bincount(vec, minlength=width).tolist() for vec in engine.occurrence_counts(planes, patterns)]
-    return list(zip(hists[::2], hists[1::2]))
+    return np.array([_bincount(vec, n, 3) for vec in engine.occurrence_counts(planes, patterns)])
 
 
-def _pair_histograms(
-    n: int, masks: tuple[int, ...], jobs: int
-) -> dict[int, tuple[list[int], list[int]]]:
+def _pair_histograms(n: int, masks: tuple[int, ...], jobs: int) -> np.ndarray:
+    """:func:`_scan_block`'s histograms of the masks, summed over S_n."""
     if jobs > 1 and n >= 2:
         firsts: tuple[int | None, ...] = tuple(range(1, n + 1))
     else:
@@ -227,15 +210,8 @@ def _pair_histograms(
     tasks = [(n, first, masks) for first in firsts]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_scan_block, tasks))
-    else:
-        partials = [_scan_block(t) for t in tasks]
-    merged: dict[int, tuple[list[int], list[int]]] = {}
-    for i, mask in enumerate(masks):
-        h1 = [sum(part[i][0][k] for part in partials) for k in range(len(partials[0][i][0]))]
-        h2 = [sum(part[i][1][k] for part in partials) for k in range(len(partials[0][i][1]))]
-        merged[mask] = (h1, h2)
-    return merged
+            return sum(pool.map(_scan_block, tasks))
+    return sum(_scan_block(t) for t in tasks)
 
 
 def scan_symmetric_pairs(
@@ -260,10 +236,8 @@ def scan_symmetric_pairs(
         if not pending:
             break
         hists = _pair_histograms(n, pending, jobs)
-        for mask in pending:
-            h1, h2 = hists[mask]
-            if h1 != h2:
-                diverged[mask] = n
+        differ = (hists[0::2] != hists[1::2]).any(axis=1)
+        diverged.update((mask, n) for mask, d in zip(pending, differ.tolist()) if d)
     return [ScanResult(s, max_n, diverged.get(s.mask)) for s in shadings]
 
 

@@ -16,6 +16,8 @@ tables at a manageable size; callers aggregate over ``blocks(n)``.
 
 A block's table is built by :func:`build_tables`, and every count is read
 from the planes it returns by one kernel, :func:`occurrence_counts`.
+:func:`count_vectors` is the one entry point for counts of any length:
+the tables for k in {2, 3}, the pure-Python finder otherwise.
 Queries that come back to the same n read :func:`subseq_tables`, which
 caches the built tables; the symmetric-shading scan reads each block once,
 so it builds the block's table, counts every pending shading and drops it.
@@ -30,7 +32,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .mesh import MeshPattern, ShadingSet
+from .mesh import MeshPattern, ShadingSet, count_occurrences
 from .perms import Perm, lex_rank
 
 #: Largest n whose full table is built in one block.
@@ -250,15 +252,20 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
 
     Entry r of a vector corresponds to the rank-r permutation of the block
     in lexicographic order (see :func:`meshperm.perms.lex_rank`).  The
-    patterns of each length are counted by one :func:`occurrence_counts`
-    call over the cached table, so a pair that shares a shading ORs its
-    box planes once.
+    patterns of each table length are counted by one
+    :func:`occurrence_counts` call over the cached table, so a pair that
+    shares a shading ORs its box planes once; any other length by
+    :func:`meshperm.mesh.count_occurrences` on each row of the block.
     """
     counted = {}
     for k in dict.fromkeys(len(p) for p in patterns):
         same = [p for p in patterns if len(p) == k]
-        _, planes = subseq_tables(n, k, first)
-        counted[k] = occurrence_counts(planes, same)
+        if k in SUPPORTED_LENGTHS:
+            _, planes = subseq_tables(n, k, first)
+            counted[k] = occurrence_counts(planes, same)
+        else:
+            hosts = perm_block(n, first).tolist()
+            counted[k] = iter([np.array([count_occurrences(h, p) for h in hosts], dtype=np.int64) for p in same])
     return [next(counted[len(p)]) for p in patterns]
 
 
@@ -316,11 +323,6 @@ def block_row(p: Sequence[int]) -> tuple[int | None, int]:
     if len(blocks(n)) == 1:
         return None, lex_rank(p)
     return p[0], lex_rank(p) % math.factorial(n - 1)
-
-
-def max_occurrences(n: int, k: int) -> int:
-    """Upper bound on the occurrence count: C(n, k)."""
-    return math.comb(n, k)
 
 
 def clear_caches() -> None:

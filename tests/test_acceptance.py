@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -333,13 +334,14 @@ def test_criterion_11_occurrence_free_identity_invariant():
     done()
 
 
-@pytest.mark.long_running
-def test_long_running_scan_to_nine():
-    # The full sweep to n = 9; deselected by default, run with
-    # ``pytest -m long_running``.
+def test_scan_to_nine():
+    # The full sweep to n = 9, which merges the histograms of the nine
+    # blocks of S_9: 93 survivors, and the first divergences of the rest.
     results = scan_symmetric_pairs(9, jobs=1, long_running=True)
     survivors = {r.shading.mask for r in results if r.equidistributed}
     assert len(survivors) == 93
+    divergences = Counter(r.first_divergence_n for r in results if not r.equidistributed)
+    assert divergences == {4: 768, 5: 129, 6: 26, 7: 6, 8: 2}
 
 
 @pytest.mark.long_running

@@ -319,6 +319,15 @@ def test_verify_pair_requires_an_involution():
     assert not rep.ok()
 
 
+def test_verify_pair_counts_patterns_of_any_length():
+    # length 4 is outside the tables; the counts come from the pure-Python finder
+    p1234, p1243 = mesh.parse_pattern("1234|"), mesh.parse_pattern("1243|")
+    assert verify_pair(p1234, p1234, tuple, 5).ok()
+    rep = verify_pair(p1234, p1243, tuple, 4)
+    assert rep.joint_swap is False
+    assert rep.counterexample == (1, 2, 3, 4)
+
+
 def test_verify_pair_rejects_images_outside_sn():
     # Shifted values would pass the rank and count checks; an image one entry
     # too long has no rank in S_n at all.  Both must fail as non-bijective.

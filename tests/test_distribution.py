@@ -1,6 +1,7 @@
 """Tests for distribution tables, divergence search, scans and sequences."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from meshperm import engine
 from meshperm.catalog import entry_by_id
 from meshperm.distribution import (
     CapExceededError,
+    _pair_histograms,
     _scan_block,
     avoidance_sequence,
     bell,
@@ -21,10 +23,13 @@ from meshperm.distribution import (
     scan_symmetric_pairs,
     stirling_first_kind,
 )
-from meshperm.mesh import MeshPattern, ShadingSet, parse_pattern
+from meshperm.mesh import MeshPattern, ShadingSet, count_occurrences, parse_pattern
+from meshperm.perms import enumerate_sn
 
 P123 = parse_pattern("123|")
 P132 = parse_pattern("132|")
+P1234 = parse_pattern("1234|")
+P1243 = parse_pattern("1243|")
 BELL123 = parse_pattern("123|2/0,2/1,2/2,2/3")
 CORNER123 = parse_pattern("123|0/1,0/2,1/0,2/0")
 FULL = parse_pattern("123|" + ",".join(f"{i}/{j}" for i in range(4) for j in range(4)))
@@ -90,6 +95,29 @@ def test_joint_distribution_detects_asymmetry():
     assert not joint_distribution(akv1, akv2, 4).is_swap_symmetric()
 
 
+def test_length_four_distributions_frozen_values():
+    # lengths the tables do not cover are counted by the pure-Python finder;
+    # 103 is the number of 1234-avoiders in S_5
+    assert distribution(P1234, 5).counts == {0: 103, 1: 12, 2: 4, 5: 1}
+    assert first_divergence(P1234, P1243, 6) == 5
+    assert joint_distribution(P1234, P1243, 4).counts == {(0, 0): 22, (0, 1): 1, (1, 0): 1}
+
+
+def test_joint_distribution_of_mixed_lengths_matches_the_direct_counter():
+    p1, p2 = parse_pattern("123|1/1"), parse_pattern("1243|")
+    expected = Counter((count_occurrences(p, p1), count_occurrences(p, p2)) for p in enumerate_sn(6))
+    assert joint_distribution(p1, p2, 6).counts == expected
+
+
+def test_counts_keys_are_ascending():
+    # at n = 9 every block adds its counts to one histogram, so the keys
+    # follow the occurrence counts, not the block in which each first shows
+    p1, p2 = entry_by_id(28).patterns()
+    for table in (distribution(p1, 9, cap=9), joint_distribution(p1, p2, 9, cap=9)):
+        assert list(table.counts) == sorted(table.counts)
+    engine.clear_caches()
+
+
 def test_avoidance_sequences():
     assert avoidance_sequence(P123, 8) == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
     assert avoidance_sequence(BELL123, 6) == [1, 1, 2, 5, 15, 52, 203]
@@ -134,16 +162,31 @@ def test_scan_symmetric_pairs_counts():
 
 def test_scan_block_matches_the_count_vectors():
     # the scan kernel shares one OR of the shaded planes between 123 and 132;
-    # on an n = 9 block it must give count_vector's histograms for both
+    # on an n = 9 block it must give count_vector's histograms for both, in
+    # rows 2i and 2i + 1 of one array
     n, first = 9, 4
     shadings = [ShadingSet.empty(3), ShadingSet.full(3)]
     shadings += [entry_by_id(i).patterns()[0].shading for i in (23, 87)]
     hists = _scan_block((n, first, tuple(s.mask for s in shadings)))
     width = math.comb(n, 3) + 1
-    for shading, pair in zip(shadings, hists):
-        for tau, hist in zip(((1, 2, 3), (1, 3, 2)), pair):
+    assert hists.shape == (2 * len(shadings), width)
+    rows = iter(hists.tolist())
+    for shading in shadings:
+        for tau in ((1, 2, 3), (1, 3, 2)):
             vec = engine.count_vector(n, MeshPattern(tau, shading), first)
-            assert hist == np.bincount(vec, minlength=width).tolist(), (shading, tau)
+            assert next(rows) == np.bincount(vec, minlength=width).tolist(), (shading, tau)
+    engine.clear_caches()
+
+
+def test_pair_histograms_sum_the_blocks_of_s9():
+    # the scan adds the histograms of the nine blocks of S_9 into each
+    # pattern's distribution over all of S_9
+    masks = (ShadingSet.empty(3).mask, entry_by_id(23).patterns()[0].shading.mask)
+    rows = iter(_pair_histograms(9, masks, jobs=1).tolist())
+    for mask in masks:
+        for tau in ((1, 2, 3), (1, 3, 2)):
+            counts = distribution(MeshPattern(tau, ShadingSet(3, mask)), 9, cap=9).counts
+            assert next(rows) == [counts.get(k, 0) for k in range(math.comb(9, 3) + 1)], (mask, tau)
     engine.clear_caches()
 
 

@@ -151,7 +151,8 @@ def test_count_vectors_of_catalog_pairs_match_count_vector(n, first):
 
 def test_count_vectors_of_mixed_patterns_match_the_direct_counter():
     # type ids that differ in more than one bit, a repeated shading that is
-    # not adjacent, and two lengths in one call
+    # not adjacent, and the table lengths 2 and 3 in one call with lengths 1
+    # and 4, which are counted by the pure-Python finder
     patterns = [
         parse_pattern("123|1/1"),
         parse_pattern("321|1/1"),
@@ -160,18 +161,15 @@ def test_count_vectors_of_mixed_patterns_match_the_direct_counter():
         parse_pattern("12|0/0"),
         parse_pattern("21|"),
         parse_pattern("231|"),
+        parse_pattern("1|"),
+        parse_pattern("1234|"),
+        parse_pattern("1243|0/0"),
     ]
     for n in (3, 6):
         vectors = engine.count_vectors(n, patterns)
         assert len(vectors) == len(patterns)
         for pattern, vec in zip(patterns, vectors):
             assert vec.tolist() == [count_occurrences(p, pattern) for p in enumerate_sn(n)], (n, pattern)
-
-
-def test_max_occurrences():
-    assert engine.max_occurrences(6, 3) == 20
-    assert engine.max_occurrences(3, 3) == 1
-    assert engine.max_occurrences(2, 3) == 0
 
 
 def test_clear_caches_roundtrip():
