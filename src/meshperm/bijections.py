@@ -26,7 +26,8 @@ Families and their parameters:
 ``per_interval_len2``         length-2 sweep on each rectangle hanging off a
                               left-to-right minimum
 ``pair_swap``                 transpose the adjacent tail of every occurrence
-``a1_complement``             complement the interval block of occurrence tails
+``a1_complement``             complement the largest interval block around
+                              each occurrence tail, block by block
 ``nine_box``                  block-structured max-swap sweep
 ``per_interval_nine_box``     the same sweep, occurrences confined to minima
                               rectangles
@@ -134,11 +135,7 @@ def direct_transform(p: Sequence[int], pair_id: int, provider: OccurrenceProvide
             return (*p[:-2], p[-1], p[-2])
         return p
     if pair_id in (6, 7, 8):
-        out = list(p)
-        for occ in provider(p, _DIRECT_SEARCH_SHADINGS[pair_id]):
-            b, c = occ[1], occ[2]
-            out[b - 1], out[c - 1] = out[c - 1], out[b - 1]
-        return tuple(out)
+        return _swap_tails(p, _DIRECT_SEARCH_SHADINGS[pair_id], provider)
     if pair_id in (9, 10, 11):
         if n >= 3 and {p[-2], p[-1]} == {n - 1, n}:
             return (*p[:-2], p[-1], p[-2])
@@ -157,22 +154,20 @@ _OTH1_SHADING = ShadingSet.from_boxes(
 def oth1_transform(p: Sequence[int]) -> Perm:
     """Swap the tail of the occurrence rooted at each left-to-right minimum.
 
-    Minima are processed in position order; at most one occurrence of either
-    pattern starts at each minimum of the current permutation, and its second
-    and third values are exchanged.  The swaps never move a minimum, so the
-    root positions are fixed up front.
+    At most one occurrence of either pattern starts at each minimum, and its
+    second and third values are exchanged.  The host's occurrences are read
+    once: a swap at one root never moves the occurrence at a later root, so
+    the host's own list names every swap.
     """
     return transform_for({"name": "oth1"}, _OTH1_SHADING)(p)
 
 
-def _oth1(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
-    cur = list(p)
-    for pos in left_to_right_minima(p):
-        occ = next((o for o in provider(cur, shading) if o[0] == pos), None)
-        if occ is not None:
-            b, c = occ[1], occ[2]
-            cur[b - 1], cur[c - 1] = cur[c - 1], cur[b - 1]
-    return tuple(cur)
+def _swap_tails(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
+    """Exchange the second and third entries of each occurrence in ``p``."""
+    out = list(p)
+    for _, b, c in provider(p, shading):
+        out[b - 1], out[c - 1] = out[c - 1], out[b - 1]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -454,65 +449,39 @@ def _largest_block(p: Sequence[int], lo_a: int, hi_a: int, lo_b: int, hi_b: int)
 
 
 def a1_complement(p: Sequence[int], shading: ShadingSet) -> Perm:
-    """Complement the interval block holding the occurrence tails.
+    """Complement the largest interval block around each occurrence tail.
 
-    Every second and third entry of every occurrence lies inside a factor of
-    ``p`` whose values form an interval, placed after the global minimum.
-    Complementing that block swaps the two patterns' occurrences.  The block
-    is the longest such factor; when no single factor covers all the tails,
-    the tails split into groups no occurrence straddles, and each group's
-    block is complemented on its own.
+    An occurrence's tail is its second and third positions (b, c).  Its
+    block is the longest run of positions right of the 1 that contains
+    [b, c] and holds consecutive values; each distinct block is
+    complemented on its own.
     """
     return transform_for({"name": "a1_complement"}, shading)(p)
 
 
 def _a1_complement(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
-    occs = provider(p, shading)
-    if not occs:
-        return tuple(p)
-    n = len(p)
-    min_pos = p.index(1) + 1
-    tail_lo = min(occ[1] for occ in occs)
-    tail_hi = max(occ[2] for occ in occs)
-    merged = _largest_block(p, min_pos + 1, tail_lo, tail_hi, n)
-    if merged is not None:
-        a, b = merged
-        return complement_on_set(p, set(p[a - 1 : b]))
-    sets = _DisjointSets(n + 1)
-    tails = set()
-    for occ in occs:
-        sets.unite(occ[1], occ[2])
-        tails.update(occ[1:])
-    grouped: dict[int, list[int]] = {}
-    for q in sorted(tails):
-        grouped.setdefault(sets.find(q), []).append(q)
-    groups = sorted(grouped.values())
-    spans = []
-    for group in groups:
-        a, b = group[0], group[-1]
-        while True:
-            window = p[a - 1 : b]
-            lo, hi = min(window), max(window)
-            grew = False
-            for value in range(lo, hi + 1):
-                pos = p.index(value) + 1
-                if pos < a:
-                    a, grew = pos, True
-                elif pos > b:
-                    b, grew = pos, True
-            if not grew:
-                break
-        spans.append((a, b))
-    out = tuple(p)
-    for i, (a, b) in enumerate(spans):
-        left = spans[i - 1][1] + 1 if i else min_pos + 1
-        right = spans[i + 1][0] - 1 if i + 1 < len(spans) else n
-        block = _largest_block(p, left, a, b, right)
-        if block is None or block[0] <= min_pos <= block[1]:
-            raise UnsupportedShadingError(
-                f"a1_complement found no tail block in {p} for shading {shading.boxes()}"
-            )
-        out = complement_on_set(out, set(p[block[0] - 1 : block[1]]))
+    """:func:`a1_complement` with the occurrences read from ``provider``.
+
+    Why this swaps the counts: boxes (0,0), (2,0) and (3,0) put every value
+    below the root between the root and the tail, so the root lies at or
+    left of the 1.  Boxes (0,2), (1,2), (3,2) and (2,0), (2,1), (2,3) make
+    each tail an interval block whose two ends hold its least and greatest
+    values.  Complementing a block B right of the 1 leaves every point
+    outside B in its box.  For an occurrence whose tail lies in B, it moves
+    each other point of B between rows 1 and 3.  All four shadings shade
+    (1,1), (1,3), (3,1) and (3,3) alike, so 123 and 132 occurrences swap
+    tail by tail.  Two largest blocks are equal or disjoint.  Complementing
+    one keeps the other largest, so the map is an involution.
+    """
+    host = tuple(p)
+    tails = {occ[1:] for occ in provider(host, shading)}
+    if not tails:
+        return host
+    m = host.index(1) + 1
+    blocks = {_largest_block(host, m + 1, b, c, len(host)) for b, c in tails}
+    out = host
+    for s, t in blocks:
+        out = complement_on_set(out, host[s - 1 : t])
     return out
 
 
@@ -674,7 +643,7 @@ _build_block_sweep = _with_shading(_block_sweep_raw)
 #: The family registry, one row per family; FAMILY_NAMES lists the rows in this order.
 FAMILIES = (
     Family("direct", lambda s: s.k == 3, _build_direct),  # the rule is picked by pair id
-    Family("oth1", lambda s: s == _OTH1_SHADING, _with_shading(_oth1)),
+    Family("oth1", lambda s: s == _OTH1_SHADING, _with_shading(_swap_tails)),
     Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one)),
     Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction),
     Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement)),
@@ -770,8 +739,7 @@ class _TableProvider:
     kept until another is asked for, so at most one block's lists of one
     shading are alive at a time.  A permutation's lists are found by its row
     in its block: :meth:`hosts` walks a block and knows the row of the host
-    it hands out; any other permutation, such as those oth1 builds from its
-    host, is ranked.
+    it hands out; any other permutation is ranked.
     """
 
     def __init__(self, n: int) -> None:

@@ -172,6 +172,8 @@ def _cmd_check_pair(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     results = scan_symmetric_pairs(args.max_n, jobs=args.jobs, long_running=args.long)
     lines = [json.dumps(r.to_json()) for r in results]
     if args.out:

@@ -139,9 +139,13 @@ def _joint_histogram(pattern1: MeshPattern, pattern2: MeshPattern, n: int, cap: 
 def first_divergence(
     pattern1: MeshPattern, pattern2: MeshPattern, max_n: int, *, cap: int | None = None
 ) -> int | None:
-    """Smallest n <= max_n where the two distributions differ, else None."""
+    """Smallest n <= max_n where the two distributions differ, else None.
+
+    ``max_n`` is checked against the cap before any table is built.
+    """
     if cap is None:
         cap = max_n
+    check_cap(max_n, cap)
     for n in range(max_n + 1):
         # each pattern's distribution is a marginal of the joint histogram
         joint = _joint_histogram(pattern1, pattern2, n, cap)
@@ -151,9 +155,13 @@ def first_divergence(
 
 
 def avoidance_sequence(pattern: MeshPattern, max_n: int, *, cap: int | None = None) -> list[int]:
-    """Number of pattern-avoiding permutations of S_n for n = 0..max_n."""
+    """Number of pattern-avoiding permutations of S_n for n = 0..max_n.
+
+    ``max_n`` is checked against the cap before any table is built.
+    """
     if cap is None:
         cap = max_n
+    check_cap(max_n, cap)
     return [distribution(pattern, n, cap=cap).counts.get(0, 0) for n in range(max_n + 1)]
 
 
@@ -209,7 +217,8 @@ def _pair_histograms(n: int, masks: tuple[int, ...], jobs: int) -> np.ndarray:
         firsts = engine.blocks(n)
     tasks = [(n, first, masks) for first in firsts]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at once, so never more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return sum(pool.map(_scan_block, tasks))
     return sum(_scan_block(t) for t in tasks)
 

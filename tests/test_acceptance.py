@@ -395,11 +395,9 @@ def test_long_running_every_family_entry_verifies_at_eight():
 @pytest.mark.long_running
 def test_long_running_every_family_entry_verifies_at_nine(monkeypatch):
     # All of S_9, block by block, for each of the 111 entries with a family
-    # (several minutes); run with ``pytest -m long_running``.  The
-    # a1_complement maps of entries 41 and 42 fail there (see the strict
-    # xfails in test_bijections.py); every other entry verifies.
+    # (several minutes); run with ``pytest -m long_running``.
     monkeypatch.setenv("MESHPERM_MAX_N", "9")
     entries = [e for e in load_catalog() if e.family]
     assert len(entries) == 111
     failing = {entry.id for entry in entries if not verify_entry(entry, 9).ok()}
-    assert failing == {41, 42}
+    assert failing == set()

@@ -20,7 +20,7 @@ from meshperm.bijections import (
 )
 from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.mesh import ShadingSet, count_occurrences
-from meshperm.perms import enumerate_sn
+from meshperm.perms import enumerate_sn, left_to_right_minima
 
 
 def pair_counts(host, entry):
@@ -438,18 +438,18 @@ A1_WITNESS_42 = (2, 5, 1, 3, 4, 7, 6, 9, 8)
 A1_WITNESS_41 = (2, 5, 1, 3, 4, 6, 8, 7, 9)
 
 
-def test_a1_complement_defect_at_2_5_1_3_4_7_6_9_8():
-    # what the map does today to the S_9 witness of entry 42; once the map
-    # is mended this test fails and the strict xfail below passes
-    entry = entry_by_id(42)
-    image = apply_family(entry, A1_WITNESS_42)
-    assert pair_counts(A1_WITNESS_42, entry) == (1, 4)
-    assert image == (2, 5, 1, 4, 3, 6, 7, 8, 9)
-    assert pair_counts(image, entry) == (6, 1)
-    assert apply_family(entry, image) != A1_WITNESS_42
+def test_a1_complement_images_of_the_s9_witnesses():
+    # two hosts of S_9 with several tail blocks: each block is complemented
+    # on its own
+    for eid, host, image, counts in (
+        (42, A1_WITNESS_42, (2, 5, 1, 4, 3, 8, 9, 6, 7), (4, 1)),
+        (41, A1_WITNESS_41, (2, 5, 1, 4, 3, 9, 7, 8, 6), (2, 3)),
+    ):
+        entry = entry_by_id(eid)
+        assert apply_family(entry, host) == image, eid
+        assert pair_counts(image, entry) == counts, eid
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a1_complement sends counts (1, 4) to (6, 1) on S_9")
 def test_a1_complement_swaps_counts_at_2_5_1_3_4_7_6_9_8():
     entry = entry_by_id(42)
     image = apply_family(entry, A1_WITNESS_42)
@@ -457,12 +457,25 @@ def test_a1_complement_swaps_counts_at_2_5_1_3_4_7_6_9_8():
     assert apply_family(entry, image) == A1_WITNESS_42
 
 
-@pytest.mark.xfail(strict=True, raises=UnsupportedShadingError, reason="a1_complement finds no tail block on S_9")
 def test_a1_complement_maps_2_5_1_3_4_6_8_7_9():
     entry = entry_by_id(41)
     image = apply_family(entry, A1_WITNESS_41)
     assert pair_counts(image, entry) == pair_counts(A1_WITNESS_41, entry)[::-1]
     assert apply_family(entry, image) == A1_WITNESS_41
+
+
+def test_oth1_reads_the_occurrences_of_its_host_once():
+    host = (10, 7, 8, 5, 9, 4, 2, 6, 1, 3, 11)
+    assert len(left_to_right_minima(host)) == 6
+    asked = []
+
+    def provider(p, shading):
+        asked.append(tuple(p))
+        return bj._pair_occurrences(p, shading)
+
+    image = transform_for({"name": "oth1"}, bj._OTH1_SHADING, provider)(host)
+    assert asked == [host]
+    assert image == (10, 7, 9, 5, 6, 4, 2, 3, 1, 8, 11)
 
 
 def test_verify_pair_rejects_oversize_n():

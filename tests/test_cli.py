@@ -153,10 +153,22 @@ def test_verify_failure_names_the_error_of_the_map(capsys, monkeypatch):
 
 def test_apply_reports_a_failing_map_as_a_defect(capsys, monkeypatch):
     code, out, err = run(capsys, ["apply", "--pair-id", "41", "--perm", "2,5,1,3,4,6,8,7,9"])
-    assert code == EXIT_FAILED
-    assert out == ""
-    assert err.startswith("error: the map of entry 41 failed on 2,5,1,3,4,6,8,7,9: UnsupportedShadingError: ")
-    assert err.count("\n") == 1
+    assert (code, out, err) == (EXIT_OK, "2,5,1,4,3,9,7,8,6\n", "")
+    build = bijections.transform_for
+
+    def transform_for(family, shading, *provider):
+        transform = build(family, shading, *provider)
+
+        def partial(p):
+            if tuple(p) == (2, 5, 1, 3, 4, 6, 8, 7, 9):
+                raise ValueError("no image")
+            return transform(p)
+        return partial
+
+    monkeypatch.setattr(bijections, "transform_for", transform_for)
+    code, out, err = run(capsys, ["apply", "--pair-id", "41", "--perm", "2,5,1,3,4,6,8,7,9"])
+    assert (code, out) == (EXIT_FAILED, "")
+    assert err == "error: the map of entry 41 failed on 2,5,1,3,4,6,8,7,9: ValueError: no image\n"
     # a shading the family does not support is still a usage error
 
     def unsupported(family, shading, *provider):
@@ -222,16 +234,18 @@ def test_verify_obeys_the_shared_cap(capsys, monkeypatch):
 
 def test_verify_at_nine_under_raised_cap(capsys, monkeypatch):
     monkeypatch.setenv("MESHPERM_MAX_N", "9")
-    code, out, err = run(capsys, ["verify", "--pair-id", "13", "--n", "9"])
-    assert (code, err) == (EXIT_OK, "")
-    assert json.loads(out) == {
-        "pair_id": 13,
-        "n": 9,
-        "bijective": True,
-        "joint_swap": True,
-        "involution": True,
-        "counterexample": None,
-    }
+    # entry 41's map has hosts with several tail blocks first at n = 9
+    for pair_id in (13, 41):
+        code, out, err = run(capsys, ["verify", "--pair-id", str(pair_id), "--n", "9"])
+        assert (code, err) == (EXIT_OK, ""), pair_id
+        assert json.loads(out) == {
+            "pair_id": pair_id,
+            "n": 9,
+            "bijective": True,
+            "joint_swap": True,
+            "involution": True,
+            "counterexample": None,
+        }
 
 
 def test_bad_literals_are_usage_errors(capsys):
@@ -251,6 +265,23 @@ def test_env_cap_override(capsys, monkeypatch):
     code, out, _ = run(capsys, ["dist", "--pattern", "123|2/0,2/1,2/2,2/3", "--n", "9"])
     assert code == EXIT_OK
     assert out.splitlines()[1] == "9,0,21147"
+
+
+def test_sequence_requests_over_the_cap_are_refused_up_front(capsys, monkeypatch):
+    monkeypatch.setenv("MESHPERM_MAX_N", "9")
+    for argv in (
+        ["avoid", "--pattern", "123|0/0", "--max-n", "10"],
+        ["check-pair", "--pair-id", "23", "--max-n", "10"],
+    ):
+        assert run(capsys, argv) == (EXIT_CAP, "", "error: n = 10 exceeds the active cap of 9\n"), argv
+
+
+def test_scan_jobs_below_one_is_a_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--max-n", "3", "--jobs", jobs])
+        assert exc.value.code == EXIT_USAGE
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
 def test_module_entry_point():

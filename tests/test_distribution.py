@@ -1,5 +1,6 @@
 """Tests for distribution tables, divergence search, scans and sequences."""
 
+import importlib
 import math
 from collections import Counter
 
@@ -217,6 +218,39 @@ def test_caps():
         distribution(P123, 7, cap=6)
     with pytest.raises(ValueError):
         distribution(P123, -1)
+
+
+def test_sequence_caps_are_checked_before_any_table_is_built():
+    engine.clear_caches()
+    with pytest.raises(CapExceededError):
+        avoidance_sequence(P123, 9, cap=4)
+    with pytest.raises(CapExceededError):
+        first_divergence(P123, P132, 9, cap=4)
+    assert engine.subseq_tables.cache_info().currsize == 0
+
+
+def test_scan_pool_has_no_more_workers_than_blocks(monkeypatch):
+    # a stand-in for the process pool that records its size and maps in
+    # this process, so no worker is ever started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    # the package exports the function ``distribution`` under the module's name
+    monkeypatch.setattr(importlib.import_module("meshperm.distribution"), "ProcessPoolExecutor", SerialPool)
+    assert scan_symmetric_pairs(4, jobs=64) == scan_symmetric_pairs(4, jobs=1)
+    assert sizes and max(sizes) <= 4
 
 
 def test_cap_env_override(monkeypatch):
