@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
@@ -50,7 +51,6 @@ from .perms import (
     Perm,
     complement,
     complement_on_set,
-    enumerate_sn,
     left_to_right_minima,
     reverse,
     standardize,
@@ -733,35 +733,31 @@ class VerificationReport:
 
 
 class _TableProvider:
-    """Occurrence provider for the hosts of S_n that reads the engine tables.
+    """Occurrence provider that reads the engine tables for the host it walks.
 
-    The lists of one shading and block are built on their first request and
-    kept until another is asked for, so at most one block's lists of one
-    shading are alive at a time.  A permutation's lists are found by its row
-    in its block: :meth:`hosts` walks a block and knows the row of the host
-    it hands out; any other permutation is ranked.
+    :meth:`hosts` walks the rows of a block of S_n, and the provider answers
+    only for the host it handed out last, raising for any other one.  The
+    lists of one shading are built on their first request in a block and
+    dropped when the walk of the block ends.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._lists = functools.lru_cache(maxsize=1)(functools.partial(engine.pair_occurrences, n))
         self._host: Perm | None = None
-        self._first: int | None = None
-        self._row = 0
 
     def hosts(self, first: int | None) -> Iterator[Perm]:
         """The hosts of block ``first`` in rank order."""
-        self._first = first
-        for self._row, self._host in enumerate(enumerate_sn(self.n, first=first)):
+        self._lists = functools.lru_cache(maxsize=1)(functools.partial(engine.pair_occurrences, self.n, first=first))
+        cols = engine.perm_block(self.n, first).T.tolist()
+        # rows zipped from the columns, with no list per row; S_0's one row has no column
+        for self._row, self._host in enumerate(zip(*cols) if cols else [()]):
             yield self._host
+        self._host = self._lists = None
 
     def __call__(self, host: Sequence[int], shading: ShadingSet) -> list[tuple[int, int, int]]:
-        host = tuple(host)
-        if host == self._host:
-            first, row = self._first, self._row
-        else:
-            first, row = engine.block_row(host)
-        return self._lists(shading, first)[row]
+        if tuple(host) != self._host:
+            raise ValueError(f"the provider answers for the host it walks, {self._host}, not {tuple(host)}")
+        return self._lists(shading)[self._row]
 
 
 def _image_ranks(transform: Transform, hosts: Iterable[Perm], n: int) -> np.ndarray:
@@ -792,23 +788,24 @@ def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transfo
     from that table: an image in S_n is itself a host, so T(T(p)) is the
     image of the image.  ``n`` obeys the same size cap as the distributions.
     """
-    return _verify(pattern1, pattern2, transform, n, lambda first: enumerate_sn(n, first=first))
+    return _verify(pattern1, pattern2, n, lambda provider: transform)
 
 
 def _verify(
-    pattern1: MeshPattern,
-    pattern2: MeshPattern,
-    transform: Transform,
-    n: int,
-    hosts: Callable[[int | None], Iterable[Perm]],
+    pattern1: MeshPattern, pattern2: MeshPattern, n: int, build: Callable[[_TableProvider], Transform]
 ) -> VerificationReport:
-    """:func:`verify_pair` with the hosts of each block listed by ``hosts``."""
+    """:func:`verify_pair` with the transform ``build`` makes from the provider, one visit per block."""
     check_cap(n)
+    provider = _TableProvider(n)
+    transform = build(provider)
     keys = engine.blocks(n)
-    counts = [engine.count_vectors(n, (pattern1, pattern2), first) for first in keys]
-    occ1 = np.concatenate([c1 for c1, _ in counts])
-    occ2 = np.concatenate([c2 for _, c2 in counts])
-    image = np.concatenate([_image_ranks(transform, hosts(first), n) for first in keys])
+    # every block holds the same number of hosts, and 10! < 2^31
+    occ1, occ2, image = np.empty((3, math.factorial(n)), dtype=np.int32)
+    rows = len(image) // len(keys)
+    for b, first in enumerate(keys):
+        block = slice(b * rows, (b + 1) * rows)
+        occ1[block], occ2[block] = engine.count_vectors(n, (pattern1, pattern2), first)
+        image[block] = _image_ranks(transform, provider.hosts(first), n)
     inside = image >= 0
     first_hit = np.zeros(len(image), dtype=bool)
     first_hit[np.unique(image, return_index=True)[1]] = True
@@ -820,8 +817,7 @@ def _verify(
     bad = not_bijective | no_swap | no_inverse
     witness = None
     if bad.any():
-        # every block holds the same number of hosts
-        block, row = divmod(int(bad.argmax()), len(image) // len(keys))
+        block, row = divmod(int(bad.argmax()), rows)
         witness = tuple(engine.perm_block(n, keys[block])[row].tolist())
     if not inside.any():
         return VerificationReport(n, False, None, None, witness)
@@ -831,11 +827,9 @@ def _verify(
 def verify_entry(entry, n: int) -> VerificationReport:
     """Run :func:`verify_pair` on a catalog entry with its own family.
 
-    The transform reads occurrences from the engine's tables, block by
-    block, instead of the pure-Python finder; both give the same lists.
-    The occurrence lists live for this call only.
+    The transform reads each host's occurrences from the table its block's
+    count vectors were read from, instead of the pure-Python finder; both
+    give the same lists.
     """
     pattern1, pattern2 = entry.patterns()
-    provider = _TableProvider(n)
-    transform = transform_for(entry.family, pattern1.shading, provider)
-    return _verify(pattern1, pattern2, transform, n, provider.hosts)
+    return _verify(pattern1, pattern2, n, lambda provider: transform_for(entry.family, pattern1.shading, provider))

@@ -18,9 +18,9 @@ A block's table is built by :func:`build_tables`, and every count is read
 from the planes it returns by one kernel, :func:`occurrence_counts`.
 :func:`count_vectors` is the one entry point for counts of any length:
 the tables for k in {2, 3}, the pure-Python finder otherwise.
-Queries that come back to the same n read :func:`subseq_tables`, which
-caches the built tables; the symmetric-shading scan reads each block once,
-so it builds the block's table, counts every pending shading and drops it.
+Queries read :func:`subseq_tables`, the one place that decides how long a
+table lives; the symmetric-shading scan reads each block once, so it
+builds the block's table, counts every pending shading and drops it.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from .mesh import MeshPattern, ShadingSet, count_occurrences
-from .perms import Perm, lex_rank
+from .perms import Perm
 
 #: Largest n whose full table is built in one block.
 _SINGLE_BLOCK_MAX = 8
@@ -99,6 +99,11 @@ def _type_bits(k: int) -> int:
     return math.factorial(k).bit_length()
 
 
+def _table_shape(n: int, k: int, first: int | None) -> tuple[int, int, int]:
+    """(planes, words, rows) of the uint32 length-k table of a block of S_n."""
+    return (k + 1) ** 2 + _type_bits(k), -(-math.comb(n, k) // _WORD), math.factorial(n if first is None else n - 1)
+
+
 def build_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Bit planes of the length-k position subsets of every permutation in a block.
 
@@ -119,11 +124,10 @@ def build_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[
     if k not in SUPPORTED_LENGTHS:
         raise ValueError(f"tables support pattern lengths {SUPPORTED_LENGTHS}, not {k}")
     cols = np.ascontiguousarray(perm_block(n, first).T)
-    rows = cols.shape[1]
     combos = tuple(itertools.combinations(range(n), k))
     boxes, tbits = (k + 1) ** 2, _type_bits(k)
-    words = -(-len(combos) // _WORD)
-    planes = np.zeros((boxes + tbits, words, rows), dtype=np.uint32)
+    _, words, rows = shape = _table_shape(n, k, first)
+    planes = np.zeros(shape, dtype=np.uint32)
     # above[q][t] is 1 where the value at position q exceeds the one at t
     above = [[(cols[q] > cols[t]).view(np.uint8) for t in range(n)] for q in range(n)]
     for w in range(words):
@@ -155,21 +159,34 @@ def build_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[
     return combos, planes
 
 
+#: Largest block table, in bytes, that :func:`subseq_tables` keeps: each of S_9's, none of S_10's.
+_KEPT_TABLE_BYTES = 16 * 2**20
+
+
 def subseq_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """:func:`build_tables`, kept for later calls with the same block.
+    """:func:`build_tables`, held for later calls with the same block.
 
-    The cache holds up to 128 tables, every block of every n a caller has
-    asked for, so queries that revisit an n (the distributions, joint
-    histograms, divergence checks and verification) build each table once.
-    ``subseq_tables(n, k)``, ``subseq_tables(n, k, None)`` and
-    ``subseq_tables(n, k, first=None)`` share one cache entry.
+    Tables that fit ``_KEPT_TABLE_BYTES`` (every block up to n = 9) are
+    kept, so queries that revisit an n build each table once.  Above that
+    only the block asked for last is held, and dropped before the next is
+    built: a query that visits each block once builds each table once and
+    holds one at a time.  ``cache_info()`` and ``cache_clear()`` are those
+    of an ``lru_cache`` of the kept tables; :func:`clear_caches` drops the
+    held block too.
     """
-    return _cached_tables(n, k, first)
+    if math.prod(_table_shape(n, k, first)) * 4 <= _KEPT_TABLE_BYTES:
+        return _kept_tables(n, k, first)
+    if (n, k, first) not in _last_table:
+        _last_table.clear()
+        _last_table[n, k, first] = build_tables(n, k, first)
+    return _last_table[n, k, first]
 
 
-_cached_tables = functools.lru_cache(maxsize=128)(build_tables)
-subseq_tables.cache_info = _cached_tables.cache_info
-subseq_tables.cache_clear = _cached_tables.cache_clear
+# the lambda looks build_tables up at call time, as the held-block path does
+_kept_tables = functools.lru_cache(maxsize=None)(lambda n, k, first: build_tables(n, k, first))
+_last_table: dict = {}
+subseq_tables.cache_info = _kept_tables.cache_info
+subseq_tables.cache_clear = _kept_tables.cache_clear
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -253,9 +270,11 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
     Entry r of a vector corresponds to the rank-r permutation of the block
     in lexicographic order (see :func:`meshperm.perms.lex_rank`).  The
     patterns of each table length are counted by one
-    :func:`occurrence_counts` call over the cached table, so a pair that
-    shares a shading ORs its box planes once; any other length by
-    :func:`meshperm.mesh.count_occurrences` on each row of the block.
+    :func:`occurrence_counts` call over the block's table from
+    :func:`subseq_tables`, which holds it for the block's other queries,
+    so a pair that shares a shading ORs its box planes once; any other
+    length by :func:`meshperm.mesh.count_occurrences` on each row of the
+    block.
     """
     counted = {}
     for k in dict.fromkeys(len(p) for p in patterns):
@@ -317,17 +336,10 @@ def lex_ranks(perms: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def block_row(p: Sequence[int]) -> tuple[int | None, int]:
-    """The key of the block of S_n holding ``p`` and the row of ``p`` in it."""
-    n = len(p)
-    if len(blocks(n)) == 1:
-        return None, lex_rank(p)
-    return p[0], lex_rank(p) % math.factorial(n - 1)
-
-
 def clear_caches() -> None:
     """Drop all memoized blocks and tables, so that the next query starts
     cold: the tests call it to free the tables they built, and the
     benchmark before each pass."""
     perm_block.cache_clear()
     subseq_tables.cache_clear()
+    _last_table.clear()

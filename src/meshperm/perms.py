@@ -135,8 +135,8 @@ def standardize(seq: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in seq)
 
 
-def enumerate_sn(n: int, *, first: int | None = None, force: bool = False) -> Iterator[Perm]:
-    """Yield S_n in lexicographic order, optionally restricted to a fixed first value.
+def enumerate_sn(n: int, *, force: bool = False) -> Iterator[Perm]:
+    """Yield S_n in lexicographic order.
 
     Enumeration beyond n = HARD_ENUMERATION_CAP is refused unless forced.
     """
@@ -146,14 +146,7 @@ def enumerate_sn(n: int, *, first: int | None = None, force: bool = False) -> It
         raise EnumerationCapError(
             f"refusing to enumerate S_{n} (> {HARD_ENUMERATION_CAP}); pass force=True to override"
         )
-    if first is None:
-        yield from itertools.permutations(range(1, n + 1))
-        return
-    if not 1 <= first <= n:
-        raise ValueError(f"first value {first} out of range for S_{n}")
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(rest):
-        yield (first, *tail)
+    yield from itertools.permutations(range(1, n + 1))
 
 
 def lex_rank(p: Sequence[int]) -> int:

@@ -4,6 +4,7 @@ Each test is independent and pins exact values; the elapsed-time asserts use
 the generous published budgets, far above observed runtimes.
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -18,7 +19,7 @@ import pytest
 
 import meshperm
 from meshperm import bijections as bj
-from meshperm.bijections import INVOLUTION_FAMILIES, UnsupportedShadingError, transform_for, verify_entry, verify_pair
+from meshperm.bijections import UnsupportedShadingError, transform_for, verify_entry
 from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.distribution import (
     avoidance_sequence,
@@ -114,12 +115,10 @@ def test_criterion_06_proved_pairs_equidistributed():
 def test_criterion_07_bijection_harness():
     done = elapsed_under(600)
     for entry in PROVED:
-        expect_inv = entry.family["name"] in INVOLUTION_FAMILIES
         for n in range(1, 7):
             report = verify_entry(entry, n)
             assert report.bijective and report.joint_swap, (entry.id, n, report)
-            if expect_inv:
-                assert report.involution, (entry.id, n, report)
+            assert report.involution, (entry.id, n, report)
     done()
 
 
@@ -180,8 +179,7 @@ def test_criterion_09_counterexamples():
     # the pure-Python finder.
     p1, p2 = e202.patterns()
     shading = p1.shading
-    tables = bj._TableProvider(8)
-    report = verify_pair(p1, p2, lambda p: bj._a1_complement_raw(p, shading, tables), 8)
+    report = bj._verify(p1, p2, 8, lambda tables: lambda p: bj._a1_complement_raw(p, shading, tables))
     assert report.joint_swap is False
     witness = (2, 5, 1, 7, 8, 6, 4, 3)
     image = bj._a1_complement_raw(witness, shading)
@@ -298,8 +296,7 @@ def test_criterion_11_mask_equivalence_invariant():
 
 def test_criterion_11_involution_invariant():
     done = elapsed_under(300)
-    involution_entries = [e for e in PROVED if e.family["name"] in INVOLUTION_FAMILIES]
-    for entry in involution_entries:
+    for entry in PROVED:
         f = transform_for(entry.family, entry.patterns()[0].shading)
         for host in enumerate_sn(6):
             assert f(f(host)) == host, entry.id
@@ -344,6 +341,25 @@ def test_scan_to_nine():
     assert divergences == {4: 768, 5: 129, 6: 26, 7: 6, 8: 2}
 
 
+def run_cli_in_child(argv):
+    """Run ``meshperm.cli.main(argv)`` in a fresh process under
+    MESHPERM_MAX_N=10; return its stdout bytes and its peak RSS in MB."""
+    child = (
+        "import resource, sys\n"
+        "from meshperm.cli import main\n"
+        f"code = main({argv!r})\n"
+        "sys.stdout.flush()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(pathlib.Path(meshperm.__file__).parents[1])
+    env = dict(os.environ, MESHPERM_MAX_N="10",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout, int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KB on Linux
+
+
 @pytest.mark.long_running
 def test_long_running_scan_to_ten_in_bounded_memory(tmp_path):
     # The full sweep to n = 10 in a fresh process (about 40 s); run with
@@ -351,21 +367,27 @@ def test_long_running_scan_to_ten_in_bounded_memory(tmp_path):
     # time: the child peaked at 286 MB on two cores, against 1326 MB when
     # every block table stayed cached.
     out = tmp_path / "scan.jsonl"
-    child = (
-        "import resource, sys\n"
-        "from meshperm.cli import main\n"
-        f"code = main(['scan', '--max-n', '10', '--long', '--out', {str(out)!r}])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-    src = str(pathlib.Path(meshperm.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    _, peak_mb = run_cli_in_child(["scan", "--max-n", "10", "--long", "--out", str(out)])
     verdicts = [json.loads(line)["verdict"] for line in out.read_text().splitlines()]
     assert len(verdicts) == 1024
     assert verdicts.count("equidistributed") == 93
-    peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KB on Linux
+    assert peak_mb < 400, peak_mb
+
+
+# md5 of the stdout of each query at n = 10, as printed when every block
+# table of S_10 stayed cached (1.2-1.5 GB peaks); a query that visits each
+# block once holds one table at a time and must print the same bytes.
+@pytest.mark.long_running
+@pytest.mark.parametrize("argv, md5", [
+    (["dist", "--pattern", "123|0/0,1/1", "--n", "10"], "28f7b7d7da6dbbbc61485d90397ef1e6"),
+    (["joint", "--pattern", "123|0/0,1/1", "--pattern2", "132|0/0,1/1", "--n", "10"],
+     "4c94f72c5e1fc73939d2f5f01ea32e81"),
+    (["verify", "--pair-id", "13", "--n", "10"], "0c2b02f1b23cc740a3e02a37f62bb795"),
+], ids=["dist", "joint", "verify"])
+def test_long_running_query_at_ten_in_bounded_memory(argv, md5):
+    # about 15-30 s each; 280, 287 and 344 MB peaks on two cores
+    stdout, peak_mb = run_cli_in_child(argv)
+    assert hashlib.md5(stdout).hexdigest() == md5, stdout[:200]
     assert peak_mb < 400, peak_mb
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import meshperm
 from meshperm import bijections as bj
-from meshperm import mesh
+from meshperm import engine, mesh
 from meshperm.bijections import (
     FAMILIES,
     FAMILY_NAMES,
@@ -368,29 +368,34 @@ def test_verify_pair_maps_each_host_once():
 def test_table_provider_matches_the_finder():
     # verify_entry's engine-table provider against the pure-Python finder on
     # every host of S_0..S_6 (no position triples below n = 3), for every
-    # family entry's shading, the direct search shadings and random ones.
+    # family entry's shading, the direct search shadings and random ones;
+    # the walk of the one block of S_n is S_n in lexicographic order.
     rng = random.Random(7)
     shadings = {e.patterns()[0].shading for e in load_catalog() if e.family}
     shadings |= set(bj._DIRECT_SEARCH_SHADINGS.values())
     shadings |= {ShadingSet(3, rng.randrange(1 << 16)) for _ in range(8)}
     for n in range(7):
         provider = bj._TableProvider(n)
+        hosts = list(enumerate_sn(n))
         for shading in sorted(shadings, key=lambda s: s.mask):
-            for host in enumerate_sn(n):
+            walk = []
+            for host in provider.hosts(None):
+                walk.append(host)
                 assert provider(host, shading) == bj._pair_occurrences(host, shading), (n, shading, host)
+            assert walk == hosts, n
 
 
 def test_table_provider_reads_the_blocks_of_s9():
-    # every 97th host of the block of S_9 that starts with 5, both while the
-    # provider walks the block and when a host is asked about on its own
+    # every 97th host of the block of S_9 that starts with 5 while the
+    # provider walks the block; it answers for no other permutation
     shadings = [bj._OTH1_SHADING] + [entry_by_id(eid).patterns()[0].shading for eid in (41, 46)]
-    walker, lone = bj._TableProvider(9), bj._TableProvider(9)
+    walker = bj._TableProvider(9)
     for shading in shadings:
         for row, host in enumerate(walker.hosts(5)):
             if row % 97 == 0:
-                expected = bj._pair_occurrences(host, shading)
-                assert walker(host, shading) == expected, (shading, host)
-                assert lone(host, shading) == expected, (shading, host)
+                assert walker(host, shading) == bj._pair_occurrences(host, shading), (shading, host)
+                with pytest.raises(ValueError):
+                    walker(tuple(reversed(host)), shading)
 
 
 def test_verify_entry_reads_occurrences_from_the_tables(monkeypatch):
@@ -417,6 +422,28 @@ def test_verify_entry_reads_occurrences_from_the_tables(monkeypatch):
     # the patched finder is the one apply_family still reads
     assert apply_family(entry_by_id(46), (1, 2, 3, 4)) != (1, 2, 3, 4)
     assert calls > 0
+
+
+def test_verify_entry_builds_each_streamed_block_once(monkeypatch):
+    # With the table budget at 0, S_9 streams as S_10 does: each block's
+    # table is built once, for its counts and then its hosts' occurrences
+    # (entry 39, pair_swap, reads both), and only the last one is held.
+    monkeypatch.setenv("MESHPERM_MAX_N", "9")
+    entries = [entry_by_id(eid) for eid in (13, 39)]
+    engine.clear_caches()
+    expected = [verify_entry(entry, 9) for entry in entries]
+    engine.clear_caches()
+    built = []
+    build_tables = engine.build_tables
+    monkeypatch.setattr(engine, "_KEPT_TABLE_BYTES", 0)
+    monkeypatch.setattr(engine, "build_tables", lambda *key: built.append(key) or build_tables(*key))
+    for entry, report in zip(entries, expected):
+        built.clear()
+        assert verify_entry(entry, 9) == report, entry.id
+        assert built == [(9, 3, first) for first in engine.blocks(9)], entry.id
+    assert engine.subseq_tables.cache_info().currsize == 0
+    assert list(engine._last_table) == [(9, 3, 9)]
+    engine.clear_caches()
 
 
 def test_verify_pair_fails_a_host_on_which_the_map_raises():

@@ -26,7 +26,7 @@ def test_perm_block_matches_enumeration():
     assert arr.shape == (24, 4)
     assert [tuple(int(v) for v in row) for row in arr] == list(enumerate_sn(4))
     sub = engine.perm_block(4, first=3)
-    assert [tuple(int(v) for v in row) for row in sub] == list(enumerate_sn(4, first=3))
+    assert [tuple(int(v) for v in row) for row in sub] == [p for p in enumerate_sn(4) if p[0] == 3]
     empty = engine.perm_block(0)
     assert empty.shape == (1, 0)
 
@@ -224,11 +224,3 @@ def test_lex_ranks_of_the_blocks_of_s9():
         block = engine.perm_block(n, first)
         offset = lex_rank(tuple(block[0].tolist()))
         assert np.array_equal(engine.lex_ranks(block), offset + np.arange(block.shape[0])), first
-
-
-def test_block_row():
-    assert engine.block_row(()) == (None, 0)
-    assert engine.block_row((2, 1, 4, 3)) == (None, lex_rank((2, 1, 4, 3)))
-    host = (5, 1, 2, 3, 4, 6, 7, 9, 8)
-    assert engine.block_row(host) == (5, 1)
-    assert tuple(engine.perm_block(9, 5)[1].tolist()) == host

@@ -90,11 +90,6 @@ def test_enumerate_sn_lex_order_and_counts():
         assert lex_rank(p) == rank
 
 
-def test_enumerate_sn_first_block():
-    block = list(enumerate_sn(3, first=2))
-    assert block == [(2, 1, 3), (2, 3, 1)]
-
-
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         list(enumerate_sn(11))
