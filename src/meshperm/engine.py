@@ -15,7 +15,10 @@ Permutations are partitioned by their first value when n >= 9 to keep the
 tables at a manageable size; callers aggregate over ``blocks(n)``.
 
 A block's table is built by :func:`build_tables`, and every count is read
-from the planes it returns by one kernel, :func:`occurrence_counts`.
+from the planes it returns by one kernel, :func:`occurrence_counts`.  The
+build is bit-sliced as well: it works on the packed words themselves, one
+word operation for 32 combos over every row, guided by masks that depend
+only on (n, k) and are computed once per pair, on first use.
 :func:`count_vectors` is the one entry point for counts of any length:
 the tables for k in {2, 3}, the pure-Python finder otherwise.
 Queries read :func:`subseq_tables`, the one place that decides how long a
@@ -118,6 +121,19 @@ def build_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[
     id, low bit first; the padding bits of the last word read as the code
     with every type bit set, which no type id has.
 
+    The build is bit-sliced: every operation acts on whole words, 32 combos
+    at once.  For each point q, ``above[u]`` is all ones in the rows where
+    the value at q exceeds the one at position u.  For each word, slot s's
+    word gathers ``above[u]`` under the mask of the combos whose s-th
+    position is u (see :func:`_layout`), so its bit b tells whether q's
+    value lies above the value of combo b's s-th point.  Counting those bits
+    across the slots gives, per combo, the number j of its values below q's;
+    its one-hot form goes to plane (i, j) under the mask of the combos that
+    avoid q with i positions left of it.  Where q is a combo's s-th
+    position, slot t's word is the relation of the combo's s-th and t-th
+    values; those relations spell the type bits.  The rows are taken
+    ``_CHUNK`` at a time.
+
     Each call builds the table anew; :func:`subseq_tables` keeps what it
     builds for the next query.
     """
@@ -125,38 +141,113 @@ def build_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[
         raise ValueError(f"tables support pattern lengths {SUPPORTED_LENGTHS}, not {k}")
     cols = np.ascontiguousarray(perm_block(n, first).T)
     combos = tuple(itertools.combinations(range(n), k))
-    boxes, tbits = (k + 1) ** 2, _type_bits(k)
-    _, words, rows = shape = _table_shape(n, k, first)
-    planes = np.zeros(shape, dtype=np.uint32)
-    # above[q][t] is 1 where the value at position q exceeds the one at t
-    above = [[(cols[q] > cols[t]).view(np.uint8) for t in range(n)] for q in range(n)]
-    for w in range(words):
-        # one word's combos side by side in each row, so that a flat
-        # packbits of a (rows, 32) bit array yields the row's uint32 word
-        masks = np.zeros((rows, _WORD), dtype=np.uint16)
-        types = np.full((rows, _WORD), (1 << tbits) - 1, dtype=np.uint8)
-        for b, idx in enumerate(combos[w * _WORD:(w + 1) * _WORD]):
-            if k == 2:
-                types[:, b] = above[idx[0]][idx[1]]
-            else:
-                x, y, z = idx
-                types[:, b] = 2 * (above[x][y] + above[x][z]) + above[y][z]
-            acc = np.zeros(rows, dtype=np.uint16)
-            for q in range(n):
-                if q in idx:
-                    continue
-                # q's point lies in box (i, j): i chosen positions lie left
-                # of q and j chosen values below its value
-                i = sum(q > t for t in idx)
-                j = sum(above[q][t] for t in idx)
-                acc |= np.left_shift(np.uint16(1 << i * (k + 1)), j)
-            masks[:, b] = acc
-        for p in range(boxes):
-            planes[p, w] = _pack_words(masks & np.uint16(1 << p))
-        for t in range(tbits):
-            planes[boxes + t, w] = _pack_words(types & np.uint8(1 << t))
+    boxes = (k + 1) ** 2
+    planes = np.zeros(_table_shape(n, k, first), dtype=np.uint32)
+    for lo in range(0, planes.shape[2], _CHUNK):
+        _fill(planes[:, :, lo:lo + _CHUNK], cols[:, lo:lo + _CHUNK], k)
+    if k == 3:
+        # the type planes hold the relations of _TYPE_PAIRS; in the type id
+        # 2 * ([x>y] + [x>z]) + [y>z], bit 1 is the sum's low bit, bit 2 its carry
+        x_y, x_z = planes[boxes + 1], planes[boxes + 2]
+        carry = x_y & x_z
+        x_y ^= x_z
+        x_z[...] = carry
+    if len(combos) % _WORD:
+        planes[boxes:, -1] |= np.uint32(~0 << len(combos) % _WORD & 0xFFFFFFFF)
     planes.setflags(write=False)
     return combos, planes
+
+
+#: Rows per pass of the build: a 64 KB vector per word, so that the
+#: words a pass reads again and again stay in cache.  At n = 10 this made
+#: a block's build about a third faster than one pass over all rows (on a
+#: 2-core Xeon with 2 MB of L2 cache per core).
+_CHUNK = 16384
+
+
+def _fill(planes: np.ndarray, cols: np.ndarray, k: int) -> None:
+    """Write the box planes of a zeroed (planes, words, rows) table, and in
+    its type planes the slot relations of :data:`_TYPE_PAIRS`, for the
+    permutations whose values at each position are the rows of ``cols``."""
+    boxes = (k + 1) ** 2
+    relations = {pair: planes[boxes + t] for t, pair in enumerate(_TYPE_PAIRS[k])}
+    scratch = np.empty(planes.shape[2:], dtype=np.uint32)
+    slot_words = np.empty((k, *planes.shape[2:]), dtype=np.uint32)
+    for q in range(len(cols)):
+        above = np.negative(cols[q] > cols, dtype=np.uint32)
+        for w, (slots, columns) in enumerate(_layout(len(cols), k)):
+            below = [_gather(above, slot, out, scratch) for slot, out in zip(slots, slot_words)]
+            for (s, t), relation in relations.items():
+                if q in slots[s]:
+                    _or_masked(relation[w], below[t], slots[s][q], scratch)
+            if not columns[q]:
+                continue
+            at_least = _at_least(below)
+            exactly = [~at_least[0], *(a ^ b for a, b in zip(at_least, at_least[1:])), at_least[-1]]
+            for i, mask in columns[q]:
+                for j, bits in enumerate(exactly):
+                    _or_masked(planes[i * (k + 1) + j, w], bits, mask, scratch)
+
+
+#: The slot pairs (s, t) whose relation [value s > value t] each type plane
+#: holds while a table is built; for k = 3 the last two become the sum bits.
+_TYPE_PAIRS = {2: ((0, 1),), 3: ((1, 2), (0, 1), (0, 2))}
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n: int, k: int) -> tuple[tuple[tuple[dict, ...], tuple[tuple, ...]], ...]:
+    """Masks that :func:`build_tables` applies to each word of a length-k table of S_n.
+
+    One ``(slots, columns)`` pair per word.  ``slots[s]`` maps each position
+    u to the uint32 mask of the word's combos whose s-th position is u.
+    ``columns[q]`` lists ``(i, mask)``: the mask of the combos that avoid q
+    and have i positions left of it, for each i that has any.
+    """
+    combos = list(itertools.combinations(range(n), k))
+    layout = []
+    for w in range(0, len(combos), _WORD):
+        word = list(enumerate(combos[w:w + _WORD]))
+        slots = tuple(_masks((idx[s], b) for b, idx in word) for s in range(k))
+        columns = tuple(tuple(_masks((sum(t < q for t in idx), b) for b, idx in word if q not in idx).items())
+                        for q in range(n))
+        layout.append((slots, columns))
+    return tuple(layout)
+
+
+def _masks(keyed_bits) -> dict:
+    """``{key: uint32 mask}`` of the bits listed under each key."""
+    masks: dict = {}
+    for key, b in keyed_bits:
+        masks[key] = masks.get(key, 0) | 1 << b
+    return {key: np.uint32(mask) for key, mask in masks.items()}
+
+
+def _or_masked(out: np.ndarray, words: np.ndarray, mask: np.uint32, scratch: np.ndarray) -> None:
+    """``out |= words & mask``, with ``scratch`` for the AND."""
+    np.bitwise_and(words, mask, out=scratch)
+    out |= scratch
+
+
+def _gather(words: np.ndarray, masks: dict, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """OR of ``words[u] & mask`` over the ``{u: mask}`` items, where the bits
+    outside the masks do not matter: ``words[u]`` itself when there is one
+    item, else the OR written to ``out``."""
+    (u, mask), *rest = masks.items()
+    if not rest:
+        return words[u]
+    np.bitwise_and(words[u], mask, out=out)
+    for u, mask in rest:
+        _or_masked(out, words[u], mask, scratch)
+    return out
+
+
+def _at_least(words: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Entry j - 1 has the bits set in at least j of ``words``, for j = 1..len(words)."""
+    at_least = [words[0]]
+    for word in words[1:]:
+        at_least = [at_least[0] | word, *(hi | lo & word for lo, hi in zip(at_least, at_least[1:])),
+                    at_least[-1] & word]
+    return at_least
 
 
 #: Largest block table, in bytes, that :func:`subseq_tables` keeps: each of S_9's, none of S_10's.
@@ -187,11 +278,6 @@ _kept_tables = functools.lru_cache(maxsize=None)(lambda n, k, first: build_table
 _last_table: dict = {}
 subseq_tables.cache_info = _kept_tables.cache_info
 subseq_tables.cache_clear = _kept_tables.cache_clear
-
-
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """The (rows, 32) array's nonzero entries as one uint32 word per row."""
-    return np.packbits(bits != 0, bitorder="little").view("<u4")
 
 
 def _or_planes(planes: np.ndarray, select: int, out: np.ndarray | None = None) -> np.ndarray:

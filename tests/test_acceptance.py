@@ -362,9 +362,9 @@ def run_cli_in_child(argv):
 
 @pytest.mark.long_running
 def test_long_running_scan_to_ten_in_bounded_memory(tmp_path):
-    # The full sweep to n = 10 in a fresh process (about 40 s); run with
+    # The full sweep to n = 10 in a fresh process (about 30 s); run with
     # ``pytest -m long_running``.  The scan holds one block table at a
-    # time: the child peaked at 286 MB on two cores, against 1326 MB when
+    # time: the child peaked at 216 MB on two cores, against 1326 MB when
     # every block table stayed cached.
     out = tmp_path / "scan.jsonl"
     _, peak_mb = run_cli_in_child(["scan", "--max-n", "10", "--long", "--out", str(out)])
@@ -385,7 +385,7 @@ def test_long_running_scan_to_ten_in_bounded_memory(tmp_path):
     (["verify", "--pair-id", "13", "--n", "10"], "0c2b02f1b23cc740a3e02a37f62bb795"),
 ], ids=["dist", "joint", "verify"])
 def test_long_running_query_at_ten_in_bounded_memory(argv, md5):
-    # about 15-30 s each; 280, 287 and 344 MB peaks on two cores
+    # about 4-14 s each; 186, 209 and 342 MB peaks on two cores
     stdout, peak_mb = run_cli_in_child(argv)
     assert hashlib.md5(stdout).hexdigest() == md5, stdout[:200]
     assert peak_mb < 400, peak_mb

@@ -64,24 +64,58 @@ def test_subseq_tables_shapes_and_length_guard():
     engine.clear_caches()
 
 
-def _plane_bits(planes, combos):
-    """(planes, rows, combos) 0/1 array of the table's bits."""
-    as_bytes = np.ascontiguousarray(planes.transpose(0, 2, 1), dtype="<u4").view(np.uint8)
-    return np.unpackbits(as_bytes, axis=2, count=len(combos), bitorder="little")
+def assert_bits_match_the_definition(n, k, first, rows):
+    """Check the given rows of a block's length-k table, bit by bit.
+
+    A combo's box bits must spell ``occurrence_box_mask`` and its type bits
+    ``pattern_type_id`` of its standardized subsequence.  The padding bits
+    of the last word must hold no box bit and read as the all-ones type
+    code.
+    """
+    combos, planes = engine.build_tables(n, k, first)
+    block = engine.perm_block(n, first)
+    boxes = (k + 1) ** 2
+    expected = np.zeros((len(planes), planes.shape[1] * 32), dtype=np.uint8)
+    expected[boxes:, len(combos):] = 1
+    for r in rows:
+        p = tuple(int(v) for v in block[r])
+        for c, idx in enumerate(combos):
+            box_mask = occurrence_box_mask(p, [q + 1 for q in idx]).mask
+            tid = engine.pattern_type_id(standardize([p[q] for q in idx]))
+            expected[:boxes, c] = [box_mask >> b & 1 for b in range(boxes)]
+            expected[boxes:, c] = [tid >> t & 1 for t in range(len(planes) - boxes)]
+        words = np.ascontiguousarray(planes[:, :, r], dtype="<u4").view(np.uint8)
+        bits = np.unpackbits(words, axis=1, bitorder="little")
+        assert np.array_equal(bits, expected), (n, k, first, p)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_subseq_tables_bits_match_the_definition(k):
-    combos, planes = engine.subseq_tables(5, k)
-    bits = _plane_bits(planes, combos)
-    boxes = (k + 1) ** 2
-    for r, p in enumerate(enumerate_sn(5)):
-        for c, idx in enumerate(combos):
-            positions = [q + 1 for q in idx]
-            box_mask = occurrence_box_mask(p, positions).mask
-            tid = engine.pattern_type_id(standardize([p[q] for q in idx]))
-            assert [int(b) for b in bits[:boxes, r, c]] == [box_mask >> i & 1 for i in range(boxes)]
-            assert [int(b) for b in bits[boxes:, r, c]] == [tid >> t & 1 for t in range(len(planes) - boxes)]
+    assert_bits_match_the_definition(5, k, None, range(120))
+
+
+def sample_rows(n, first, count, seed):
+    """The first and last row of a block and ``count`` seeded random others."""
+    rows = math.factorial(n - 1)
+    return [0, rows - 1, *random.Random(seed * 100 + first).sample(range(1, rows - 1), count)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_table_bits_match_the_definition_on_every_block_of_s9(k):
+    # every first-value block, and words past the first; the last word of
+    # either length has padding bits (84 and 36 combos)
+    for first in engine.blocks(9):
+        assert_bits_match_the_definition(9, k, first, sample_rows(9, first, 14, seed=k))
+    engine.clear_caches()
+
+
+@pytest.mark.long_running
+@pytest.mark.parametrize("k", [2, 3])
+def test_long_running_table_bits_match_the_definition_at_ten(k):
+    # the first and last blocks of S_10, each about 110 MB at k = 3
+    for first in (1, 10):
+        assert_bits_match_the_definition(10, k, first, sample_rows(10, first, 14, seed=k))
+    engine.clear_caches()
 
 
 def test_subseq_tables_argument_forms_share_one_entry():
