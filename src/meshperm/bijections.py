@@ -16,16 +16,18 @@ occurrences get them from an occurrence provider: the pure-Python finder
 Families and their parameters:
 
 ============================  =================================================
-``direct``                    boundary-triple swaps, one rule per pair_id 1-11
-``oth1``                      swap the tail of the unique occurrence rooted at
-                              each left-to-right minimum
+``direct``                    the tail swap: exchange the second and third
+                              entries of each occurrence, once per tail
+``oth1``                      the tail swap; one occurrence is rooted at each
+                              left-to-right minimum
 ``complement_after_one``      complement the values 2..n when pi starts with 1
 ``len2_reduction``            strip a forced leading 1, run the length-2 sweep
 ``ltr_interval_complement``   complement values inside each gap between
                               consecutive left-to-right minima
 ``per_interval_len2``         length-2 sweep on each rectangle hanging off a
                               left-to-right minimum
-``pair_swap``                 transpose the adjacent tail of every occurrence
+``pair_swap``                 the tail swap; each tail is adjacent in position
+                              and value
 ``a1_complement``             complement the largest interval block around
                               each occurrence tail, block by block
 ``nine_box``                  block-structured max-swap sweep
@@ -93,79 +95,35 @@ _EDGE_K3 = frozenset((i, j) for i in range(4) for j in range(4) if i == 0 or j =
 
 
 # ---------------------------------------------------------------------------
-# direct boundary-triple rules (pairs 1-11)
-
-_FULL3 = ShadingSet.full(3)
-_DIRECT_SEARCH_SHADINGS = {
-    6: ShadingSet(3, _FULL3.mask & ~ShadingSet.from_boxes(3, [(0, 3), (3, 0)]).mask),
-    7: ShadingSet(3, _FULL3.mask & ~ShadingSet.from_boxes(3, [(0, 3), (3, 0), (3, 3)]).mask),
-    8: ShadingSet(3, _FULL3.mask & ~ShadingSet.from_boxes(3, [(0, 0), (0, 3), (3, 0)]).mask),
-}
-
-
-def direct_transform(p: Sequence[int], pair_id: int, provider: OccurrenceProvider = _pair_occurrences) -> Perm:
-    """One-rule bijections for the eleven heavily shaded pairs.
-
-    Each rule swaps the unique way the two patterns can occur: a boundary
-    triple of extreme values, or every disjoint consecutive-triple
-    occurrence for pair_ids 6-8.
-    """
-    p = tuple(p)
-    n = len(p)
-    if pair_id == 1:
-        if p == (1, 2, 3):
-            return (1, 3, 2)
-        if p == (1, 3, 2):
-            return (1, 2, 3)
-        return p
-    if pair_id == 2:
-        if n >= 3 and p[:3] in ((1, 2, 3), (1, 3, 2)):
-            return (p[0], p[2], p[1], *p[3:])
-        return p
-    if pair_id == 3:
-        if n >= 3 and p[-3:] in ((n - 2, n - 1, n), (n - 2, n, n - 1)):
-            return (*p[:-2], p[-1], p[-2])
-        return p
-    if pair_id == 4:
-        if n >= 3 and p[0] == 1 and (p[1], p[-1]) in ((2, n), (n, 2)):
-            return (p[0], p[-1], *p[2:-1], p[1])
-        return p
-    if pair_id == 5:
-        if n >= 3 and p[0] == 1 and {p[-2], p[-1]} == {n - 1, n}:
-            return (*p[:-2], p[-1], p[-2])
-        return p
-    if pair_id in (6, 7, 8):
-        return _swap_tails(p, _DIRECT_SEARCH_SHADINGS[pair_id], provider)
-    if pair_id in (9, 10, 11):
-        if n >= 3 and {p[-2], p[-1]} == {n - 1, n}:
-            return (*p[:-2], p[-1], p[-2])
-        return p
-    raise ValueError(f"no direct rule for pair id {pair_id}")
-
-
-# ---------------------------------------------------------------------------
-# minima-rooted occurrence swap (pair 12)
+# tail swap (pairs 1-12, 39, 44)
 
 _OTH1_SHADING = ShadingSet.from_boxes(
     3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 )
 
 
-def oth1_transform(p: Sequence[int]) -> Perm:
-    """Swap the tail of the occurrence rooted at each left-to-right minimum.
-
-    At most one occurrence of either pattern starts at each minimum, and its
-    second and third values are exchanged.  The host's occurrences are read
-    once: a swap at one root never moves the occurrence at a later root, so
-    the host's own list names every swap.
-    """
-    return transform_for({"name": "oth1"}, _OTH1_SHADING)(p)
-
-
 def _swap_tails(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
-    """Exchange the second and third entries of each occurrence in ``p``."""
+    """Exchange the second and third entries of each occurrence in ``p``.
+
+    The swap runs once per distinct tail (second and third positions), in
+    the order of the host's occurrence list, which is read once.  Why this
+    swaps the counts for each family:
+
+    - ``direct``: each of the eleven heavily shaded pairs occurs in one
+      fixed form, a boundary triple of extreme values or disjoint
+      consecutive triples, and swapping the tail turns each occurrence of
+      one pattern into one of the other.  Several roots may share one tail.
+    - ``oth1``: at most one occurrence of either pattern starts at each
+      left-to-right minimum.  A swap at one root never moves the occurrence
+      at a later root, so the host's own list names every swap; tails of
+      successive roots may overlap, so the order of the swaps matters.
+    - ``pair_swap``: the second and third entries of an occurrence are
+      adjacent in position with consecutive values.  Several occurrences may
+      hang off the same tail (one per eligible root); distinct tails never
+      overlap.
+    """
     out = list(p)
-    for _, b, c in provider(p, shading):
+    for b, c in dict.fromkeys(occ[1:] for occ in provider(p, shading)):
         out[b - 1], out[c - 1] = out[c - 1], out[b - 1]
     return tuple(out)
 
@@ -262,19 +220,13 @@ def _sweep_lower(vals: Sequence[int], tail_box: bool) -> tuple[int, ...]:
 
 
 def _len2_sweep(p: Sequence[int], frame: Frame) -> Perm:
-    return _host_sym(_sweep_lower(_host_sym(p, frame), frame.tail_box), frame)
-
-
-def len2_swap_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
     """Length-2 sweep for any of the eight supported frames.
 
     The four rotations of the lower 2x2 frame, each with or without its
     opposite tail box, are handled by conjugating the host with the matching
     symmetry and running the canonical sweep.
     """
-    if shading not in _LEN2_FRAMES:
-        raise UnsupportedShadingError(f"length-2 sweep does not support shading {shading.boxes()}")
-    return _len2_sweep(p, _LEN2_FRAMES[shading])
+    return _host_sym(_sweep_lower(_host_sym(p, frame), frame.tail_box), frame)
 
 
 #: shading accepted by ``len2_reduction`` -> frame of its length-2 sweep:
@@ -326,6 +278,7 @@ def _minimum_rectangles(p: Sequence[int]):
 
 
 def _per_interval_sweep(p: Sequence[int], frame: Frame) -> Perm:
+    """Run the length-2 sweep independently on each minimum's rectangle."""
     out = list(p)
     for sel, vals in _minimum_rectangles(p):
         if len(vals) < 2:
@@ -335,11 +288,6 @@ def _per_interval_sweep(p: Sequence[int], frame: Frame) -> Perm:
         for q, v in zip(sel, image):
             out[q - 1] = ordered[v - 1]
     return tuple(out)
-
-
-def per_interval_len2(p: Sequence[int], shading: ShadingSet) -> Perm:
-    """Run the length-2 sweep independently on each minimum's rectangle."""
-    return transform_for({"name": "per_interval_len2"}, shading)(p)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +338,7 @@ def ltr_interval_complement(p: Sequence[int]) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# tail transposition and tail-value complement (pairs 39, 44 and 41-43, 45)
+# pair_swap shadings (pairs 39, 44) and tail-value complement (pairs 41-43, 45)
 
 _L3C_K3 = frozenset({(0, 0), (0, 2), (0, 3), (2, 0), (3, 0)})
 
@@ -403,24 +351,6 @@ _A1_SHADINGS = frozenset(
     ShadingSet.from_boxes(3, _L3C_K3 | extra)
     for extra in (_NE_CROSS, _NE_CROSS | {(2, 2)}, _NE_BLOCK - {(2, 2)}, _NE_BLOCK)
 )
-
-
-def pair_swap_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
-    """Transpose the last two values of every occurrence.
-
-    For the supported shadings the second and third entries of an occurrence
-    are adjacent in position with consecutive values.  Several occurrences
-    may hang off the same tail pair (one per eligible root), so the swaps
-    are deduplicated by position pair; distinct pairs never overlap.
-    """
-    return transform_for({"name": "pair_swap"}, shading)(p)
-
-
-def _pair_swap(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
-    out = list(p)
-    for b, c in {(occ[1], occ[2]) for occ in provider(p, shading)}:
-        out[b - 1], out[c - 1] = out[c - 1], out[b - 1]
-    return tuple(out)
 
 
 def _a1_complement_raw(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Perm:
@@ -448,19 +378,13 @@ def _largest_block(p: Sequence[int], lo_a: int, hi_a: int, lo_b: int, hi_b: int)
     return best
 
 
-def a1_complement(p: Sequence[int], shading: ShadingSet) -> Perm:
+def _a1_complement(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
     """Complement the largest interval block around each occurrence tail.
 
     An occurrence's tail is its second and third positions (b, c).  Its
     block is the longest run of positions right of the 1 that contains
     [b, c] and holds consecutive values; each distinct block is
     complemented on its own.
-    """
-    return transform_for({"name": "a1_complement"}, shading)(p)
-
-
-def _a1_complement(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
-    """:func:`a1_complement` with the occurrences read from ``provider``.
 
     Why this swaps the counts: boxes (0,0), (2,0) and (3,0) put every value
     below the root between the root and the tail, so the root lies at or
@@ -554,6 +478,14 @@ def _occurrence_blocks(p: Sequence[int], shading: ShadingSet, provider: Occurren
 
 
 def _block_sweep_raw(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Perm:
+    """Within each block of entangled occurrences, repeatedly swap the
+    leftmost tail position with the maximum value to its right.
+
+    Entangled means sharing a second or third entry (a shared root alone
+    does not tie occurrences together); the sweep runs over the sorted
+    second-and-third positions of each block.  Like every family's map the
+    sweep is its own inverse; :func:`verify_pair` checks that on all of S_n.
+    """
     out = list(p)
     for positions in _occurrence_blocks(p, shading, provider):
         for a in range(len(positions) - 1):
@@ -563,34 +495,11 @@ def _block_sweep_raw(p: Sequence[int], shading: ShadingSet, provider: Occurrence
     return tuple(out)
 
 
-def nine_box_transform(p: Sequence[int], shading: ShadingSet) -> Perm:
-    """Within each block of entangled occurrences, repeatedly swap the
-    leftmost tail position with the maximum value to its right.
-
-    Entangled means sharing a second or third entry (a shared root alone
-    does not tie occurrences together); the sweep runs over the sorted
-    second-and-third positions of each block.  Like every family's map the
-    sweep is its own inverse; :func:`verify_pair` checks that on all of S_n.
-    """
-    return transform_for({"name": "nine_box"}, shading)(p)
-
-
-def per_interval_nine_box(p: Sequence[int], shading: ShadingSet) -> Perm:
-    """Block sweep for the shadings whose occurrences live in the rectangle
-    below and right of each left-to-right minimum.
-
-    Occurrences of these shadings never straddle two rectangles, so the
-    global block sweep computes the per-rectangle one.
-    """
-    return transform_for({"name": "per_interval_nine_box"}, shading)(p)
-
-
 # ---------------------------------------------------------------------------
 # the family registry
 
-#: A family's transform builder: (catalog family record, accepted shading,
-#: occurrence provider) -> transform.
-Build = Callable[[dict, ShadingSet, OccurrenceProvider], Transform]
+#: A family's transform builder: (accepted shading, occurrence provider) -> transform.
+Build = Callable[[ShadingSet, OccurrenceProvider], Transform]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -599,9 +508,9 @@ class Family:
 
     ``accepts`` tells whether the family handles a shading; a shading
     carries its pattern length, so the rule fixes the length too.
-    ``build`` turns a catalog family record, an accepted shading and an
-    occurrence provider into the transform, which checks nothing further
-    per host; families that read no occurrences ignore the provider.
+    ``build`` turns an accepted shading and an occurrence provider into the
+    transform, which checks nothing further per host; families that read no
+    occurrences ignore the provider.
     Every family's transform is its own inverse.
     """
 
@@ -612,43 +521,42 @@ class Family:
 
 def _fixed(transform: Transform) -> Build:
     """Build rule of a family whose map is the same for every shading."""
-    return lambda family, shading, provider: transform
+    return lambda shading, provider: transform
 
 
 def _with_shading(transform: Callable[[Sequence[int], ShadingSet, OccurrenceProvider], Perm]) -> Build:
     """Build rule of a family whose map reads the shading's occurrences."""
-    return lambda family, shading, provider: functools.partial(transform, shading=shading, provider=provider)
+    return lambda shading, provider: functools.partial(transform, shading=shading, provider=provider)
 
 
-def _build_direct(family: dict, shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
-    pair_id = family["pair_id"]
-    if not 1 <= pair_id <= 11:
-        raise ValueError(f"no direct rule for pair id {pair_id}")
-    return functools.partial(direct_transform, pair_id=pair_id, provider=provider)
-
-
-def _build_len2_reduction(family: dict, shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
+def _build_len2_reduction(shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
     sweep = _len2_sweep if shading.k == 2 else _prepend_one_sweep
     return functools.partial(sweep, frame=_PREPEND_ONE_FRAMES[shading])
 
 
-def _build_per_interval_len2(family: dict, shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
+def _build_per_interval_len2(shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
     return functools.partial(_per_interval_sweep, frame=_INTERVAL_FRAMES[shading])
 
 
 #: The two nine-box families run the same sweep behind different accept rules.
+#: Occurrences of the ``per_interval_nine_box`` shadings live in the rectangle
+#: below and right of each left-to-right minimum and never straddle two
+#: rectangles, so the global block sweep computes the per-rectangle one.
 _build_block_sweep = _with_shading(_block_sweep_raw)
+
+#: The tail swap of ``direct``, ``oth1`` and ``pair_swap``.
+_build_tail_swap = _with_shading(_swap_tails)
 
 
 #: The family registry, one row per family; FAMILY_NAMES lists the rows in this order.
 FAMILIES = (
-    Family("direct", lambda s: s.k == 3, _build_direct),  # the rule is picked by pair id
-    Family("oth1", lambda s: s == _OTH1_SHADING, _with_shading(_swap_tails)),
+    Family("direct", lambda s: s.k == 3, _build_tail_swap),
+    Family("oth1", lambda s: s == _OTH1_SHADING, _build_tail_swap),
     Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one)),
     Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction),
     Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement)),
     Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _build_per_interval_len2),
-    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _with_shading(_pair_swap)),
+    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _build_tail_swap),
     Family("a1_complement", lambda s: s in _A1_SHADINGS, _with_shading(_a1_complement)),
     Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _build_block_sweep),
     Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _build_block_sweep),
@@ -675,14 +583,14 @@ def _accepting(name: str, shading: ShadingSet) -> Family:
 def transform_for(family: dict, shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Transform:
     """Resolve a catalog family record to the transform for ``shading``.
 
-    The occurrence-driven families (``direct`` pairs 6-8, ``oth1``,
+    The occurrence-driven families (``direct``, ``oth1``,
     ``pair_swap``, ``a1_complement`` and both nine-box families) ask
     ``provider`` for each host's occurrences; by default that is the
     pure-Python finder :func:`meshperm.mesh.occurrences`.  Raises
     :class:`UnsupportedShadingError` when the shading does not have the
     structure the family requires, and ValueError for unknown names.
     """
-    return _accepting(family.get("name"), shading).build(family, shading, provider)
+    return _accepting(family.get("name"), shading).build(shading, provider)
 
 
 def frame_tail_box(name: str, shading: ShadingSet) -> bool | None:

@@ -135,12 +135,12 @@ def test_every_family_entry_verifies_at_seven():
 def test_criterion_08_worked_examples():
     done = elapsed_under(1)
     # Shared-first-element bijection.
-    assert bj.oth1_transform((10, 7, 8, 5, 9, 4, 2, 6, 1, 3, 11)) == (
+    assert bj.apply_family(entry_by_id(12), (10, 7, 8, 5, 9, 4, 2, 6, 1, 3, 11)) == (
         10, 7, 9, 5, 6, 4, 2, 3, 1, 8, 11,
     )
     # Length-2 swap with the tail box shaded.
     tail_frame = entry_by_id(302).patterns()[0].shading
-    assert bj.len2_swap_transform((9, 5, 8, 7, 4, 6, 1, 3, 2), tail_frame) == (
+    assert transform_for({"name": "len2_reduction"}, tail_frame)((9, 5, 8, 7, 4, 6, 1, 3, 2)) == (
         8, 9, 7, 5, 3, 6, 4, 2, 1,
     )
     # Interval complement along the left-to-right minima.
@@ -148,16 +148,14 @@ def test_criterion_08_worked_examples():
         9, 12, 4, 11, 5, 13, 8, 6, 1, 2, 10, 7, 3,
     )
     # Per-interval length-2 swap.
-    s31 = entry_by_id(31).patterns()[0].shading
-    assert bj.per_interval_len2((10, 4, 7, 9, 8, 6, 1, 5, 2, 3), s31) == (
+    assert bj.apply_family(entry_by_id(31), (10, 4, 7, 9, 8, 6, 1, 5, 2, 3)) == (
         10, 4, 9, 8, 6, 7, 1, 5, 3, 2,
     )
     # Nine-box block sweep on the 16-element host; counts (3, 3) swap to
     # (3, 3).
     e46 = entry_by_id(46)
-    s46 = e46.patterns()[0].shading
     host = (12, 15, 13, 11, 14, 9, 16, 8, 6, 7, 4, 10, 2, 5, 1, 3)
-    image = bj.nine_box_transform(host, s46)
+    image = bj.apply_family(e46, host)
     assert image == (12, 15, 13, 11, 16, 9, 10, 8, 6, 14, 4, 5, 2, 3, 1, 7)
     p1, p2 = e46.patterns()
     assert (count_occurrences(host, p1), count_occurrences(host, p2)) == (3, 3)
@@ -205,9 +203,9 @@ def test_criterion_09_counterexamples():
     assert (count_occurrences(image4, r1), count_occurrences(image4, r2)) == (0, 0)
     for bad in (s205, s206):
         with pytest.raises(UnsupportedShadingError):
-            bj.nine_box_transform((1, 2, 3), bad)
+            transform_for({"name": "nine_box"}, bad)
     with pytest.raises(UnsupportedShadingError):
-        bj.a1_complement((1, 2, 3), shading)
+        transform_for({"name": "a1_complement"}, shading)
     done()
 
 
@@ -412,6 +410,17 @@ def test_long_running_every_family_entry_verifies_at_eight():
     for entry in entries:
         report = verify_entry(entry, 8)
         assert report.ok(), (entry.id, report)
+
+
+@pytest.mark.long_running
+def test_long_running_tail_swap_entries_verify_at_nine(monkeypatch):
+    # All of S_9 for the entries of the three families that share the tail
+    # swap: direct (1-11), oth1 (12) and pair_swap (39, 44); about 40 s.
+    monkeypatch.setenv("MESHPERM_MAX_N", "9")
+    entries = [entry_by_id(eid) for eid in (*range(1, 13), 39, 44)]
+    assert {e.family["name"] for e in entries} == {"direct", "oth1", "pair_swap"}
+    failing = {entry.id for entry in entries if not verify_entry(entry, 9).ok()}
+    assert failing == set()
 
 
 @pytest.mark.long_running

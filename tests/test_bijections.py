@@ -1,7 +1,9 @@
 """Unit and regression tests for the count-swapping bijection families."""
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 import meshperm
@@ -51,7 +53,8 @@ def test_family_names_are_exported():
 def test_accepted_shadings_per_family_and_length():
     # Counts over every shading of length 2 and 3.  The length-3 families
     # accept no length-2 shading, and len2_reduction accepts only its eight
-    # length-2 frames.  The direct rules are picked by pair id, not shading.
+    # length-2 frames.  direct accepts every length-3 shading: its tail swap
+    # reads the occurrences of whichever shading it is handed.
     expected = {
         "direct": (0, 1 << 16),
         "oth1": (0, 1),
@@ -76,27 +79,61 @@ def test_accepted_shadings_per_family_and_length():
 
 
 def test_direct_transform_examples():
-    assert bj.direct_transform((1, 2, 3, 5, 4), 2) == (1, 3, 2, 5, 4)
-    assert bj.direct_transform((1, 2, 3, 4), 4) == (1, 4, 3, 2)
-    assert bj.direct_transform((2, 1, 3, 4), 9) == (2, 1, 4, 3)
-    assert bj.direct_transform((3, 2, 1), 6) == (3, 2, 1)
-    assert bj.direct_transform((1, 2, 3), 6) == (1, 3, 2)
-    with pytest.raises(ValueError):
-        bj.direct_transform((1, 2, 3), 99)
+    for eid, host, image in (
+        (2, (1, 2, 3, 5, 4), (1, 3, 2, 5, 4)),
+        (4, (1, 2, 3, 4), (1, 4, 3, 2)),
+        (9, (2, 1, 3, 4), (2, 1, 4, 3)),
+        (6, (3, 2, 1), (3, 2, 1)),
+        (6, (1, 2, 3), (1, 3, 2)),
+    ):
+        assert apply_family(entry_by_id(eid), host) == image, (eid, host)
+
+
+# sha256 of the little-endian int64 ranks in S_7 of the images of S_7, in
+# rank order, under the rules the tail swap replaced: one rule per pair id
+# for direct (1-11), oth1 (12) and pair_swap (39, 44).  Entries 9-11 share
+# one rule.
+TAIL_SWAP_DIGESTS_S7 = {
+    1: "0e0b87c6b1d6c5de039d71ea8b443cb5d9f5249b2bca447f7c4e9fdf8ef9820b",
+    2: "3dcfa92fc823b06af4056310d41bd1b71dfd178c3e04268423ec9d9534d1f7ad",
+    3: "44e38d738739eb2434df6168d94c9fe2a9d9588cda06fe06827e7b508aa9e8b8",
+    4: "c9b41e9fb63ed132b59033e7b3cae53a3794d654bb824bc6a5db90896e747304",
+    5: "5c9e4f3f50850358287c3dae95449b82b4c0922e6f2a49aa7dce452a480c4393",
+    6: "6b8fceb2ebd1769559dea3d3b95f84c7b9c3343b7177e1167d6dd44a83e84bb5",
+    7: "af3f75f8f9dbbe598b8f285a89543c9d1b1f9f24ded7e2d7431872bc6816778d",
+    8: "d16fab7db88d87f797c138578c1565dcb0deb6740c4f750d4546bc542a671809",
+    9: "f07aa541fc999efdd288d8d9c490ef76eb5d3be27e9b6dcbb14eabdfc0a3fcf7",
+    10: "f07aa541fc999efdd288d8d9c490ef76eb5d3be27e9b6dcbb14eabdfc0a3fcf7",
+    11: "f07aa541fc999efdd288d8d9c490ef76eb5d3be27e9b6dcbb14eabdfc0a3fcf7",
+    12: "b77705aea12252d51c5a04539d6e5d18f64767689527335b9cc355976e702caf",
+    39: "aa63649469070f6c39c0740475ee0d0d4ab582b44f818c34363f51e3214f9657",
+    44: "8a5329051028b232a56fa470074dddbc71ab8cff410527e6c1a8c04190588e6d",
+}
+
+
+def test_tail_swap_images_on_s7_match_the_old_rules():
+    # the one tail swap gives, on every host of S_7, the image each old rule gave
+    for eid, digest in TAIL_SWAP_DIGESTS_S7.items():
+        entry = entry_by_id(eid)
+        provider = bj._TableProvider(7)
+        transform = transform_for(entry.family, entry.patterns()[0].shading, provider)
+        ranks = np.concatenate([bj._image_ranks(transform, provider.hosts(first), 7) for first in engine.blocks(7)])
+        assert hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest() == digest, eid
 
 
 def test_oth1_transform_examples():
+    entry = entry_by_id(12)
     host = (10, 7, 8, 5, 9, 4, 2, 6, 1, 3, 11)
-    assert bj.oth1_transform(host) == (10, 7, 9, 5, 6, 4, 2, 3, 1, 8, 11)
-    assert bj.oth1_transform((3, 2, 1)) == (3, 2, 1)
-    assert bj.oth1_transform((1, 2, 3)) == (1, 3, 2)
-    assert bj.oth1_transform(()) == ()
+    assert apply_family(entry, host) == (10, 7, 9, 5, 6, 4, 2, 3, 1, 8, 11)
+    assert apply_family(entry, (3, 2, 1)) == (3, 2, 1)
+    assert apply_family(entry, (1, 2, 3)) == (1, 3, 2)
+    assert apply_family(entry, ()) == ()
 
 
 def test_oth1_swaps_counts_on_worked_example():
     entry = entry_by_id(12)
     host = (10, 7, 8, 5, 9, 4, 2, 6, 1, 3, 11)
-    image = bj.oth1_transform(host)
+    image = apply_family(entry, host)
     assert pair_counts(host, entry) == tuple(reversed(pair_counts(image, entry)))
 
 
@@ -108,17 +145,18 @@ def test_complement_after_one_examples():
 
 
 def test_len2_swap_transform_examples():
-    plain = entry_by_id(301).patterns()[0].shading
-    tail = entry_by_id(302).patterns()[0].shading
+    # the length-2 sweep is len2_reduction on a length-2 frame
+    plain = transform_for({"name": "len2_reduction"}, entry_by_id(301).patterns()[0].shading)
+    tail = transform_for({"name": "len2_reduction"}, entry_by_id(302).patterns()[0].shading)
     host = (9, 5, 8, 7, 4, 6, 1, 3, 2)
-    assert bj.len2_swap_transform(host, tail) == (8, 9, 7, 5, 3, 6, 4, 2, 1)
-    assert bj.len2_swap_transform((1, 2, 3), plain) == (2, 1, 3)
+    assert tail(host) == (8, 9, 7, 5, 3, 6, 4, 2, 1)
+    assert plain((1, 2, 3)) == (2, 1, 3)
     # With the tail box shaded, every candidate pair of (1, 2, 3) is blocked,
     # so the host is occurrence-free and fixed.
-    assert bj.len2_swap_transform((1, 2, 3), tail) == (1, 2, 3)
-    assert bj.len2_swap_transform((1, 2), plain) == (2, 1)
-    assert bj.len2_swap_transform((1, 2), tail) == (2, 1)
-    assert bj.len2_swap_transform((1,), plain) == (1,)
+    assert tail((1, 2, 3)) == (1, 2, 3)
+    assert plain((1, 2)) == (2, 1)
+    assert tail((1, 2)) == (2, 1)
+    assert plain((1,)) == (1,)
 
 
 def test_len2_reduction_entries_swap_counts():
@@ -131,13 +169,12 @@ def test_len2_reduction_entries_swap_counts():
 
 
 def test_per_interval_len2_examples():
-    s30 = entry_by_id(30).patterns()[0].shading
-    s31 = entry_by_id(31).patterns()[0].shading
+    e30, e31 = entry_by_id(30), entry_by_id(31)
     host = (10, 4, 7, 9, 8, 6, 1, 5, 2, 3)
-    assert bj.per_interval_len2(host, s31) == (10, 4, 9, 8, 6, 7, 1, 5, 3, 2)
-    assert bj.per_interval_len2((1, 2, 3), s30) == (1, 3, 2)
-    assert bj.per_interval_len2((1, 2, 3), s31) == (1, 3, 2)
-    assert bj.per_interval_len2((2, 1, 3), s31) == (2, 1, 3)
+    assert apply_family(e31, host) == (10, 4, 9, 8, 6, 7, 1, 5, 3, 2)
+    assert apply_family(e30, (1, 2, 3)) == (1, 3, 2)
+    assert apply_family(e31, (1, 2, 3)) == (1, 3, 2)
+    assert apply_family(e31, (2, 1, 3)) == (2, 1, 3)
 
 
 def test_ltr_interval_complement_examples():
@@ -158,30 +195,29 @@ def test_ltr_interval_complement_swaps_counts_on_worked_example():
 
 
 def test_pair_swap_transform_examples():
-    s44 = entry_by_id(44).patterns()[0].shading
-    assert bj.pair_swap_transform((1, 2, 3), s44) == (1, 3, 2)
-    assert bj.pair_swap_transform((3, 2, 1), s44) == (3, 2, 1)
-    assert bj.pair_swap_transform((2, 1, 3), s44) == (2, 1, 3)
+    e44 = entry_by_id(44)
+    assert apply_family(e44, (1, 2, 3)) == (1, 3, 2)
+    assert apply_family(e44, (3, 2, 1)) == (3, 2, 1)
+    assert apply_family(e44, (2, 1, 3)) == (2, 1, 3)
     with pytest.raises(UnsupportedShadingError):
-        bj.pair_swap_transform((1, 2, 3), entry_by_id(23).patterns()[0].shading)
+        transform_for({"name": "pair_swap"}, entry_by_id(23).patterns()[0].shading)
 
 
 def test_a1_complement_examples():
     entry = entry_by_id(41)
-    shading = entry.patterns()[0].shading
     # Occurrence-free hosts are fixed.
-    assert bj.a1_complement((3, 2, 1), shading) == (3, 2, 1)
+    assert apply_family(entry, (3, 2, 1)) == (3, 2, 1)
     # The identity permutation of S_6 holds counts (10, 0); its image holds
     # the swapped counts (0, 10).
     host = (1, 2, 3, 4, 5, 6)
     assert pair_counts(host, entry) == (10, 0)
-    image = bj.a1_complement(host, shading)
+    image = apply_family(entry, host)
     assert image == (1, 6, 5, 4, 3, 2)
     assert pair_counts(image, entry) == (0, 10)
     # Unsupported shadings are rejected instead of silently mis-handled.
     s202 = entry_by_id(202).patterns()[0].shading
     with pytest.raises(UnsupportedShadingError):
-        bj.a1_complement((1, 2, 3), s202)
+        transform_for({"name": "a1_complement"}, s202)
 
 
 def test_a1_complement_raw_rule_is_not_count_swapping():
@@ -198,24 +234,23 @@ def test_a1_complement_raw_rule_is_not_count_swapping():
 
 
 def test_nine_box_transform_examples():
-    s46 = entry_by_id(46).patterns()[0].shading
-    assert bj.nine_box_transform((1, 2, 3), s46) == (1, 3, 2)
-    assert bj.nine_box_transform((3, 2, 1), s46) == (3, 2, 1)
+    e46 = entry_by_id(46)
+    assert apply_family(e46, (1, 2, 3)) == (1, 3, 2)
+    assert apply_family(e46, (3, 2, 1)) == (3, 2, 1)
     for bad_id in (205, 206):
         bad = entry_by_id(bad_id).patterns()[0].shading
         with pytest.raises(UnsupportedShadingError):
-            bj.nine_box_transform((1, 2, 3), bad)
+            transform_for({"name": "nine_box"}, bad)
 
 
 def test_nine_box_worked_example():
     entry = entry_by_id(46)
-    shading = entry.patterns()[0].shading
     host = (12, 15, 13, 11, 14, 9, 16, 8, 6, 7, 4, 10, 2, 5, 1, 3)
     assert pair_counts(host, entry) == (3, 3)
-    image = bj.nine_box_transform(host, shading)
+    image = apply_family(entry, host)
     assert image == (12, 15, 13, 11, 16, 9, 10, 8, 6, 14, 4, 5, 2, 3, 1, 7)
     assert pair_counts(image, entry) == (3, 3)
-    assert bj.nine_box_transform(image, shading) == host
+    assert apply_family(entry, image) == host
 
 
 def test_nine_box_worked_example_near_miss_rejected():
@@ -225,7 +260,7 @@ def test_nine_box_worked_example_near_miss_rejected():
     near_miss = (12, 15, 13, 11, 16, 9, 10, 8, 6, 14, 4, 7, 2, 3, 1, 5)
     assert pair_counts(near_miss, entry) == (2, 4)
     host = (12, 15, 13, 11, 14, 9, 16, 8, 6, 7, 4, 10, 2, 5, 1, 3)
-    assert bj.nine_box_transform(host, entry.patterns()[0].shading) != near_miss
+    assert apply_family(entry, host) != near_miss
 
 
 def test_block_sweep_raw_rejected_shadings():
@@ -247,9 +282,9 @@ def test_block_sweep_raw_rejected_shadings():
 
 
 def test_per_interval_nine_box_example():
-    s74 = entry_by_id(74).patterns()[0].shading
-    assert bj.per_interval_nine_box((1, 2, 3), s74) == (1, 3, 2)
-    assert bj.per_interval_nine_box((3, 2, 1), s74) == (3, 2, 1)
+    e74 = entry_by_id(74)
+    assert apply_family(e74, (1, 2, 3)) == (1, 3, 2)
+    assert apply_family(e74, (3, 2, 1)) == (3, 2, 1)
 
 
 def test_transform_for_and_apply_family():
@@ -368,11 +403,10 @@ def test_verify_pair_maps_each_host_once():
 def test_table_provider_matches_the_finder():
     # verify_entry's engine-table provider against the pure-Python finder on
     # every host of S_0..S_6 (no position triples below n = 3), for every
-    # family entry's shading, the direct search shadings and random ones;
-    # the walk of the one block of S_n is S_n in lexicographic order.
+    # family entry's shading and random ones; the walk of the one block of
+    # S_n is S_n in lexicographic order.
     rng = random.Random(7)
     shadings = {e.patterns()[0].shading for e in load_catalog() if e.family}
-    shadings |= set(bj._DIRECT_SEARCH_SHADINGS.values())
     shadings |= {ShadingSet(3, rng.randrange(1 << 16)) for _ in range(8)}
     for n in range(7):
         provider = bj._TableProvider(n)
@@ -413,7 +447,7 @@ def test_verify_entry_reads_occurrences_from_the_tables(monkeypatch):
         for name in ("occurrences", "is_occurrence"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(getattr(module, name)))
-    # one entry per occurrence-driven family (direct 6-8, oth1, pair_swap,
+    # one entry per occurrence-driven family (direct, oth1, pair_swap,
     # a1_complement, nine_box, per_interval_nine_box) and a
     # nonsymmetric-proved one
     for eid in (6, 12, 39, 41, 46, 74, 101):
