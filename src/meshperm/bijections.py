@@ -16,22 +16,24 @@ occurrences get them from an occurrence provider: the pure-Python finder
 Families and their parameters:
 
 ============================  =================================================
-``direct``                    the tail swap: exchange the second and third
-                              entries of each occurrence, once per tail
-``oth1``                      the tail swap; one occurrence is rooted at each
-                              left-to-right minimum
+``direct``                    the block sweep: in each block of occurrences
+                              sharing tail entries, swap each position, left
+                              to right, with the block's largest later value;
+                              here each block is one tail
+``oth1``                      the block sweep; one occurrence is rooted at
+                              each left-to-right minimum
 ``complement_after_one``      complement the values 2..n when pi starts with 1
 ``len2_reduction``            strip a forced leading 1, run the length-2 sweep
 ``ltr_interval_complement``   complement values inside each gap between
                               consecutive left-to-right minima
 ``per_interval_len2``         length-2 sweep on each rectangle hanging off a
                               left-to-right minimum
-``pair_swap``                 the tail swap; each tail is adjacent in position
-                              and value
+``pair_swap``                 the block sweep; each tail is adjacent in
+                              position and value
 ``a1_complement``             complement the largest interval block around
                               each occurrence tail, block by block
-``nine_box``                  block-structured max-swap sweep
-``per_interval_nine_box``     the same sweep, occurrences confined to minima
+``nine_box``                  the block sweep
+``per_interval_nine_box``     the block sweep, occurrences confined to minima
                               rectangles
 ============================  =================================================
 """
@@ -92,40 +94,6 @@ def _lift(base: frozenset[Box], inner: ShadingSet) -> ShadingSet:
 #: The left column and bottom row of a length-3 diagram: shaded, they force
 #: every occurrence to start at a leading 1.
 _EDGE_K3 = frozenset((i, j) for i in range(4) for j in range(4) if i == 0 or j == 0)
-
-
-# ---------------------------------------------------------------------------
-# tail swap (pairs 1-12, 39, 44)
-
-_OTH1_SHADING = ShadingSet.from_boxes(
-    3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
-)
-
-
-def _swap_tails(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
-    """Exchange the second and third entries of each occurrence in ``p``.
-
-    The swap runs once per distinct tail (second and third positions), in
-    the order of the host's occurrence list, which is read once.  Why this
-    swaps the counts for each family:
-
-    - ``direct``: each of the eleven heavily shaded pairs occurs in one
-      fixed form, a boundary triple of extreme values or disjoint
-      consecutive triples, and swapping the tail turns each occurrence of
-      one pattern into one of the other.  Several roots may share one tail.
-    - ``oth1``: at most one occurrence of either pattern starts at each
-      left-to-right minimum.  A swap at one root never moves the occurrence
-      at a later root, so the host's own list names every swap; tails of
-      successive roots may overlap, so the order of the swaps matters.
-    - ``pair_swap``: the second and third entries of an occurrence are
-      adjacent in position with consecutive values.  Several occurrences may
-      hang off the same tail (one per eligible root); distinct tails never
-      overlap.
-    """
-    out = list(p)
-    for b, c in dict.fromkeys(occ[1:] for occ in provider(p, shading)):
-        out[b - 1], out[c - 1] = out[c - 1], out[b - 1]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +306,9 @@ def ltr_interval_complement(p: Sequence[int]) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# pair_swap shadings (pairs 39, 44) and tail-value complement (pairs 41-43, 45)
+# tail-value complement (pairs 41-43, 45)
 
 _L3C_K3 = frozenset({(0, 0), (0, 2), (0, 3), (2, 0), (3, 0)})
-
-_PAIR_SWAP_SHADINGS = frozenset(
-    ShadingSet.from_boxes(3, base | extra)
-    for base, extra in ((_L3_K3, _NE_BLOCK - {(3, 3)}), (_L3C_K3, _NE_BLOCK - {(3, 3)}))
-)
 
 _A1_SHADINGS = frozenset(
     ShadingSet.from_boxes(3, _L3C_K3 | extra)
@@ -410,7 +373,15 @@ def _a1_complement(p: Sequence[int], shading: ShadingSet, provider: OccurrencePr
 
 
 # ---------------------------------------------------------------------------
-# block max-swap sweep (pairs 46-75)
+# block sweep (pairs 1-12, 39, 44, 46-75)
+
+_OTH1_SHADING = ShadingSet.from_boxes(
+    3, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+)
+
+_PAIR_SWAP_SHADINGS = frozenset(
+    ShadingSet.from_boxes(3, base | (_NE_BLOCK - {(3, 3)})) for base in (_L3_K3, _L3C_K3)
+)
 
 _SQ_CORE = frozenset({(2, 2), (2, 3), (3, 2), (3, 3)})
 _SQ_EXTRA = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
@@ -435,63 +406,70 @@ _INTERVAL_BLOCK_SHADINGS = frozenset(
 )
 
 
-class _DisjointSets:
-    """Union-find over 0..n-1 with path compression."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def unite(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
-def _occurrence_blocks(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> list[list[int]]:
+def _occurrence_blocks(occs: Iterable[tuple[int, ...]]) -> list[list[int]]:
     """Group occurrences that share a second or third entry; return each
-    block's sorted second-and-third positions.
+    block's sorted second-and-third indices (0-based), blocks ordered by
+    their first index.
 
-    A root may start occurrences in several blocks: only the swept tail
-    entries tie occurrences together, never the shared root.
+    A block is a connected component of the graph whose edges join the
+    second and third entries of each occurrence.  A root may start
+    occurrences in several blocks: only the swept tail entries tie
+    occurrences together, never the shared root.
     """
-    occs = provider(p, shading)
-    if not occs:
-        return []
-    sets = _DisjointSets(len(occs))
-    owner: dict[int, int] = {}
-    for t, occ in enumerate(occs):
-        for q in occ[1:]:
-            if q in owner:
-                sets.unite(t, owner[q])
-            else:
-                owner[q] = t
-    grouped: dict[int, set[int]] = {}
-    for t, occ in enumerate(occs):
-        grouped.setdefault(sets.find(t), set()).update(occ[1:])
-    return sorted((sorted(g) for g in grouped.values()), key=lambda g: g[0])
+    parent: dict[int, int] = {}
+
+    def find(q: int) -> int:
+        while parent.setdefault(q, q) != q:
+            q = parent[q]
+        return q
+
+    for _, b, c in occs:
+        parent[find(b - 1)] = find(c - 1)
+    blocks: dict[int, list[int]] = {}
+    for q in sorted(parent):
+        blocks.setdefault(find(q), []).append(q)
+    return list(blocks.values())
 
 
-def _block_sweep_raw(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Perm:
+def _block_sweep(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Perm:
     """Within each block of entangled occurrences, repeatedly swap the
     leftmost tail position with the maximum value to its right.
 
     Entangled means sharing a second or third entry (a shared root alone
     does not tie occurrences together); the sweep runs over the sorted
-    second-and-third positions of each block.  Like every family's map the
-    sweep is its own inverse; :func:`verify_pair` checks that on all of S_n.
+    second-and-third positions of each block, so a block of one tail
+    exchanges that tail's two entries.  Why this swaps the counts for each
+    family:
+
+    - ``direct``: each of the eleven heavily shaded pairs occurs in one
+      fixed form, a boundary triple of extreme values or disjoint
+      consecutive triples, so each block holds a single tail, and swapping
+      it turns each occurrence of one pattern into one of the other.
+      Several roots may share one tail.
+    - ``oth1``: at most one occurrence of either pattern starts at each
+      left-to-right minimum.  A swap at one root never moves the occurrence
+      at a later root.  Tails of successive roots may overlap and then merge
+      into one block; its sweep gives what swapping the block's tails one
+      after another, in occurrence order, gives (checked on all of S_0..S_9).
+    - ``pair_swap``: the second and third entries of an occurrence are
+      adjacent in position with consecutive values.  Several occurrences may
+      hang off the same tail (one per eligible root); distinct tails never
+      overlap, so each block holds a single tail.
+    - ``per_interval_nine_box``: occurrences live in the rectangle below and
+      right of each left-to-right minimum and never straddle two
+      rectangles, so the global sweep computes the per-rectangle one.
+
+    Like every family's map the sweep is its own inverse; :func:`verify_pair`
+    checks that on all of S_n.
     """
+    occs = provider(p, shading)
+    if not occs:
+        return tuple(p)
     out = list(p)
-    for positions in _occurrence_blocks(p, shading, provider):
-        for a in range(len(positions) - 1):
-            rest = positions[a + 1 :]
-            m = max(rest, key=lambda q: out[q - 1])
-            out[positions[a] - 1], out[m - 1] = out[m - 1], out[positions[a] - 1]
+    for block in _occurrence_blocks(occs):
+        for a, q in enumerate(block[:-1]):
+            m = max(block[a + 1 :], key=out.__getitem__)
+            out[q], out[m] = out[m], out[q]
     return tuple(out)
 
 
@@ -538,25 +516,20 @@ def _build_per_interval_len2(shading: ShadingSet, provider: OccurrenceProvider) 
     return functools.partial(_per_interval_sweep, frame=_INTERVAL_FRAMES[shading])
 
 
-#: The two nine-box families run the same sweep behind different accept rules.
-#: Occurrences of the ``per_interval_nine_box`` shadings live in the rectangle
-#: below and right of each left-to-right minimum and never straddle two
-#: rectangles, so the global block sweep computes the per-rectangle one.
-_build_block_sweep = _with_shading(_block_sweep_raw)
-
-#: The tail swap of ``direct``, ``oth1`` and ``pair_swap``.
-_build_tail_swap = _with_shading(_swap_tails)
+#: The five occurrence-swapping families run the block sweep behind different
+#: accept rules.
+_build_block_sweep = _with_shading(_block_sweep)
 
 
 #: The family registry, one row per family; FAMILY_NAMES lists the rows in this order.
 FAMILIES = (
-    Family("direct", lambda s: s.k == 3, _build_tail_swap),
-    Family("oth1", lambda s: s == _OTH1_SHADING, _build_tail_swap),
+    Family("direct", lambda s: s.k == 3, _build_block_sweep),
+    Family("oth1", lambda s: s == _OTH1_SHADING, _build_block_sweep),
     Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one)),
     Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction),
     Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement)),
     Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _build_per_interval_len2),
-    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _build_tail_swap),
+    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _build_block_sweep),
     Family("a1_complement", lambda s: s in _A1_SHADINGS, _with_shading(_a1_complement)),
     Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _build_block_sweep),
     Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _build_block_sweep),
@@ -591,15 +564,6 @@ def transform_for(family: dict, shading: ShadingSet, provider: OccurrenceProvide
     structure the family requires, and ValueError for unknown names.
     """
     return _accepting(family.get("name"), shading).build(shading, provider)
-
-
-def frame_tail_box(name: str, shading: ShadingSet) -> bool | None:
-    """Whether the length-2 frame behind a reduction family has its tail box.
-
-    Returns None when the shading is not reducible for that family.
-    """
-    frames = {"len2_reduction": _PREPEND_ONE_FRAMES, "per_interval_len2": _INTERVAL_FRAMES}.get(name, {})
-    return frames[shading].tail_box if shading in frames else None
 
 
 def apply_family(entry, p: Sequence[int]) -> Perm:

@@ -141,10 +141,6 @@ def validate_catalog(entries: tuple[CatalogEntry, ...] | None = None) -> list[st
                     bijections.transform_for(e.family, p1.shading)
                 except (ValueError, KeyError) as exc:
                     problems.append(f"{where}: family does not accept the shading ({exc})")
-                if "tail_box" in (e.family or {}):
-                    derived = bijections.frame_tail_box(e.family["name"], p1.shading)
-                    if derived is not None and derived != e.family["tail_box"]:
-                        problems.append(f"{where}: declared tail_box contradicts the shading")
         elif e.family is not None:
             problems.append(f"{where}: {e.status} entry must not carry a family")
         if e.status == "refuted" and e.first_divergence_n is None:

@@ -192,12 +192,12 @@ def test_criterion_09_counterexamples():
     e205, e206 = entry_by_id(205), entry_by_id(206)
     s205, s206 = e205.patterns()[0].shading, e206.patterns()[0].shading
     host5 = (3, 4, 1, 2, 5)
-    image5 = bj._block_sweep_raw(host5, s205)
+    image5 = bj._block_sweep(host5, s205)
     q1, q2 = e205.patterns()
     assert (count_occurrences(host5, q1), count_occurrences(host5, q2)) == (2, 0)
     assert (count_occurrences(image5, q1), count_occurrences(image5, q2)) == (0, 0)
     host4 = (1, 3, 2, 4)
-    image4 = bj._block_sweep_raw(host4, s206)
+    image4 = bj._block_sweep(host4, s206)
     r1, r2 = e206.patterns()
     assert (count_occurrences(host4, r1), count_occurrences(host4, r2)) == (2, 0)
     assert (count_occurrences(image4, r1), count_occurrences(image4, r2)) == (0, 0)
@@ -413,12 +413,13 @@ def test_long_running_every_family_entry_verifies_at_eight():
 
 
 @pytest.mark.long_running
-def test_long_running_tail_swap_entries_verify_at_nine(monkeypatch):
-    # All of S_9 for the entries of the three families that share the tail
-    # swap: direct (1-11), oth1 (12) and pair_swap (39, 44); about 40 s.
+def test_long_running_block_sweep_entries_verify_at_nine(monkeypatch):
+    # All of S_9 for the block-sweep entries outside nine_box: direct
+    # (1-11), oth1 (12), pair_swap (39, 44) and per_interval_nine_box
+    # (74, 75); about 45 s.
     monkeypatch.setenv("MESHPERM_MAX_N", "9")
-    entries = [entry_by_id(eid) for eid in (*range(1, 13), 39, 44)]
-    assert {e.family["name"] for e in entries} == {"direct", "oth1", "pair_swap"}
+    entries = [entry_by_id(eid) for eid in (*range(1, 13), 39, 44, 74, 75)]
+    assert {e.family["name"] for e in entries} == {"direct", "oth1", "pair_swap", "per_interval_nine_box"}
     failing = {entry.id for entry in entries if not verify_entry(entry, 9).ok()}
     assert failing == set()
 

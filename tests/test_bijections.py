@@ -53,7 +53,7 @@ def test_family_names_are_exported():
 def test_accepted_shadings_per_family_and_length():
     # Counts over every shading of length 2 and 3.  The length-3 families
     # accept no length-2 shading, and len2_reduction accepts only its eight
-    # length-2 frames.  direct accepts every length-3 shading: its tail swap
+    # length-2 frames.  direct accepts every length-3 shading: its block sweep
     # reads the occurrences of whichever shading it is handed.
     expected = {
         "direct": (0, 1 << 16),
@@ -90,10 +90,12 @@ def test_direct_transform_examples():
 
 
 # sha256 of the little-endian int64 ranks in S_7 of the images of S_7, in
-# rank order, under the rules the tail swap replaced: one rule per pair id
-# for direct (1-11), oth1 (12) and pair_swap (39, 44).  Entries 9-11 share
-# one rule.
-TAIL_SWAP_DIGESTS_S7 = {
+# rank order, for the five families that share the block sweep.  For direct
+# (1-11), oth1 (12) and pair_swap (39, 44) these are the images of the
+# earlier per-pair rules, one per pair id (entries 9-11 share one); for
+# nine_box (46-73, 105-136) and per_interval_nine_box (74, 75) those of the
+# sweep with union-find grouping.
+BLOCK_SWEEP_DIGESTS_S7 = {
     1: "0e0b87c6b1d6c5de039d71ea8b443cb5d9f5249b2bca447f7c4e9fdf8ef9820b",
     2: "3dcfa92fc823b06af4056310d41bd1b71dfd178c3e04268423ec9d9534d1f7ad",
     3: "44e38d738739eb2434df6168d94c9fe2a9d9588cda06fe06827e7b508aa9e8b8",
@@ -108,12 +110,75 @@ TAIL_SWAP_DIGESTS_S7 = {
     12: "b77705aea12252d51c5a04539d6e5d18f64767689527335b9cc355976e702caf",
     39: "aa63649469070f6c39c0740475ee0d0d4ab582b44f818c34363f51e3214f9657",
     44: "8a5329051028b232a56fa470074dddbc71ab8cff410527e6c1a8c04190588e6d",
+    46: "ad642466d657108c85409697f3b7b4acdc0deef72034fd2a8d0d6896f2adf840",
+    47: "a8cf9ea05b163c4c2d1c4106cf43f0eca7c20804118bbefd5817e1567a7f3a41",
+    48: "04a2204a470f159683f507ac7a876c270ab24788d44ce31ea6d95ae180900e2a",
+    49: "c2ee1da97d7d91876819a3ceafc3efa79e858c0b8055094facb075348b179b29",
+    50: "16859c68532d8d826316bd82f8bcc1142edf00fb55ade8a048d8d19bbe96817a",
+    51: "7e43f894da327cca8a25e9a65bd9b61f863dc0b6dc1684ad3c26b18f0b9a7045",
+    52: "e3ca2f788da9b13d0c6978d91d02a70e4ca38742c36e101ac45c0b6b6cb1f264",
+    53: "e3ca2f788da9b13d0c6978d91d02a70e4ca38742c36e101ac45c0b6b6cb1f264",
+    54: "8f30b5bd303af4809f8baaf5c6b64dd025eac3c4370812e9e9a282eac7129df5",
+    55: "dde157ee23cbecc071972e8bfe45a273b583b319673421b85c9494aa30f1c910",
+    56: "e3ca2f788da9b13d0c6978d91d02a70e4ca38742c36e101ac45c0b6b6cb1f264",
+    57: "feed3c0a6f0267b061bcc4f6445d7dc1603d600149950e38d4d9388e79ca4b3b",
+    58: "c61ed9604b6639a81d49653d12497f0a4f13003d6f47a989308b648feb6489fb",
+    59: "15cf78ccbbd6f35b9e3b9df6f390d409f1cec0f514e8575ec8771f4ab515bb8e",
+    60: "ad642466d657108c85409697f3b7b4acdc0deef72034fd2a8d0d6896f2adf840",
+    61: "36c2db42c66aad6325159286cecacb6372a579612df94b0533eb966d741bcf3c",
+    62: "3635a77c6f409a77fe2aabf9eb85737aa3c03451639af1541a4ac855a3305e69",
+    63: "a4bb2b76cadba9bfd4a4279b163c129360ad451eaf6ec036997def007afe98c9",
+    64: "16859c68532d8d826316bd82f8bcc1142edf00fb55ade8a048d8d19bbe96817a",
+    65: "9f109f0c3dbfc0899116455e58db1976c7610cb84f626878ed245a94d8d580f5",
+    66: "8b0feb40909b336ecae2f8cf3ee0f0aa73063cced0b1e2a9320307b1c47229ad",
+    67: "c6e310887941704b93b90b451e47f28e307bbc94530f96fd937d388f2cc26101",
+    68: "a9c270b2ffe410a3aa78d00bf142bf63b955d77d0a0ea2329af10599badbd6db",
+    69: "a9c270b2ffe410a3aa78d00bf142bf63b955d77d0a0ea2329af10599badbd6db",
+    70: "a5f40ac44a657a19dd79c94266d34f13ab021e72428cb8942539f18deee17c45",
+    71: "3ecd244b65802d2f4ac749ac16a0350d63693e8aa9011250a1078e864777110a",
+    72: "c4b13d4b2715778fb2dffaad0a1c87de575403620f043ce0a6acb0f1aff5da16",
+    73: "22a610501280282c48b0d1d5455444fe2d336ef64405279ad91a64085f5a9fcb",
+    74: "9062044d636d325d21c9b8b5a764d7400ad35d88bc34ee5b640ec6a9bd34d5aa",
+    75: "461f453f62e9ab5cb20b889a926a5e4bfad5b0b7cdc21b786e17db64d685122e",
+    105: "e76021c25586386f0bbabcb3b0db0aacbf8f19ddd3ad699cb04c51f456478ba5",
+    106: "c3e433e456a879a0a68b27c21c1ed14becbb3caaa8d16059d8a674eb4f6b0c7a",
+    107: "fcace8c006fbfe54344019741f1a0fc76ef44873dd7373e8a21709d159aceeb2",
+    108: "4ff2dd3728265484d08e2f86f72b557143f60dbedc8f7442e9f66c1b89480c4c",
+    109: "a70c5a7bd845893ea7f72bbe3eea252ec84bf9a14cd551952447a6bbbe19b8b7",
+    110: "aeab86f695c53ca58f6c4282fba684a0c3b4ed0e09439d228711a126c97e41df",
+    111: "d208017d8f6bf59da44bfaded97de64ca9bd9799f99a8ce56dc65d1de379ed90",
+    112: "7736475a568a1f45bc5f5707621daaf5fae7ff3dd94bbe576927173baab28d14",
+    113: "b7416cc1a6348bd98ae44ba12111f8b837329b5a5e75f6bc8be54452e8b851e0",
+    114: "3bbcb8cdf09d5a1286069c88158abbf8192a5ce199dc0c4e3888161cc9a3e896",
+    115: "4b687d97965b026a4f3d9d7c9fb9712430cb9f67dbfe1e320087fada57cb41ec",
+    116: "f8fc9b156c83c42131f00332b8bfe44ab13417291666bbf04035f7d678e2c4a6",
+    117: "e3ca2f788da9b13d0c6978d91d02a70e4ca38742c36e101ac45c0b6b6cb1f264",
+    118: "e3ca2f788da9b13d0c6978d91d02a70e4ca38742c36e101ac45c0b6b6cb1f264",
+    119: "e3ca2f788da9b13d0c6978d91d02a70e4ca38742c36e101ac45c0b6b6cb1f264",
+    120: "db7128b4017742ae28098090813c01e331a927493ddb346c2eaf6d94a10f4b59",
+    121: "e76021c25586386f0bbabcb3b0db0aacbf8f19ddd3ad699cb04c51f456478ba5",
+    122: "c3e433e456a879a0a68b27c21c1ed14becbb3caaa8d16059d8a674eb4f6b0c7a",
+    123: "dff0ae8225eb65f4b7d7d97948548523ec8db8072d04dda1dd81f86a3c480be1",
+    124: "0a049d741fb07761e3fff15ed59317070210d77f91b0b16d5d88fdf06d12d27b",
+    125: "a70c5a7bd845893ea7f72bbe3eea252ec84bf9a14cd551952447a6bbbe19b8b7",
+    126: "aeab86f695c53ca58f6c4282fba684a0c3b4ed0e09439d228711a126c97e41df",
+    127: "6849c445a13d11ef292915c8cd68149ce25e9753f077acb1d9b9ce44a01b9d4b",
+    128: "ba51c9365fa11484cd8a99291707ca9c8f547ec5dcb867dc56758137dcd445ab",
+    129: "b7416cc1a6348bd98ae44ba12111f8b837329b5a5e75f6bc8be54452e8b851e0",
+    130: "f9626d4da7eeb3dc37e6e633e47b8c99e31a3656f2a2b7f4d9a033d3b8008869",
+    131: "d100925e3136ff69530964e27f47a08b9ef27471c0a5af0ba887b3ba8abfc5d2",
+    132: "8ff54c43c6010efb1e554b239696f3c44d8266b142cd5fd240709cdade63415c",
+    133: "b695d861935a5d2480ae2099d022899053c0dce761ea52f42cd42010a90b0051",
+    134: "b695d861935a5d2480ae2099d022899053c0dce761ea52f42cd42010a90b0051",
+    135: "ede50b37b4db860b4c8c000151e8fa670f807d4d99832a03b9f12993d1213eee",
+    136: "d6875a1b1ab5db14ec9420888d33fbf0963575ddd2099a88818d473fc9f31537",
 }
 
 
-def test_tail_swap_images_on_s7_match_the_old_rules():
-    # the one tail swap gives, on every host of S_7, the image each old rule gave
-    for eid, digest in TAIL_SWAP_DIGESTS_S7.items():
+def test_block_sweep_images_on_s7_match_the_old_maps():
+    # the block sweep gives, on every host of S_7, the image each old map gave
+    assert len(BLOCK_SWEEP_DIGESTS_S7) == 76
+    for eid, digest in BLOCK_SWEEP_DIGESTS_S7.items():
         entry = entry_by_id(eid)
         provider = bj._TableProvider(7)
         transform = transform_for(entry.family, entry.patterns()[0].shading, provider)
@@ -263,19 +328,19 @@ def test_nine_box_worked_example_near_miss_rejected():
     assert apply_family(entry, host) != near_miss
 
 
-def test_block_sweep_raw_rejected_shadings():
+def test_block_sweep_rejected_shadings():
     # Rejected extensions: the sweep reproduces its documented images but
     # does not swap the counts, which is why these shadings are refuted.
     e205, e206 = entry_by_id(205), entry_by_id(206)
     s205 = e205.patterns()[0].shading
     s206 = e206.patterns()[0].shading
     host5 = (3, 4, 1, 2, 5)
-    image5 = bj._block_sweep_raw(host5, s205)
+    image5 = bj._block_sweep(host5, s205)
     assert image5 == (3, 5, 1, 4, 2)
     assert pair_counts(host5, e205) == (2, 0)
     assert pair_counts(image5, e205) == (0, 0)
     host4 = (1, 3, 2, 4)
-    image4 = bj._block_sweep_raw(host4, s206)
+    image4 = bj._block_sweep(host4, s206)
     assert image4 == (1, 4, 3, 2)
     assert pair_counts(host4, e206) == (2, 0)
     assert pair_counts(image4, e206) == (0, 0)
@@ -299,13 +364,6 @@ def test_transform_for_and_apply_family():
         transform_for({"name": "a1_complement"}, entry_by_id(202).patterns()[0].shading)
     with pytest.raises(ValueError):
         apply_family(entry_by_id(76), (1, 2, 3))  # conjectured: no family
-
-
-def test_frame_tail_box():
-    assert bj.frame_tail_box("len2_reduction", entry_by_id(19).patterns()[0].shading) is False
-    assert bj.frame_tail_box("len2_reduction", entry_by_id(21).patterns()[0].shading) is True
-    assert bj.frame_tail_box("per_interval_len2", entry_by_id(31).patterns()[0].shading) is True
-    assert bj.frame_tail_box("per_interval_nine_box", entry_by_id(74).patterns()[0].shading) is None
 
 
 def test_verify_pair_reports():
