@@ -609,27 +609,34 @@ class _TableProvider:
 
     :meth:`hosts` walks the rows of a block of S_n, and the provider answers
     only for the host it handed out last, raising for any other one.  The
-    lists of one shading are built on their first request in a block and
-    dropped when the walk of the block ends.
+    lists of a shading are built on its first request in a block and bound
+    until another shading is asked for or the walk of the block ends, so a
+    map that asks about one shading on every host builds them once per
+    block and compares the shading by identity, not by hash, on each host.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self._host: Perm | None = None
+        self._shading: ShadingSet | None = None
 
     def hosts(self, first: int | None) -> Iterator[Perm]:
         """The hosts of block ``first`` in rank order."""
-        self._lists = functools.lru_cache(maxsize=1)(functools.partial(engine.pair_occurrences, self.n, first=first))
+        self._first, self._shading = first, None
         cols = engine.perm_block(self.n, first).T.tolist()
         # rows zipped from the columns, with no list per row; S_0's one row has no column
         for self._row, self._host in enumerate(zip(*cols) if cols else [()]):
             yield self._host
-        self._host = self._lists = None
+        self._host = self._shading = self._lists = None
 
     def __call__(self, host: Sequence[int], shading: ShadingSet) -> list[tuple[int, int, int]]:
-        if tuple(host) != self._host:
+        if host is not self._host and tuple(host) != self._host:
             raise ValueError(f"the provider answers for the host it walks, {self._host}, not {tuple(host)}")
-        return self._lists(shading)[self._row]
+        if shading is not self._shading:
+            if shading != self._shading:
+                self._lists = engine.pair_occurrences(self.n, shading, self._first)
+            self._shading = shading
+        return self._lists[self._row]
 
 
 def _image_ranks(transform: Transform, hosts: Iterable[Perm], n: int) -> np.ndarray:

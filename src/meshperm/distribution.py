@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -128,12 +127,19 @@ def _joint_histogram(pattern1: MeshPattern, pattern2: MeshPattern, n: int, cap: 
     """Hosts of S_n per pair of occurrence counts, as a
     ``(C(n, k1) + 1, C(n, k2) + 1)`` array for pattern lengths k1, k2."""
     check_cap(n, cap)
-    width1, width2 = (math.comb(n, len(p)) + 1 for p in (pattern1, pattern2))
-    hist = 0
-    for first in engine.blocks(n):
-        v1, v2 = engine.count_vectors(n, (pattern1, pattern2), first)
-        hist = hist + np.bincount(v1 * width2 + v2, minlength=width1 * width2)
-    return hist.reshape(width1, width2)
+    widths = tuple(math.comb(n, len(p)) + 1 for p in (pattern1, pattern2))
+    return sum(_joint_bincount(*engine.count_vectors(n, (pattern1, pattern2), first), widths)
+               for first in engine.blocks(n))
+
+
+def _joint_bincount(v1: np.ndarray, v2: np.ndarray, widths: tuple[int, int]) -> np.ndarray:
+    """Hosts per pair of counts in two count vectors, as a ``widths`` array:
+    one bincount of ``v1 * widths[1] + v2``, in the narrowest dtype that
+    holds every key and both vectors."""
+    size = widths[0] * widths[1]
+    keys = np.multiply(v1, widths[1], dtype=np.promote_types(np.min_scalar_type(size), np.result_type(v1, v2)))
+    keys += v2
+    return np.bincount(keys, minlength=size).reshape(widths)
 
 
 def first_divergence(
@@ -199,14 +205,21 @@ def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
 
     Returns a ``(2 * len(masks), C(n, 3) + 1)`` array: row 2i is the
     histogram of (123, R) for R = ``masks[i]``, row 2i + 1 that of
-    (132, R).  The block's table is built here and dropped on return: the
-    scan reads it once, so caching it would keep every block of every n
-    alive.
+    (132, R), the two marginals of the pair's joint histogram.  The block's
+    table is built here and dropped on return: the scan reads it once, so
+    caching it would keep every block of every n alive.
     """
     n, first, masks = task
     _, planes = engine.build_tables(n, 3, first)
     patterns = [MeshPattern(tau, ShadingSet(3, mask)) for mask in masks for tau in _SCAN_PAIR]
-    return np.array([_bincount(vec, n, 3) for vec in engine.occurrence_counts(planes, patterns)])
+    counts = engine.occurrence_counts(n, planes, patterns)
+    widths = (math.comb(n, 3) + 1,) * 2
+    hists = []
+    # the vectors come in pairs, (123, R) then (132, R) for each mask
+    for v1, v2 in zip(counts, counts):
+        joint = _joint_bincount(v1, v2, widths)
+        hists += [joint.sum(axis=1), joint.sum(axis=0)]
+    return np.array(hists)
 
 
 def _pair_histograms(n: int, masks: tuple[int, ...], jobs: int) -> np.ndarray:
@@ -217,6 +230,9 @@ def _pair_histograms(n: int, masks: tuple[int, ...], jobs: int) -> np.ndarray:
         firsts = engine.blocks(n)
     tasks = [(n, first, masks) for first in firsts]
     if jobs > 1 and len(tasks) > 1:
+        # imported here, so that a process that never fans out does not load the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool forks all its workers at once, so never more than there are tasks
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return sum(pool.map(_scan_block, tasks))

@@ -9,16 +9,23 @@ and for each bit of the type id, packed 32 combos to a uint32 word.
 Counting the occurrences of a mesh pattern in every permutation then takes
 an OR of the planes of its shaded boxes and of its mismatching type bits,
 and a popcount of the bits left clear, so scanning many shadings against
-the same n reuses all of the heavy work.
+the same n reuses all of the heavy work.  A shaded column that covers a
+whole position gap, all k + 1 boxes between two positions of the pattern,
+is not read from the table at all: every other point lies in exactly one
+box, so the OR of that column's planes says whether the gap holds a
+position, which depends on the combo alone, and a constant word per word
+of the row stands in for the k + 1 planes.
 
 Permutations are partitioned by their first value when n >= 9 to keep the
 tables at a manageable size; callers aggregate over ``blocks(n)``.
 
 A block's table is built by :func:`build_tables`, and every count is read
-from the planes it returns by one kernel, :func:`occurrence_counts`.  The
-build is bit-sliced as well: it works on the packed words themselves, one
-word operation for 32 combos over every row, guided by masks that depend
-only on (n, k) and are computed once per pair, on first use.
+from the planes it returns by one kernel, :func:`occurrence_counts`, which
+counts the patterns of a shading together in buffers allocated once per
+call.  The build is bit-sliced as well: it works on the packed words
+themselves, one word operation for 32 combos over every row, guided by
+masks that depend only on (n, k) and are computed once per pair, on first
+use.
 :func:`count_vectors` is the one entry point for counts of any length:
 the tables for k in {2, 3}, the pure-Python finder otherwise.
 Queries read :func:`subseq_tables`, the one place that decides how long a
@@ -214,6 +221,25 @@ def _layout(n: int, k: int) -> tuple[tuple[tuple[dict, ...], tuple[tuple, ...]],
     return tuple(layout)
 
 
+@functools.lru_cache(maxsize=None)
+def _gap_masks(n: int, k: int) -> np.ndarray:
+    """Words of the combos of a length-k table of S_n that have a position
+    strictly inside each position gap: row i is gap i, between the combo's
+    i-th and (i+1)-th positions (the ends of 1..n bound gaps 0 and k).
+
+    Every point off a combo lies in exactly one box of its grid, so the OR
+    of the k + 1 box planes of column i is this row, the same in every row
+    of the table.
+    """
+    gaps = np.zeros((k + 1, -(-math.comb(n, k) // _WORD)), dtype=np.uint32)
+    for c, idx in enumerate(itertools.combinations(range(n), k)):
+        for i, (lo, hi) in enumerate(zip((-1, *idx), (*idx, n))):
+            if hi - lo > 1:
+                gaps[i, c // _WORD] |= np.uint32(1 << c % _WORD)
+    gaps.setflags(write=False)
+    return gaps
+
+
 def _masks(keyed_bits) -> dict:
     """``{key: uint32 mask}`` of the bits listed under each key."""
     masks: dict = {}
@@ -280,74 +306,105 @@ subseq_tables.cache_info = _kept_tables.cache_info
 subseq_tables.cache_clear = _kept_tables.cache_clear
 
 
-def _or_planes(planes: np.ndarray, select: int, out: np.ndarray | None = None) -> np.ndarray:
-    """OR of the planes whose index is a set bit of ``select``, into ``out``
-    (a new zero array by default)."""
-    if out is None:
-        out = np.zeros(planes.shape[1:], dtype=planes.dtype)
-    for p in range(select.bit_length()):
-        if select >> p & 1:
-            out |= planes[p]
+def _or_into(out: np.ndarray, terms: Sequence[np.ndarray]) -> np.ndarray:
+    """Write the OR of ``terms``, broadcast to the shape of ``out``, to ``out``
+    (all zero when there are none) and return it."""
+    if len(terms) < 2:
+        np.copyto(out, terms[0] if terms else 0)
+    else:
+        np.bitwise_or(terms[0], terms[1], out=out)
+        for term in terms[2:]:
+            out |= term
     return out
 
 
-def _row_counts(hits: np.ndarray) -> np.ndarray:
-    """Set bits per row of a (words, rows) bit array, as int64.
+def _clear_combos(n: int, k: int, planes: np.ndarray, mask: int, ruled_out: Sequence[np.ndarray],
+                  out: np.ndarray) -> np.ndarray:
+    """Write to ``out`` the combos of each row with no point in a box of
+    ``mask`` and no bit set in ``ruled_out``, and return it.
 
-    The words are summed as uint16, several times faster than an int64
-    sum: a row has at most C(n, k) bits, and C(n, 3) < 2^16 up to n = 74,
-    far past any S_n that can be enumerated.
+    A column of ``mask`` that shades all k + 1 boxes of its position gap is
+    read from :func:`_gap_masks` as one word per word of the row, broadcast
+    over the rows, instead of from its k + 1 planes.
     """
-    return np.bitwise_count(hits).sum(axis=0, dtype=np.uint16).astype(np.int64)
+    side = k + 1
+    column = (1 << side) - 1
+    full = [i for i in range(side) if mask >> i * side & column == column]
+    for i in full:
+        mask &= ~(column << i * side)
+    terms = [*ruled_out, *(planes[p] for p in range(mask.bit_length()) if mask >> p & 1)]
+    if full:
+        terms.append(np.bitwise_or.reduce(_gap_masks(n, k)[full])[:, None])
+    return np.invert(_or_into(out, terms), out=out)
 
 
-def _shared_type_bits(planes: np.ndarray, k: int, tids: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Rule out the type codes that disagree with ``tids`` where they agree.
-
-    Returns the OR of the type planes of the bits that every id has clear
-    and of the complements of those that every id has set, and the bits
-    on which the ids differ, which it leaves to the caller.
-    """
-    base, tbits = (k + 1) ** 2, _type_bits(k)
-    differ = functools.reduce(operator.or_, (t ^ tids[0] for t in tids), 0)
-    out = np.zeros(planes.shape[1:], dtype=planes.dtype)
-    for t in range(tbits):
-        if not differ >> t & 1:
-            out |= ~planes[base + t] if tids[0] >> t & 1 else planes[base + t]
-    return out, differ
+def _row_counts(words: np.ndarray, pop: np.ndarray) -> np.ndarray:
+    """Set bits per row of a (words, rows) bit array, in the narrowest
+    unsigned dtype that holds 32 bits per word (uint8 up to 7 words);
+    ``pop``, a uint8 array of the same shape, takes each word's popcount."""
+    return np.bitwise_count(words, out=pop).sum(axis=0, dtype=np.min_scalar_type(len(words) * _WORD))
 
 
-def occurrence_counts(planes: np.ndarray, patterns: Sequence[MeshPattern]) -> Iterator[np.ndarray]:
+def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[MeshPattern]) -> Iterator[np.ndarray]:
     """Occurrence counts of each pattern for every permutation of a block.
 
-    ``planes`` is a block's table from :func:`build_tables` or
+    ``planes`` is a block's table of S_n from :func:`build_tables` or
     :func:`subseq_tables` for the patterns' one length k; yields one count
     vector per pattern, in order, entry r for the block's rank-r
-    permutation.  A combo is an occurrence when no shaded box holds a point
-    and its type bits spell the pattern's type id.  The type bits that all
-    the ids share are checked once per call, by one OR of the type planes,
-    or their complements, that mark a combo whose type differs there.
-    Consecutive patterns with one shading share the complement of that OR
-    with the shading's box planes; each pattern then ANDs in, for every bit
-    on which the ids differ, the type plane or its complement that its id
-    calls for.  The count per row is a popcount of the bits left set.
+    permutation, in the narrowest unsigned dtype that holds 32 bits per word
+    of a row (uint8 through n = 12).
+
+    A combo is an occurrence when no shaded box holds a point and its type
+    bits spell the pattern's type id.  The type bits that all the ids share
+    are checked once per call: the OR of the type planes where the ids have
+    a 0 bit and of the complements where they have a 1.  Consecutive
+    patterns with one shading then share one accumulator, allocated once
+    per call: that OR and the shading's box planes are ORed into it and it
+    is inverted in place, leaving the combos that are clear.  A full
+    position-gap column of the shading, all k + 1 boxes between two
+    positions of the pattern, is ORed in as a constant word per word from
+    :func:`_gap_masks` instead of as k + 1 planes.  This is exact: every
+    other point lies in exactly one box, so the column holds a point
+    exactly when the gap holds a position, which depends on the combo
+    alone.
+
+    The ids' other bits are checked per shading.  When they differ in one
+    bit, as those of 123 and 132 or 12 and 21 do, the id with that bit set
+    counts the clear combos whose type plane has it, and the other id
+    counts the rest: the clear count minus that one.  When they differ in
+    more bits, each id ANDs in the type plane or its complement that it
+    calls for, bit by bit.  The count per row is a popcount of the bits
+    left set.
     """
     k = len(patterns[0])
     base = (k + 1) ** 2
     tids = [pattern_type_id(p.tau) for p in patterns]
-    others, differ = _shared_type_bits(planes, k, tids)
-    # per bit on which the ids differ: the plane for a 0 bit, then for a 1
-    split = {t: (~planes[base + t], planes[base + t]) for t in range(differ.bit_length()) if differ >> t & 1}
+    differ = functools.reduce(operator.or_, (t ^ tids[0] for t in tids), 0)
+    shape = planes.shape[1:]
+    shared = [~planes[base + t] if tids[0] >> t & 1 else planes[base + t]
+              for t in range(_type_bits(k)) if not differ >> t & 1]
+    if len(shared) > 1:
+        shared = [_or_into(np.empty(shape, dtype=np.uint32), shared)]
+    split = [t for t in range(differ.bit_length()) if differ >> t & 1]
+    clear = np.empty(shape, dtype=np.uint32)
+    hits = np.empty(shape, dtype=np.uint32) if split else None
+    pop = np.empty(shape, dtype=np.uint8)
     mask = None
     for pattern, tid in zip(patterns, tids):
         if pattern.shading.mask != mask:
             mask = pattern.shading.mask
-            clear = _or_planes(planes, mask, others.copy())
-            np.invert(clear, out=clear)
-        hits = clear
-        for t, choice in split.items():
-            hits = hits & choice[tid >> t & 1]
-        yield _row_counts(hits)
+            _clear_combos(n, k, planes, mask, shared, clear)
+            counted = {}
+        if tid not in counted and len(split) == 1:
+            bit = 1 << split[0]
+            ones = _row_counts(np.bitwise_and(clear, planes[base + split[0]], out=hits), pop)
+            counted[tid | bit], counted[tid & ~bit] = ones, _row_counts(clear, pop) - ones
+        elif tid not in counted:
+            words = clear
+            for t in split:
+                words = np.bitwise_and(words, planes[base + t] if tid >> t & 1 else ~planes[base + t], out=hits)
+            counted[tid] = _row_counts(words, pop)
+        yield counted[tid]
 
 
 def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = None) -> list[np.ndarray]:
@@ -358,16 +415,17 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
     patterns of each table length are counted by one
     :func:`occurrence_counts` call over the block's table from
     :func:`subseq_tables`, which holds it for the block's other queries,
-    so a pair that shares a shading ORs its box planes once; any other
-    length by :func:`meshperm.mesh.count_occurrences` on each row of the
-    block.
+    so a pair that shares a shading ORs its box planes once, and its
+    vectors come in that kernel's narrow dtype; any other length by
+    :func:`meshperm.mesh.count_occurrences` on each row of the block, as
+    int64.
     """
     counted = {}
     for k in dict.fromkeys(len(p) for p in patterns):
         same = [p for p in patterns if len(p) == k]
         if k in SUPPORTED_LENGTHS:
             _, planes = subseq_tables(n, k, first)
-            counted[k] = occurrence_counts(planes, same)
+            counted[k] = occurrence_counts(n, planes, same)
         else:
             hosts = perm_block(n, first).tolist()
             counted[k] = iter([np.array([count_occurrences(h, p) for h in hosts], dtype=np.int64) for p in same])
@@ -392,8 +450,10 @@ def pair_occurrences(n: int, shading: ShadingSet, first: int | None = None) -> l
     if shading.k != 3:
         raise ValueError("pair_occurrences needs a length-3 shading")
     combos, planes = subseq_tables(n, 3, first)
-    others, _ = _shared_type_bits(planes, 3, (0, 1))
-    hit_words = ~_or_planes(planes, shading.mask, others)
+    # the type planes follow the 16 box planes; 123 and 132 are the ids 0
+    # and 1, the two with type bits 1 and 2 clear
+    types = planes[16:]
+    hit_words = _clear_combos(n, 3, planes, shading.mask, types[1:3], np.empty(planes.shape[1:], dtype=np.uint32))
     hit = np.unpackbits(np.ascontiguousarray(hit_words.T, dtype="<u4").view(np.uint8),
                         axis=1, count=len(combos), bitorder="little")
     triples = [(a + 1, b + 1, c + 1) for a, b, c in combos]

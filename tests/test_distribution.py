@@ -1,7 +1,11 @@
 """Tests for distribution tables, divergence search, scans and sequences."""
 
-import importlib
+import concurrent.futures
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -12,6 +16,7 @@ from meshperm import engine
 from meshperm.catalog import entry_by_id
 from meshperm.distribution import (
     CapExceededError,
+    _joint_bincount,
     _pair_histograms,
     _scan_block,
     avoidance_sequence,
@@ -108,6 +113,16 @@ def test_joint_distribution_of_mixed_lengths_matches_the_direct_counter():
     p1, p2 = parse_pattern("123|1/1"), parse_pattern("1243|")
     expected = Counter((count_occurrences(p, p1), count_occurrences(p, p2)) for p in enumerate_sn(6))
     assert joint_distribution(p1, p2, 6).counts == expected
+
+
+def test_joint_bincount_keys_outgrow_the_count_dtype():
+    # the engine's counts of S_10 are uint8 (at most 120 each), but a pair's
+    # key c1 * 121 + c2 reaches 14640: the keys take a dtype that holds it
+    v1 = np.array([0, 120, 120, 7], dtype=np.uint8)
+    v2 = np.array([0, 120, 3, 7], dtype=np.uint8)
+    hist = _joint_bincount(v1, v2, (121, 121))
+    assert hist.shape == (121, 121) and hist.sum() == 4
+    assert hist[0, 0] == hist[120, 120] == hist[120, 3] == hist[7, 7] == 1
 
 
 def test_counts_keys_are_ascending():
@@ -247,10 +262,20 @@ def test_scan_pool_has_no_more_workers_than_blocks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    # the package exports the function ``distribution`` under the module's name
-    monkeypatch.setattr(importlib.import_module("meshperm.distribution"), "ProcessPoolExecutor", SerialPool)
+    # the scan imports the pool from concurrent.futures only when it fans out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     assert scan_symmetric_pairs(4, jobs=64) == scan_symmetric_pairs(4, jobs=1)
     assert sizes and max(sizes) <= 4
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # every command line pays for the package's imports; the pool's module
+    # loads only when a scan fans out over processes
+    src = str(pathlib.Path(engine.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, meshperm, meshperm.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_cap_env_override(monkeypatch):

@@ -110,6 +110,17 @@ def test_table_bits_match_the_definition_on_every_block_of_s9(k):
 
 
 @pytest.mark.long_running
+def test_long_running_narrow_count_holds_the_largest_row_at_ten():
+    # the identity of S_10, row 0 of block 1, has all C(10, 3) = 120 combos
+    # as occurrences of 123 with no shading: the most any row of any table
+    # up to the cap counts, in four words of 32 bits
+    vec = engine.count_vector(10, parse_pattern("123|"), 1)
+    assert vec[0] == 120 == vec.max()
+    assert vec.dtype == np.uint8
+    engine.clear_caches()
+
+
+@pytest.mark.long_running
 @pytest.mark.parametrize("k", [2, 3])
 def test_long_running_table_bits_match_the_definition_at_ten(k):
     # the first and last blocks of S_10, each about 110 MB at k = 3
@@ -141,6 +152,37 @@ def test_padding_bits_never_count():
                         for tau in enumerate_sn(k)]
                 assert np.all(sum(full) == (1 if n == k else 0)), (n, first, k)
         engine.clear_caches()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_occurrence_counts_match_the_direct_counter(n):
+    # every subset of full position-gap columns, each with random extra
+    # boxes, for every type of lengths 3 and 2: each type alone, the pairs
+    # 123/132 and 12/21 (ids one bit apart), 123/321 and all six length-3
+    # types in one call (ids several bits apart); at n = 5 the 10 combos of
+    # either length leave padding bits in the one word.  A full column reads
+    # as the gap's constant mask, which must be the OR of its box planes.
+    rng = random.Random(n)
+    for k in (2, 3):
+        _, planes = engine.build_tables(n, k)
+        hosts = list(enumerate_sn(n))
+        gaps = engine._gap_masks(n, k)
+        for i in range(k + 1):
+            column = [planes[i * (k + 1) + j] for j in range(k + 1)]
+            assert np.array_equal(np.bitwise_or.reduce(column), np.broadcast_to(gaps[i][:, None], column[0].shape))
+        taus = list(enumerate_sn(k))
+        groups = [[tau] for tau in taus] + [taus, taus[::-1]]
+        groups += [[(1, 2, 3), (1, 3, 2)], [(1, 2, 3), (3, 2, 1)]] if k == 3 else []
+        for size in range(k + 2):
+            for columns in itertools.combinations(range(k + 1), size):
+                full = ShadingSet.from_boxes(k, [(i, j) for i in columns for j in range(k + 1)])
+                extra = rng.getrandbits((k + 1) ** 2) & rng.getrandbits((k + 1) ** 2)
+                shading = ShadingSet(k, full.mask | extra)
+                expected = {tau: [count_occurrences(h, MeshPattern(tau, shading)) for h in hosts] for tau in taus}
+                for group in groups:
+                    patterns = [MeshPattern(tau, shading) for tau in group]
+                    for tau, vec in zip(group, engine.occurrence_counts(n, planes, patterns)):
+                        assert vec.tolist() == expected[tau], (n, shading, group, tau)
 
 
 def test_count_vector_matches_direct_counter():
