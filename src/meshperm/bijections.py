@@ -13,6 +13,18 @@ occurrences get them from an occurrence provider: the pure-Python finder
 :func:`meshperm.mesh.occurrences` by default, the engine's S_n tables in
 :func:`verify_entry`.
 
+The transforms map one host at a time and are the definitions;
+``meshperm apply``, :func:`apply_family` and the oracle tests use them.  A family may also
+carry a block map, which gives the images of a whole block of S_n as one
+array, and :func:`verify_entry` verifies those families as arrays: the
+block sweep (``direct``, ``oth1``, ``pair_swap``, ``nine_box`` and
+``per_interval_nine_box``, reading the occurrence bits of the block's
+table), ``complement_after_one`` and ``ltr_interval_complement``.  The
+other three, ``len2_reduction``, ``per_interval_len2`` and
+``a1_complement``, are verified host by host, and so is any transform
+handed to :func:`verify_pair`.  The tests hold each block map to its
+transform on every host of S_0..S_6, and one entry per family on S_9.
+
 Families and their parameters:
 
 ============================  =================================================
@@ -56,6 +68,7 @@ from .perms import (
     complement,
     complement_on_set,
     left_to_right_minima,
+    lex_rank,
     reverse,
     standardize,
 )
@@ -112,6 +125,15 @@ def complement_after_one(p: Sequence[int]) -> Perm:
     return complement_on_set(p, range(2, len(p) + 1))
 
 
+def _complement_after_one_block(n: int, first: int | None, shading: ShadingSet) -> np.ndarray:
+    """:func:`complement_after_one` on every host of a block: rows that
+    start with 1 get ``n + 2 - p[1:]`` after it."""
+    images = engine.perm_block(n, first).copy()
+    tail = images[:, 1:]
+    tail[...] = np.where(images[:, :1] == 1, n + 2 - tail, tail)
+    return images
+
+
 #: Occurrences are rooted at a leading 1 and the length-2 shading above the
 #: edge is value-symmetric, so complementing the tail swaps the pair.  Each
 #: symmetric shading is a set of boxes in the lower two rows plus its mirror.
@@ -162,23 +184,29 @@ def _sweep_lower(vals: Sequence[int], tail_box: bool) -> tuple[int, ...]:
     holds a value above max(w_i, w_j), and, with the tail box, every
     position after j holds a value below that max.  Repeatedly the live pair
     with the largest second position below the previous swap is transposed.
+
+    Only the position of the least of w[:j] can pair with j, so j is live
+    when the second least of w[:j] exceeds w[j] (and, with the tail box,
+    every later value lies below the larger of the pair).  One pass from the
+    left carries the least and second least, one from the right the largest
+    later value, so each swap costs O(m).
     """
     w = list(vals)
     m = len(w)
     jcap = m - 1
     while jcap >= 1:
+        later = [-math.inf] * m  # later[j]: the largest of w[j+1:]
+        for t in range(m - 2, -1, -1):
+            later[t] = max(later[t + 1], w[t + 1])
         found = None
-        for j in range(jcap, 0, -1):
-            for i in range(j):
-                hi = max(w[i], w[j])
-                if any(w[t] < hi for t in range(j) if t != i):
-                    continue
-                if tail_box and any(w[t] > hi for t in range(j + 1, m)):
-                    continue
+        i, least, second = 0, w[0], math.inf  # of w[:j]
+        for j in range(1, jcap + 1):
+            if second > w[j] and not (tail_box and later[j] > max(least, w[j])):
                 found = (i, j)
-                break
-            if found:
-                break
+            if w[j] < least:
+                i, least, second = j, w[j], least
+            elif w[j] < second:
+                second = w[j]
         if not found:
             break
         i, j = found
@@ -303,6 +331,29 @@ def ltr_interval_complement(p: Sequence[int]) -> Perm:
                 out[q] = x + prev - w
         prev = x
     return tuple(out)
+
+
+def _ltr_interval_complement_block(n: int, first: int | None, shading: ShadingSet) -> np.ndarray:
+    """:func:`ltr_interval_complement` on every host of a block.
+
+    An entry w that is not a left-to-right minimum lies between the largest
+    minimum below it and the smallest minimum above it (n + 1 if none) and
+    goes to their sum minus w.  Both are read from a table per row, indexed
+    by value, that holds each minimum at its own value and carries it up,
+    for the one below, or down, for the one above.
+    """
+    hosts = engine.perm_block(n, first)
+    is_min = hosts == np.minimum.accumulate(hosts, axis=1)
+    width = n + 2
+    # flat index of each entry's value in its row of a (rows, width) table
+    at = hosts + np.arange(0, len(hosts) * width, width)[:, None]
+    below = np.zeros((len(hosts), width), dtype=np.int8)
+    below.put(at, np.where(is_min, hosts, 0))
+    np.maximum.accumulate(below, axis=1, out=below)
+    above = np.full((len(hosts), width), n + 1, dtype=np.int8)
+    above.put(at, np.where(is_min, hosts, n + 1))
+    np.minimum.accumulate(above[:, ::-1], axis=1, out=above[:, ::-1])
+    return np.where(is_min, hosts, below.take(at) + above.take(at) - hosts)
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +524,70 @@ def _block_sweep(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProv
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _tail_words(n: int) -> tuple[tuple[int, int, tuple[tuple[int, np.uint32], ...]], ...]:
+    """``(b, c, ((word, mask), ...))`` for each pair of 0-based positions
+    b < c that is the tail of some combo (a, b, c) of S_n's length-3 table:
+    the bits of those combos in the words of :func:`meshperm.engine.pair_hits`."""
+    tails: dict = {}
+    for bit, (_, b, c) in enumerate(itertools.combinations(range(n), 3)):
+        words = tails.setdefault((b, c), {})
+        words[bit // engine._WORD] = words.get(bit // engine._WORD, 0) | 1 << bit % engine._WORD
+    return tuple((b, c, tuple((w, np.uint32(mask)) for w, mask in words.items())) for (b, c), words in tails.items())
+
+
+def _block_sweep_block(n: int, first: int | None, shading: ShadingSet) -> np.ndarray:
+    """:func:`_block_sweep` on every host of a block.
+
+    Only the rows with an occurrence move.  For those, each tail (b, c) is
+    read from the occurrence bits of :func:`meshperm.engine.pair_hits` and
+    ties b and c: each position holds a bitmask of the positions tied to
+    it, closed under ties by Warshall's pass (for each position r, every
+    mask holding r takes in r's).  Blocks are disjoint, so sweeping the
+    positions q = 0..n-2 in order sweeps every block in its own order: q
+    swaps with the largest value at a later position of its mask.
+    """
+    images = engine.perm_block(n, first).copy()
+    _, words = engine.pair_hits(n, shading, first)
+    live = np.flatnonzero(np.bitwise_or.reduce(words, axis=0))
+    if not len(live):
+        return images
+    words = words[:, live]
+    ties = np.empty((n, len(live)), dtype=np.uint16)
+    ties[...] = (1 << np.arange(n, dtype=np.uint16))[:, None]
+    for b, c, masks in _tail_words(n):
+        tied = np.zeros(len(live), dtype=np.uint16)
+        for w, mask in masks:
+            tied |= (words[w] & mask) != 0
+        ties[b] |= tied << c
+        ties[c] |= tied << b
+    for r in range(n):
+        ties |= ties[r] * (ties >> r & 1)
+    out = images[live]
+    positions = np.arange(n, dtype=np.uint16)
+    for q in range(n - 1):
+        later = ties[q] >> q + 1 << q + 1
+        swept = np.flatnonzero(later)
+        if not len(swept):
+            continue
+        values = np.where(later[swept, None] >> positions & 1 == 1, out[swept], 0)
+        m = values.argmax(axis=1)
+        out[swept, m], out[swept, q] = out[swept, q], values[np.arange(len(swept)), m]
+    images[live] = out
+    return images
+
+
 # ---------------------------------------------------------------------------
 # the family registry
 
 #: A family's transform builder: (accepted shading, occurrence provider) -> transform.
 Build = Callable[[ShadingSet, OccurrenceProvider], Transform]
+
+
+#: A family's block map: (n, block key, accepted shading) -> the images of
+#: the block's hosts, the rows of :func:`meshperm.engine.perm_block`, as a
+#: (rows, n) int8 array.
+BlockMap = Callable[[int, int | None, ShadingSet], np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -488,13 +598,16 @@ class Family:
     carries its pattern length, so the rule fixes the length too.
     ``build`` turns an accepted shading and an occurrence provider into the
     transform, which checks nothing further per host; families that read no
-    occurrences ignore the provider.
+    occurrences ignore the provider.  The transform is the family's
+    definition.  ``block_map``, when there is one, computes the same images
+    for a whole block of S_n at once, and :func:`verify_entry` uses it.
     Every family's transform is its own inverse.
     """
 
     name: str
     accepts: Callable[[ShadingSet], bool]
     build: Build
+    block_map: BlockMap | None = None
 
 
 def _fixed(transform: Transform) -> Build:
@@ -523,16 +636,19 @@ _build_block_sweep = _with_shading(_block_sweep)
 
 #: The family registry, one row per family; FAMILY_NAMES lists the rows in this order.
 FAMILIES = (
-    Family("direct", lambda s: s.k == 3, _build_block_sweep),
-    Family("oth1", lambda s: s == _OTH1_SHADING, _build_block_sweep),
-    Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one)),
+    Family("direct", lambda s: s.k == 3, _build_block_sweep, _block_sweep_block),
+    Family("oth1", lambda s: s == _OTH1_SHADING, _build_block_sweep, _block_sweep_block),
+    Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one),
+           _complement_after_one_block),
     Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction),
-    Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement)),
+    Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement),
+           _ltr_interval_complement_block),
     Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _build_per_interval_len2),
-    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _build_block_sweep),
+    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _build_block_sweep, _block_sweep_block),
     Family("a1_complement", lambda s: s in _A1_SHADINGS, _with_shading(_a1_complement)),
-    Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _build_block_sweep),
-    Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _build_block_sweep),
+    Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _build_block_sweep, _block_sweep_block),
+    Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _build_block_sweep,
+           _block_sweep_block),
 )
 
 _BY_NAME = {family.name: family for family in FAMILIES}
@@ -652,8 +768,29 @@ def _image_ranks(transform: Transform, hosts: Iterable[Perm], n: int) -> np.ndar
     if not all(sized):
         images = [image if fits else (0,) * n for image, fits in zip(images, sized)]
     table = np.fromiter(itertools.chain.from_iterable(images), np.int64, len(images) * n).reshape(len(images), n)
-    valid = np.array(sized) & (np.sort(table, axis=1) == np.arange(1, n + 1)).all(axis=1)
-    return np.where(valid, engine.lex_ranks(table), -1)
+    return _table_ranks(table, np.array(sized))
+
+
+def _table_ranks(images: np.ndarray, sized: np.ndarray | bool = True) -> np.ndarray:
+    """The rank in S_n of each row of a (rows, n) image table, or -1 where
+    the row does not sort to 1..n or ``sized`` is False."""
+    n = images.shape[1]
+    valid = sized & (np.sort(images, axis=1) == np.arange(1, n + 1)).all(axis=1)
+    return np.where(valid, engine.lex_ranks(images), -1)
+
+
+def _block_ranks(block_map: Callable[[int | None], np.ndarray], n: int, first: int | None) -> np.ndarray:
+    """The ranks in S_n of a block's images under ``block_map``, as
+    :func:`_image_ranks` gives them; when the map raises on the block or
+    returns a table of another shape, no host of the block has an image."""
+    rows = len(engine.perm_block(n, first))
+    try:
+        images = block_map(first)
+    except Exception:  # whatever the map raises, it has no image for these hosts
+        images = None
+    if images is None or images.shape != (rows, n):
+        return np.full(rows, -1)
+    return _table_ranks(images)
 
 
 def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transform, n: int) -> VerificationReport:
@@ -671,12 +808,20 @@ def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transfo
 
 
 def _verify(
-    pattern1: MeshPattern, pattern2: MeshPattern, n: int, build: Callable[[_TableProvider], Transform]
+    pattern1: MeshPattern,
+    pattern2: MeshPattern,
+    n: int,
+    build: Callable[[_TableProvider], Transform],
+    block_map: Callable[[int | None], np.ndarray] | None = None,
 ) -> VerificationReport:
-    """:func:`verify_pair` with the transform ``build`` makes from the provider, one visit per block."""
+    """:func:`verify_pair` with the transform ``build`` makes from the
+    provider, one visit per block: its count vectors, then its images.
+    With ``block_map`` (block key -> the images of the block's hosts as a
+    (rows, n) array) each block's images come from it as one array instead;
+    a map that reads the block's table finds it built by the counts."""
     check_cap(n)
     provider = _TableProvider(n)
-    transform = build(provider)
+    transform = build(provider) if block_map is None else None
     keys = engine.blocks(n)
     # every block holds the same number of hosts, and 10! < 2^31
     occ1, occ2, image = np.empty((3, math.factorial(n)), dtype=np.int32)
@@ -684,7 +829,10 @@ def _verify(
     for b, first in enumerate(keys):
         block = slice(b * rows, (b + 1) * rows)
         occ1[block], occ2[block] = engine.count_vectors(n, (pattern1, pattern2), first)
-        image[block] = _image_ranks(transform, provider.hosts(first), n)
+        if block_map is None:
+            image[block] = _image_ranks(transform, provider.hosts(first), n)
+        else:
+            image[block] = _block_ranks(block_map, n, first)
     inside = image >= 0
     first_hit = np.zeros(len(image), dtype=bool)
     first_hit[np.unique(image, return_index=True)[1]] = True
@@ -706,9 +854,33 @@ def _verify(
 def verify_entry(entry, n: int) -> VerificationReport:
     """Run :func:`verify_pair` on a catalog entry with its own family.
 
-    The transform reads each host's occurrences from the table its block's
-    count vectors were read from, instead of the pure-Python finder; both
-    give the same lists.
+    A family with a block map (the block sweep of ``direct``, ``oth1``,
+    ``pair_swap``, ``nine_box`` and ``per_interval_nine_box``, and the
+    closed forms of ``complement_after_one`` and
+    ``ltr_interval_complement``) maps each block of S_n as one array; the
+    block sweep reads its occurrence bits from the table the block's count
+    vectors were read from.  The other families map host by host, and
+    ``a1_complement`` reads each host's occurrences from that table
+    instead of the pure-Python finder; both give the same lists.  Either
+    way the images are ranked and checked as in :func:`verify_pair`.
     """
     pattern1, pattern2 = entry.patterns()
-    return _verify(pattern1, pattern2, n, lambda provider: transform_for(entry.family, pattern1.shading, provider))
+    shading = pattern1.shading
+    block_map = _accepting(entry.family.get("name"), shading).block_map
+    return _verify(pattern1, pattern2, n, lambda provider: transform_for(entry.family, shading, provider),
+                   block_map and functools.partial(block_map, n, shading=shading))
+
+
+def verified_image(entry, host: Sequence[int]) -> Perm:
+    """The image of ``host`` that :func:`verify_entry` checks: the row of
+    its block under the family's block map, or else its transform's image;
+    raises what the map raises."""
+    pattern1, _ = entry.patterns()
+    shading = pattern1.shading
+    block_map = _accepting(entry.family.get("name"), shading).block_map
+    if block_map is None:
+        return tuple(transform_for(entry.family, shading)(host))
+    n = len(host)
+    first = None if engine.blocks(n) == (None,) else host[0]
+    images = block_map(n, first, shading)
+    return tuple(images[lex_rank(host) % len(images)].tolist())

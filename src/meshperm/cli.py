@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 when a verification or expected equality fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -45,7 +46,10 @@ def _perm_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later :func:`main` call in the process."""
     parser = argparse.ArgumentParser(prog="meshperm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -216,9 +220,9 @@ def _cmd_verify(args) -> int:
 
 
 def _counterexample_line(entry: catalog.CatalogEntry, host: Perm) -> str:
-    """The failing host and its image, each with its counts of the entry's
-    two patterns, recomputed with the pure-Python occurrence finder, or the
-    error the map raised on the host."""
+    """The failing host and the image verification checked, each with its
+    counts of the entry's two patterns, recomputed with the pure-Python
+    occurrence finder, or the error the map raised on the host."""
     p1, p2 = entry.patterns()
 
     def counts(p: Perm) -> str:
@@ -226,7 +230,7 @@ def _counterexample_line(entry: catalog.CatalogEntry, host: Perm) -> str:
 
     line = f"counterexample: host {json.dumps(list(host))} has counts {counts(host)}; "
     try:
-        image = tuple(bijections.transform_for(entry.family, p1.shading)(host))
+        image = bijections.verified_image(entry, host)
     except Exception as exc:
         return line + f"the map raised {_describe(exc)}"
     if len(image) == len(host) and is_perm(image):

@@ -118,8 +118,10 @@ def joint_distribution(
     pattern1: MeshPattern, pattern2: MeshPattern, n: int, *, cap: int | None = None
 ) -> JointTable:
     """Joint distribution of the two patterns' occurrence counts over S_n."""
-    rows = _joint_histogram(pattern1, pattern2, n, cap).tolist()
-    counts = {(k, l): c for k, row in enumerate(rows) for l, c in enumerate(row) if c}
+    hist = _joint_histogram(pattern1, pattern2, n, cap)
+    # the nonzero cells in row-major order, so the table lists (k, l) ascending
+    ks, ls = np.nonzero(hist)
+    counts = dict(zip(zip(ks.tolist(), ls.tolist()), hist[ks, ls].tolist()))
     return JointTable(pattern1, pattern2, n, counts)
 
 

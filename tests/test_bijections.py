@@ -1,6 +1,7 @@
 """Unit and regression tests for the count-swapping bijection families."""
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -176,14 +177,84 @@ BLOCK_SWEEP_DIGESTS_S7 = {
 
 
 def test_block_sweep_images_on_s7_match_the_old_maps():
-    # the block sweep gives, on every host of S_7, the image each old map gave
+    # the block sweep gives, on every host of S_7, the image each old map
+    # gave, both host by host and as the block map that verify_entry uses
     assert len(BLOCK_SWEEP_DIGESTS_S7) == 76
     for eid, digest in BLOCK_SWEEP_DIGESTS_S7.items():
         entry = entry_by_id(eid)
+        shading = entry.patterns()[0].shading
         provider = bj._TableProvider(7)
-        transform = transform_for(entry.family, entry.patterns()[0].shading, provider)
-        ranks = np.concatenate([bj._image_ranks(transform, provider.hosts(first), 7) for first in engine.blocks(7)])
-        assert hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest() == digest, eid
+        transform = transform_for(entry.family, shading, provider)
+        walked = np.concatenate([bj._image_ranks(transform, provider.hosts(first), 7) for first in engine.blocks(7)])
+        block_map = bj._BY_NAME[entry.family["name"]].block_map
+        mapped = np.concatenate([bj._table_ranks(block_map(7, first, shading)) for first in engine.blocks(7)])
+        for ranks in (walked, mapped):
+            assert hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest() == digest, eid
+
+
+def block_mapped_entries():
+    """The catalog entries whose family has a block map."""
+    return [e for e in load_catalog() if e.family and bj._BY_NAME[e.family["name"]].block_map is not None]
+
+
+def host_and_block_images(entry, n, first):
+    """The images of a block's hosts under the entry's per-host map, walked
+    on the table provider, and under its family's block map."""
+    family = bj._BY_NAME[entry.family["name"]]
+    shading = entry.patterns()[0].shading
+    provider = bj._TableProvider(n)
+    transform = family.build(shading, provider)
+    walked = np.array([transform(host) for host in provider.hosts(first)], dtype=np.int8)
+    return walked.reshape(len(engine.perm_block(n, first)), n), family.block_map(n, first, shading)
+
+
+def test_block_maps_match_the_host_maps_on_small_n():
+    # the block sweep (76 entries), complement_after_one (6) and
+    # ltr_interval_complement (15) map every host of S_0..S_6 as their
+    # per-host definitions do
+    entries = block_mapped_entries()
+    assert len(entries) == 97
+    assert {e.family["name"] for e in entries} == {
+        "direct", "oth1", "complement_after_one", "ltr_interval_complement", "pair_swap", "nine_box",
+        "per_interval_nine_box",
+    }
+    for entry in entries:
+        for n in range(7):
+            walked, mapped = host_and_block_images(entry, n, None)
+            assert mapped.dtype == np.int8 and mapped.shape == walked.shape, (entry.id, n)
+            assert np.array_equal(mapped, walked), (entry.id, n)
+
+
+@pytest.mark.long_running
+def test_long_running_block_sweep_and_closed_form_maps_match_the_host_maps_on_s9(monkeypatch):
+    # one entry per family with a block map: direct (1), oth1 (12),
+    # complement_after_one (13), ltr_interval_complement (23), pair_swap
+    # (39), nine_box (46) and per_interval_nine_box (74), block by block
+    # over all of S_9 (about 12 s)
+    monkeypatch.setenv("MESHPERM_MAX_N", "9")
+    entries = [entry_by_id(eid) for eid in (1, 12, 13, 23, 39, 46, 74)]
+    assert {e.family["name"] for e in entries} == {e.family["name"] for e in block_mapped_entries()}
+    for entry in entries:
+        for first in engine.blocks(9):
+            walked, mapped = host_and_block_images(entry, 9, first)
+            assert np.array_equal(mapped, walked), (entry.id, first)
+
+
+def test_verified_image_reads_the_row_of_the_host_in_its_block():
+    # S_9 has one block per first value; hosts from several blocks, for a
+    # block-swept, a closed-form and a host-walked entry
+    rng = random.Random(9)
+    hosts = [tuple(rng.sample(range(1, 10), 9)) for _ in range(12)]
+    for eid in (46, 23, 41):
+        entry = entry_by_id(eid)
+        images = [bj.verified_image(entry, host) for host in hosts]
+        assert images == [apply_family(entry, host) for host in hosts], eid
+        assert images != hosts, eid
+
+
+def test_block_map_ranks_check_each_row_is_a_permutation():
+    images = np.array([[1, 2, 3], [3, 1, 2], [1, 1, 3], [0, 2, 3], [2, 3, 4]], dtype=np.int8)
+    assert bj._table_ranks(images).tolist() == [0, 4, -1, -1, -1]
 
 
 def test_oth1_transform_examples():
@@ -222,6 +293,41 @@ def test_len2_swap_transform_examples():
     assert plain((1, 2)) == (2, 1)
     assert tail((1, 2)) == (2, 1)
     assert plain((1,)) == (1,)
+
+
+def sweep_lower_by_search(vals, tail_box):
+    """The length-2 sweep as first written: for each candidate second
+    position j, from the largest down, test every first position i against
+    the definition of a live pair."""
+    w = list(vals)
+    m = len(w)
+    jcap = m - 1
+    while jcap >= 1:
+        found = None
+        for j in range(jcap, 0, -1):
+            for i in range(j):
+                hi = max(w[i], w[j])
+                if any(w[t] < hi for t in range(j) if t != i):
+                    continue
+                if tail_box and any(w[t] > hi for t in range(j + 1, m)):
+                    continue
+                found = (i, j)
+                break
+            if found:
+                break
+        if not found:
+            break
+        i, j = found
+        w[i], w[j] = w[j], w[i]
+        jcap = j - 1
+    return tuple(w)
+
+
+def test_sweep_lower_matches_the_search_on_every_sequence_to_eight():
+    for m in range(9):
+        for vals in itertools.permutations(range(1, m + 1)):
+            for tail_box in (False, True):
+                assert bj._sweep_lower(vals, tail_box) == sweep_lower_by_search(vals, tail_box), (vals, tail_box)
 
 
 def test_len2_reduction_entries_swap_counts():

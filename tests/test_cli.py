@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface (in-process)."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from meshperm import bijections
+from meshperm import bijections, cli, engine
+from meshperm.catalog import entry_by_id
 from meshperm.cli import EXIT_CAP, EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -116,39 +119,54 @@ def test_verify_has_no_skip_involution_flag(capsys):
     capsys.readouterr()
 
 
+def faulty_maps(monkeypatch, transform):
+    """Make ``transform`` (host -> image) entry 46's map in one of two ways
+    per step: as nine_box's block map, mapping each block host by host, and
+    as the transform that ``transform_for`` returns, with nine_box's block
+    map gone so that verification walks the hosts."""
+    nine_box, transform_for = bijections._BY_NAME["nine_box"], bijections.transform_for
+
+    def block_map(n, first, shading):
+        return np.array([transform(host) for host in engine.perm_block(n, first).tolist()], dtype=np.int8)
+
+    monkeypatch.setitem(bijections._BY_NAME, "nine_box", dataclasses.replace(nine_box, block_map=block_map))
+    yield
+    monkeypatch.setitem(bijections._BY_NAME, "nine_box", dataclasses.replace(nine_box, block_map=None))
+    monkeypatch.setattr(bijections, "transform_for", lambda family, shading, *provider: transform)
+    yield
+    monkeypatch.setitem(bijections._BY_NAME, "nine_box", nine_box)
+    monkeypatch.setattr(bijections, "transform_for", transform_for)
+
+
 def test_verify_failure_names_the_counterexample(capsys, monkeypatch):
     code, _, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
     assert (code, err) == (EXIT_OK, "")
     # the identity does not swap the counts of host 1234
-    monkeypatch.setattr(bijections, "transform_for", lambda family, shading, *provider: tuple)
-    code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
-    assert code == EXIT_FAILED
-    assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
-    assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); its image [1, 2, 3, 4] has counts (1, 0)\n"
-    monkeypatch.setattr(bijections, "transform_for", lambda family, shading, *provider: lambda p: (*p, 4))
-    code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "3"])
-    assert code == EXIT_FAILED
-    assert err == "counterexample: host [1, 2, 3] has counts (1, 0); its image [1, 2, 3, 4] is outside S_3\n"
+    for _ in faulty_maps(monkeypatch, tuple):
+        code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
+        assert code == EXIT_FAILED
+        assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
+        assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); its image [1, 2, 3, 4] has counts (1, 0)\n"
+    for _ in faulty_maps(monkeypatch, lambda p: (*p, 4)):
+        code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "3"])
+        assert code == EXIT_FAILED
+        assert err == "counterexample: host [1, 2, 3] has counts (1, 0); its image [1, 2, 3, 4] is outside S_3\n"
 
 
 def test_verify_failure_names_the_error_of_the_map(capsys, monkeypatch):
-    build = bijections.transform_for
+    transform = bijections.transform_for(entry_by_id(46).family, entry_by_id(46).patterns()[0].shading)
 
-    def transform_for(family, shading, *provider):
-        transform = build(family, shading, *provider)
+    def partial(p):
+        if tuple(p) == (1, 2, 3, 4):
+            raise ValueError("no image")
+        return transform(p)
 
-        def partial(p):
-            if tuple(p) == (1, 2, 3, 4):
-                raise ValueError("no image")
-            return transform(p)
-        return partial
-
-    monkeypatch.setattr(bijections, "transform_for", transform_for)
-    code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
-    assert code == EXIT_FAILED
-    assert json.loads(out)["bijective"] is False
-    assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
-    assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); the map raised ValueError: no image\n"
+    for _ in faulty_maps(monkeypatch, partial):
+        code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
+        assert code == EXIT_FAILED
+        assert json.loads(out)["bijective"] is False
+        assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
+        assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); the map raised ValueError: no image\n"
 
 
 def test_apply_reports_a_failing_map_as_a_defect(capsys, monkeypatch):
@@ -282,6 +300,44 @@ def test_scan_jobs_below_one_is_a_usage_error(capsys):
             main(["scan", "--max-n", "3", "--jobs", jobs])
         assert exc.value.code == EXIT_USAGE
         assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+def test_main_calls_in_one_process_share_one_parser(capsys):
+    # usage errors (exit 2) from the parser and after it come before valid
+    # calls; the calls that follow a shared parser print what each prints
+    # on a parser of its own
+    argvs = [
+        ["verify", "--pair-id", "1", "--n", "-1"],
+        ["dist", "--pattern", "122|", "--n", "3"],
+        ["verify", "--pair-id", "76", "--n", "4"],
+        ["verify", "--pair-id", "1", "--n", "4"],
+        ["dist", "--pattern", "123|", "--n", "4", "--format", "json"],
+        ["dist", "--pattern", "123|", "--n", "4"],
+        ["scan", "--max-n", "3", "--jobs", "0"],
+        ["joint", "--pattern", "123|", "--pattern2", "132|", "--n", "3"],
+        ["check-pair", "--pair-id", "23", "--max-n", "5", "--expect-equal"],
+        ["apply", "--pair-id", "23", "--perm", "2,1,3,4"],
+        ["verify", "--pair-id", "41", "--n", "5"],
+        ["sequences", "--name", "catalan", "--max-n", "3"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(call(argv))
+    shared = [call(argv) for argv in argvs]
+    assert shared == alone
+    assert [code for code, _, _ in shared] == [EXIT_USAGE] * 3 + [EXIT_OK] * 3 + [EXIT_USAGE] + [EXIT_OK] * 5
+    info = cli._build_parser.cache_info()
+    assert (info.hits, info.misses) == (len(argvs), 1)
 
 
 def test_module_entry_point():
