@@ -4,26 +4,26 @@ Every transform here sends a permutation pi to a permutation pi' such that
 the number of occurrences of the first pattern in pi equals the number of
 occurrences of the second pattern in pi', and vice versa.  Each transform
 belongs to a family keyed by the structure of the shading it supports.
-:data:`FAMILIES` is the registry: one row per family with its accept rule
-and its transform builder.  :func:`transform_for` resolves a catalog family
-record through it, and :func:`verify_pair` checks exhaustively over S_n
-that a transform is a bijection, swaps the counts and is its own inverse:
-every family's transform is an involution.  The families that act on
-occurrences get them from an occurrence provider: the pure-Python finder
-:func:`meshperm.mesh.occurrences` by default, the engine's S_n tables in
-:func:`verify_entry`.
+:data:`FAMILIES` is the registry: one row per family with its accept rule,
+its transform builder and its block map.  :func:`transform_for` resolves a
+catalog family record through it, and :func:`verify_pair` checks
+exhaustively over S_n that a transform is a bijection, swaps the counts and
+is its own inverse: every family's transform is an involution.  The
+families that act on occurrences get them from an occurrence provider, by
+default the pure-Python finder :func:`meshperm.mesh.occurrences`.
 
 The transforms map one host at a time and are the definitions;
-``meshperm apply``, :func:`apply_family` and the oracle tests use them.  A family may also
-carry a block map, which gives the images of a whole block of S_n as one
-array, and :func:`verify_entry` verifies those families as arrays: the
-block sweep (``direct``, ``oth1``, ``pair_swap``, ``nine_box`` and
-``per_interval_nine_box``, reading the occurrence bits of the block's
-table), ``complement_after_one`` and ``ltr_interval_complement``.  The
-other three, ``len2_reduction``, ``per_interval_len2`` and
-``a1_complement``, are verified host by host, and so is any transform
-handed to :func:`verify_pair`.  The tests hold each block map to its
-transform on every host of S_0..S_6, and one entry per family on S_9.
+``meshperm apply``, :func:`apply_family` and the oracle tests use them, and
+:func:`verify_pair` walks the hosts of any transform handed to it.  Each
+family also carries a block map, which gives the images of a whole block
+of S_n as one array, and :func:`verify_entry` verifies every family as
+arrays: the block sweep (``direct``, ``oth1``, ``pair_swap``, ``nine_box``
+and ``per_interval_nine_box``) and ``a1_complement`` read the occurrence
+bits of the block's table, ``len2_reduction`` and ``per_interval_len2``
+share one length-2 sweep over labelled segments of the rows, and
+``complement_after_one`` and ``ltr_interval_complement`` are closed forms.
+The tests hold each block map to its transform on every host of
+S_0..S_6, and one entry per family on S_9.
 
 Families and their parameters:
 
@@ -286,6 +286,84 @@ def _per_interval_sweep(p: Sequence[int], frame: Frame) -> Perm:
     return tuple(out)
 
 
+def _len2_sweep_rows(hosts: np.ndarray, segments: np.ndarray, frame: Frame) -> np.ndarray:
+    """:func:`_len2_sweep` on every segment of every row of ``hosts``.
+
+    ``segments`` labels each position of each row with its segment, 0 for
+    none; the sweep of a segment acts on the subsequence of its positions
+    and compares only values, so it needs no standardizing.  The frame's
+    complement and reversal act on whole rows, and so within every segment.
+
+    The sweep runs once over j = n-1..1 and swaps the live pair ending at j
+    in every row at once.  This is :func:`_sweep_lower`, which after each
+    swap looks for the largest live pair end below it: each end that the
+    scan passes between two swaps is tested in the state that search sees,
+    so both swap at the same ends.
+    """
+    n = hosts.shape[1]
+    rows = np.flatnonzero(segments.any(axis=1))
+    w, seg = hosts[rows], segments[rows]
+    if frame.complement:
+        w = n + 1 - w
+    if frame.reverse:
+        w, seg = w[:, ::-1], seg[:, ::-1]
+    none = np.int8(n + 1)  # above every value: no position
+    for j in range(n - 1, 0, -1):
+        # the least and second least value before j in j's segment, and where the least is
+        least = np.full(len(w), none)
+        second, at = least.copy(), np.zeros(len(w), dtype=np.intp)
+        for p in range(j):
+            v = np.where(seg[:, p] == seg[:, j], w[:, p], none)
+            lower = v < least
+            second = np.where(lower, least, np.minimum(second, v))
+            at[lower] = p
+            least = np.minimum(least, v)
+        live = (seg[:, j] != 0) & (least < none) & (second > w[:, j])
+        if frame.tail_box:
+            larger = np.maximum(least, w[:, j])
+            for p in range(j + 1, n):
+                live &= (seg[:, p] != seg[:, j]) | (w[:, p] < larger)
+        r = np.flatnonzero(live)
+        w[r, at[r]], w[r, j] = w[r, j], w[r, at[r]]
+    if frame.reverse:
+        w = w[:, ::-1]
+    if frame.complement:
+        w = n + 1 - w
+    images = hosts.copy()
+    images[rows] = w
+    return images
+
+
+def _len2_reduction_block(n: int, first: int | None, shading: ShadingSet) -> np.ndarray:
+    """The map of ``len2_reduction`` on every host of a block: the length-2
+    sweep of the whole row for a length-2 shading, else of positions 2..n
+    in the rows that start with 1."""
+    hosts = engine.perm_block(n, first)
+    segments = np.ones_like(hosts)
+    if shading.k == 3:
+        segments = ((hosts[:, :1] == 1) & (np.arange(n) > 0)).astype(np.int8)
+    return _len2_sweep_rows(hosts, segments, _PREPEND_ONE_FRAMES[shading])
+
+
+def _per_interval_len2_block(n: int, first: int | None, shading: ShadingSet) -> np.ndarray:
+    """:func:`_per_interval_sweep` on every host of a block.
+
+    An entry that is not a left-to-right minimum lies in the rectangle of
+    the last minimum before it when its value is below the minimum before
+    that one (n + 1 for the first): the running minimum before each
+    minimum, carried forward.  Its segment is labelled by the running
+    minimum, one label per rectangle of a row.
+    """
+    hosts = engine.perm_block(n, first)
+    least = np.minimum.accumulate(hosts, axis=1)
+    is_min = hosts == least
+    before = np.full_like(hosts, n + 1)
+    before[:, 1:] = least[:, :-1]
+    ceiling = np.minimum.accumulate(np.where(is_min, before, n + 1), axis=1)
+    segments = np.where(~is_min & (hosts < ceiling), least, 0)
+    return _len2_sweep_rows(hosts, segments, _INTERVAL_FRAMES[shading])
+
+
 # ---------------------------------------------------------------------------
 # interval complement (pairs 23-29, 32-38, 40)
 
@@ -421,6 +499,59 @@ def _a1_complement(p: Sequence[int], shading: ShadingSet, provider: OccurrencePr
     for s, t in blocks:
         out = complement_on_set(out, host[s - 1 : t])
     return out
+
+
+def _a1_complement_block(n: int, first: int | None, shading: ShadingSet) -> np.ndarray:
+    """:func:`_a1_complement` on every host of a block.
+
+    Only the rows with an occurrence move.  For those, each tail (b, c) is
+    read from the occurrence bits of :func:`meshperm.engine.pair_hits`.  A
+    window of positions [a, e] right of the 1 holds an interval of values
+    when its largest value minus its least is e - a, which a running
+    maximum and minimum from each start a tell for every end.  Each window
+    gets a key that orders it by length, then by start, smaller first, as
+    :func:`_largest_block` does, and also carries its least value.  After
+    the windows that start at a are keyed, ``best[e]`` holds the largest
+    key of a window starting at or before a and ending at or after e, so
+    ``best[c]`` is the block of the tails with b = a.  Two largest blocks
+    are equal or disjoint, so each block is complemented, as lo + hi - v,
+    on its own.
+    """
+    images = engine.perm_block(n, first).copy()
+    _, words = engine.pair_hits(n, shading, first)
+    live = np.flatnonzero(np.bitwise_or.reduce(words, axis=0))
+    if not len(live):
+        return images
+    words, hosts = words[:, live], images[live].astype(np.int16)
+    out = hosts.copy()
+    right_of_one = np.arange(n) > hosts.argmin(axis=1)[:, None]
+    tails: dict[int, list] = {}
+    for b, c, masks in _tail_words(n):
+        tails.setdefault(b, []).append((c, masks))
+    # key: (length * (n + 1) + n - start) * 16 + least value; 0 for no window
+    best = np.zeros((n, len(live)), dtype=np.int16)
+    positions = np.arange(n)
+    for a in range(n - 1):
+        hi = lo = hosts[:, a]
+        for e in range(a + 1, n):
+            hi, lo = np.maximum(hi, hosts[:, e]), np.minimum(lo, hosts[:, e])
+            fits = right_of_one[:, a] & (hi - lo == e - a)
+            np.maximum(best[e], np.where(fits, ((e - a) * (n + 1) + n - a) * 16 + lo, 0), out=best[e])
+        best[::-1] = np.maximum.accumulate(best[::-1], axis=0)
+        for c, masks in tails.get(a, ()):
+            tied = np.zeros(len(live), dtype=bool)
+            for w, mask in masks:
+                tied |= (words[w] & mask) != 0
+            rows = np.flatnonzero(tied)
+            key = best[c, rows]
+            if not key.all():
+                raise ValueError(f"no interval block right of the 1 holds the tail at positions {a + 1}, {c + 1}")
+            lo, key = key % 16, key // 16
+            start, length = n - key % (n + 1), key // (n + 1)
+            inside = (positions >= start[:, None]) & (positions <= (start + length)[:, None])
+            out[rows] = np.where(inside, (2 * lo + length)[:, None] - hosts[rows], out[rows])
+    images[live] = out
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -599,15 +730,15 @@ class Family:
     ``build`` turns an accepted shading and an occurrence provider into the
     transform, which checks nothing further per host; families that read no
     occurrences ignore the provider.  The transform is the family's
-    definition.  ``block_map``, when there is one, computes the same images
-    for a whole block of S_n at once, and :func:`verify_entry` uses it.
-    Every family's transform is its own inverse.
+    definition.  ``block_map`` computes the same images for a whole block
+    of S_n at once, and :func:`verify_entry` uses it.  Every family's
+    transform is its own inverse.
     """
 
     name: str
     accepts: Callable[[ShadingSet], bool]
     build: Build
-    block_map: BlockMap | None = None
+    block_map: BlockMap
 
 
 def _fixed(transform: Transform) -> Build:
@@ -640,12 +771,13 @@ FAMILIES = (
     Family("oth1", lambda s: s == _OTH1_SHADING, _build_block_sweep, _block_sweep_block),
     Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one),
            _complement_after_one_block),
-    Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction),
+    Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction, _len2_reduction_block),
     Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement),
            _ltr_interval_complement_block),
-    Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _build_per_interval_len2),
+    Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _build_per_interval_len2,
+           _per_interval_len2_block),
     Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _build_block_sweep, _block_sweep_block),
-    Family("a1_complement", lambda s: s in _A1_SHADINGS, _with_shading(_a1_complement)),
+    Family("a1_complement", lambda s: s in _A1_SHADINGS, _with_shading(_a1_complement), _a1_complement_block),
     Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _build_block_sweep, _block_sweep_block),
     Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _build_block_sweep,
            _block_sweep_block),
@@ -720,41 +852,6 @@ class VerificationReport:
         }
 
 
-class _TableProvider:
-    """Occurrence provider that reads the engine tables for the host it walks.
-
-    :meth:`hosts` walks the rows of a block of S_n, and the provider answers
-    only for the host it handed out last, raising for any other one.  The
-    lists of a shading are built on its first request in a block and bound
-    until another shading is asked for or the walk of the block ends, so a
-    map that asks about one shading on every host builds them once per
-    block and compares the shading by identity, not by hash, on each host.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self._host: Perm | None = None
-        self._shading: ShadingSet | None = None
-
-    def hosts(self, first: int | None) -> Iterator[Perm]:
-        """The hosts of block ``first`` in rank order."""
-        self._first, self._shading = first, None
-        cols = engine.perm_block(self.n, first).T.tolist()
-        # rows zipped from the columns, with no list per row; S_0's one row has no column
-        for self._row, self._host in enumerate(zip(*cols) if cols else [()]):
-            yield self._host
-        self._host = self._shading = self._lists = None
-
-    def __call__(self, host: Sequence[int], shading: ShadingSet) -> list[tuple[int, int, int]]:
-        if host is not self._host and tuple(host) != self._host:
-            raise ValueError(f"the provider answers for the host it walks, {self._host}, not {tuple(host)}")
-        if shading is not self._shading:
-            if shading != self._shading:
-                self._lists = engine.pair_occurrences(self.n, shading, self._first)
-            self._shading = shading
-        return self._lists[self._row]
-
-
 def _image_ranks(transform: Transform, hosts: Iterable[Perm], n: int) -> np.ndarray:
     """The rank in S_n of each host's image, or -1 when the image is not a
     permutation of 1..n or the transform raised on the host."""
@@ -779,13 +876,20 @@ def _table_ranks(images: np.ndarray, sized: np.ndarray | bool = True) -> np.ndar
     return np.where(valid, engine.lex_ranks(images), -1)
 
 
-def _block_ranks(block_map: Callable[[int | None], np.ndarray], n: int, first: int | None) -> np.ndarray:
+def _hosts(n: int, first: int | None) -> Iterator[Perm]:
+    """The hosts of block ``first`` of S_n in rank order, as tuples."""
+    cols = engine.perm_block(n, first).T.tolist()
+    # rows zipped from the columns, with no list per row; S_0's one row has no column
+    return zip(*cols) if cols else iter([()])
+
+
+def _block_ranks(block_map: BlockMap, n: int, first: int | None, shading: ShadingSet) -> np.ndarray:
     """The ranks in S_n of a block's images under ``block_map``, as
     :func:`_image_ranks` gives them; when the map raises on the block or
     returns a table of another shape, no host of the block has an image."""
     rows = len(engine.perm_block(n, first))
     try:
-        images = block_map(first)
+        images = block_map(n, first, shading)
     except Exception:  # whatever the map raises, it has no image for these hosts
         images = None
     if images is None or images.shape != (rows, n):
@@ -804,24 +908,20 @@ def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transfo
     from that table: an image in S_n is itself a host, so T(T(p)) is the
     image of the image.  ``n`` obeys the same size cap as the distributions.
     """
-    return _verify(pattern1, pattern2, n, lambda provider: transform)
+    return _verify(pattern1, pattern2, n, lambda first: _image_ranks(transform, _hosts(n, first), n))
 
 
 def _verify(
     pattern1: MeshPattern,
     pattern2: MeshPattern,
     n: int,
-    build: Callable[[_TableProvider], Transform],
-    block_map: Callable[[int | None], np.ndarray] | None = None,
+    image_ranks: Callable[[int | None], np.ndarray],
 ) -> VerificationReport:
-    """:func:`verify_pair` with the transform ``build`` makes from the
-    provider, one visit per block: its count vectors, then its images.
-    With ``block_map`` (block key -> the images of the block's hosts as a
-    (rows, n) array) each block's images come from it as one array instead;
+    """:func:`verify_pair` with the ranks of each block's images given by
+    ``image_ranks`` (block key -> one rank per host of the block, -1 for no
+    image in S_n), one visit per block: its count vectors, then its images;
     a map that reads the block's table finds it built by the counts."""
     check_cap(n)
-    provider = _TableProvider(n)
-    transform = build(provider) if block_map is None else None
     keys = engine.blocks(n)
     # every block holds the same number of hosts, and 10! < 2^31
     occ1, occ2, image = np.empty((3, math.factorial(n)), dtype=np.int32)
@@ -829,10 +929,7 @@ def _verify(
     for b, first in enumerate(keys):
         block = slice(b * rows, (b + 1) * rows)
         occ1[block], occ2[block] = engine.count_vectors(n, (pattern1, pattern2), first)
-        if block_map is None:
-            image[block] = _image_ranks(transform, provider.hosts(first), n)
-        else:
-            image[block] = _block_ranks(block_map, n, first)
+        image[block] = image_ranks(first)
     inside = image >= 0
     first_hit = np.zeros(len(image), dtype=bool)
     first_hit[np.unique(image, return_index=True)[1]] = True
@@ -854,32 +951,25 @@ def _verify(
 def verify_entry(entry, n: int) -> VerificationReport:
     """Run :func:`verify_pair` on a catalog entry with its own family.
 
-    A family with a block map (the block sweep of ``direct``, ``oth1``,
-    ``pair_swap``, ``nine_box`` and ``per_interval_nine_box``, and the
-    closed forms of ``complement_after_one`` and
-    ``ltr_interval_complement``) maps each block of S_n as one array; the
-    block sweep reads its occurrence bits from the table the block's count
-    vectors were read from.  The other families map host by host, and
-    ``a1_complement`` reads each host's occurrences from that table
-    instead of the pure-Python finder; both give the same lists.  Either
-    way the images are ranked and checked as in :func:`verify_pair`.
+    Every family maps each block of S_n as one array with its block map;
+    the maps that read occurrences (the block sweep of ``direct``,
+    ``oth1``, ``pair_swap``, ``nine_box`` and ``per_interval_nine_box``,
+    and ``a1_complement``) read their occurrence bits from the table the
+    block's count vectors were read from.  The images are ranked and
+    checked as in :func:`verify_pair`.
     """
     pattern1, pattern2 = entry.patterns()
     shading = pattern1.shading
     block_map = _accepting(entry.family.get("name"), shading).block_map
-    return _verify(pattern1, pattern2, n, lambda provider: transform_for(entry.family, shading, provider),
-                   block_map and functools.partial(block_map, n, shading=shading))
+    return _verify(pattern1, pattern2, n, lambda first: _block_ranks(block_map, n, first, shading))
 
 
 def verified_image(entry, host: Sequence[int]) -> Perm:
     """The image of ``host`` that :func:`verify_entry` checks: the row of
-    its block under the family's block map, or else its transform's image;
-    raises what the map raises."""
+    its block under the family's block map; raises what the map raises."""
     pattern1, _ = entry.patterns()
     shading = pattern1.shading
     block_map = _accepting(entry.family.get("name"), shading).block_map
-    if block_map is None:
-        return tuple(transform_for(entry.family, shading)(host))
     n = len(host)
     first = None if engine.blocks(n) == (None,) else host[0]
     images = block_map(n, first, shading)

@@ -444,8 +444,7 @@ def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> tuple[tu
     Returns ``(combos, words)`` like :func:`build_tables`: bit ``c % 32`` of
     ``words[c // 32, r]`` is set when combo c of the block's rank-r
     permutation has type 123 (0) or 132 (1) and holds no point in a box of
-    ``shading``.  This is the one reading of occurrences off the tables;
-    :func:`pair_occurrences` lists the same bits.
+    ``shading``.  This is the one reading of occurrences off the tables.
     """
     if shading.k != 3:
         raise ValueError("pair occurrences need a length-3 shading")
@@ -454,24 +453,6 @@ def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> tuple[tu
     # and 1, the two with type bits 1 and 2 clear
     types = planes[16:]
     return combos, _clear_combos(n, 3, planes, shading.mask, types[1:3], np.empty(planes.shape[1:], dtype=np.uint32))
-
-
-def pair_occurrences(n: int, shading: ShadingSet, first: int | None = None) -> list[list[tuple[int, int, int]]]:
-    """Occurrences of (123, R) and (132, R) in every permutation of the block.
-
-    Entry r lists the 1-based position triples of the block's rank-r
-    permutation in lexicographic order: the bits :func:`pair_hits` sets in
-    its row.  A triple has one type, so for host p the entry equals
-    ``sorted(occurrences(p, (123, R)) + occurrences(p, (132, R)))``.
-    """
-    combos, hit_words = pair_hits(n, shading, first)
-    hit = np.unpackbits(np.ascontiguousarray(hit_words.T, dtype="<u4").view(np.uint8),
-                        axis=1, count=len(combos), bitorder="little")
-    triples = [(a + 1, b + 1, c + 1) for a, b, c in combos]
-    rows, cols = np.nonzero(hit)
-    bounds = np.searchsorted(rows, np.arange(hit.shape[0] + 1)).tolist()
-    cols = cols.tolist()
-    return [[triples[c] for c in cols[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def lex_ranks(perms: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import pytest
 
 import meshperm
 from meshperm import bijections as bj
-from meshperm.bijections import UnsupportedShadingError, transform_for, verify_entry
+from meshperm.bijections import UnsupportedShadingError, transform_for, verify_entry, verify_pair
 from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.distribution import (
     avoidance_sequence,
@@ -38,6 +38,8 @@ from meshperm.mesh import (
     transform_pattern,
 )
 from meshperm.perms import complement, enumerate_sn, inverse, reverse, standardize
+
+from hit_lists import table_provider
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -173,11 +175,12 @@ def test_criterion_09_counterexamples():
         assert first_divergence(p1, p2, 8) == 8, entry.id
     # The naive tail-complement rule is refuted at n = 8: the harness flags
     # the failed count swap, and the recorded witness pins the violation.
-    # Over S_8 the map reads the engine tables; the witness is checked with
-    # the pure-Python finder.
+    # Over S_8 the map reads occurrences from the engine tables; the
+    # witness is checked with the pure-Python finder.
     p1, p2 = e202.patterns()
     shading = p1.shading
-    report = bj._verify(p1, p2, 8, lambda tables: lambda p: bj._a1_complement_raw(p, shading, tables))
+    tables = table_provider(8, shading)
+    report = verify_pair(p1, p2, lambda p: bj._a1_complement_raw(p, shading, tables), 8)
     assert report.joint_swap is False
     witness = (2, 5, 1, 7, 8, 6, 4, 3)
     image = bj._a1_complement_raw(witness, shading)
@@ -404,7 +407,7 @@ def test_long_running_every_family_entry_verifies_at_eight():
 def test_long_running_block_sweep_entries_verify_at_nine(monkeypatch):
     # All of S_9 for the block-sweep entries outside nine_box: direct
     # (1-11), oth1 (12), pair_swap (39, 44) and per_interval_nine_box
-    # (74, 75); about 45 s.
+    # (74, 75); about 3 s.
     monkeypatch.setenv("MESHPERM_MAX_N", "9")
     entries = [entry_by_id(eid) for eid in (*range(1, 13), 39, 44, 74, 75)]
     assert {e.family["name"] for e in entries} == {"direct", "oth1", "pair_swap", "per_interval_nine_box"}

@@ -25,6 +25,8 @@ from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.mesh import ShadingSet, count_occurrences
 from meshperm.perms import enumerate_sn, left_to_right_minima
 
+from hit_lists import hit_lists, table_provider
+
 
 def pair_counts(host, entry):
     p1, p2 = entry.patterns()
@@ -177,75 +179,82 @@ BLOCK_SWEEP_DIGESTS_S7 = {
 
 
 def test_block_sweep_images_on_s7_match_the_old_maps():
-    # the block sweep gives, on every host of S_7, the image each old map
-    # gave, both host by host and as the block map that verify_entry uses
+    # the block sweep gives, on every host of S_7 (one block), the image
+    # each old map gave, both host by host and as the block map that
+    # verify_entry uses
     assert len(BLOCK_SWEEP_DIGESTS_S7) == 76
     for eid, digest in BLOCK_SWEEP_DIGESTS_S7.items():
         entry = entry_by_id(eid)
         shading = entry.patterns()[0].shading
-        provider = bj._TableProvider(7)
-        transform = transform_for(entry.family, shading, provider)
-        walked = np.concatenate([bj._image_ranks(transform, provider.hosts(first), 7) for first in engine.blocks(7)])
-        block_map = bj._BY_NAME[entry.family["name"]].block_map
-        mapped = np.concatenate([bj._table_ranks(block_map(7, first, shading)) for first in engine.blocks(7)])
+        transform = transform_for(entry.family, shading, table_provider(7, shading))
+        walked = bj._image_ranks(transform, bj._hosts(7, None), 7)
+        mapped = bj._table_ranks(bj._BY_NAME[entry.family["name"]].block_map(7, None, shading))
         for ranks in (walked, mapped):
             assert hashlib.sha256(ranks.astype("<i8").tobytes()).hexdigest() == digest, eid
 
 
-def block_mapped_entries():
-    """The catalog entries whose family has a block map."""
-    return [e for e in load_catalog() if e.family and bj._BY_NAME[e.family["name"]].block_map is not None]
-
-
-def host_and_block_images(entry, n, first):
-    """The images of a block's hosts under the entry's per-host map, walked
-    on the table provider, and under its family's block map."""
-    family = bj._BY_NAME[entry.family["name"]]
-    shading = entry.patterns()[0].shading
-    provider = bj._TableProvider(n)
-    transform = family.build(shading, provider)
-    walked = np.array([transform(host) for host in provider.hosts(first)], dtype=np.int8)
+def host_and_block_images(family, shading, n, first):
+    """The images of a block's hosts under a family's per-host map for
+    ``shading``, walked on occurrences read from the block's table, and
+    under its block map."""
+    family = bj._BY_NAME[family]
+    transform = family.build(shading, table_provider(n, shading, first) if shading.k == 3 else None)
+    walked = np.array([transform(host) for host in bj._hosts(n, first)], dtype=np.int8)
     return walked.reshape(len(engine.perm_block(n, first)), n), family.block_map(n, first, shading)
 
 
 def test_block_maps_match_the_host_maps_on_small_n():
-    # the block sweep (76 entries), complement_after_one (6) and
-    # ltr_interval_complement (15) map every host of S_0..S_6 as their
-    # per-host definitions do
-    entries = block_mapped_entries()
-    assert len(entries) == 97
-    assert {e.family["name"] for e in entries} == {
-        "direct", "oth1", "complement_after_one", "ltr_interval_complement", "pair_swap", "nine_box",
-        "per_interval_nine_box",
-    }
-    for entry in entries:
+    # every family's block map maps every host of S_0..S_6 as its per-host
+    # definition does: all 111 family entries, and the eight length-2
+    # frames of len2_reduction, which no family entry carries
+    entries = [e for e in load_catalog() if e.family]
+    assert len(entries) == 111
+    assert {e.family["name"] for e in entries} == set(FAMILY_NAMES)
+    cases = [(e.family["name"], e.patterns()[0].shading, e.id) for e in entries]
+    cases += [("len2_reduction", shading, shading.boxes()) for shading in bj._LEN2_FRAMES]
+    for family, shading, case in cases:
         for n in range(7):
-            walked, mapped = host_and_block_images(entry, n, None)
-            assert mapped.dtype == np.int8 and mapped.shape == walked.shape, (entry.id, n)
-            assert np.array_equal(mapped, walked), (entry.id, n)
+            walked, mapped = host_and_block_images(family, shading, n, None)
+            assert mapped.dtype == np.int8 and mapped.shape == walked.shape, (case, n)
+            assert np.array_equal(mapped, walked), (case, n)
 
 
 @pytest.mark.long_running
 def test_long_running_block_sweep_and_closed_form_maps_match_the_host_maps_on_s9(monkeypatch):
-    # one entry per family with a block map: direct (1), oth1 (12),
-    # complement_after_one (13), ltr_interval_complement (23), pair_swap
-    # (39), nine_box (46) and per_interval_nine_box (74), block by block
-    # over all of S_9 (about 12 s)
+    # one entry per family: direct (1), oth1 (12), complement_after_one
+    # (13), len2_reduction (19), ltr_interval_complement (23),
+    # per_interval_len2 (30), pair_swap (39), a1_complement (41), nine_box
+    # (46) and per_interval_nine_box (74), block by block over all of S_9
+    # (about 50 s)
     monkeypatch.setenv("MESHPERM_MAX_N", "9")
-    entries = [entry_by_id(eid) for eid in (1, 12, 13, 23, 39, 46, 74)]
-    assert {e.family["name"] for e in entries} == {e.family["name"] for e in block_mapped_entries()}
+    entries = [entry_by_id(eid) for eid in (1, 12, 13, 19, 23, 30, 39, 41, 46, 74)]
+    assert {e.family["name"] for e in entries} == set(FAMILY_NAMES)
     for entry in entries:
         for first in engine.blocks(9):
-            walked, mapped = host_and_block_images(entry, 9, first)
+            walked, mapped = host_and_block_images(entry.family["name"], entry.patterns()[0].shading, 9, first)
             assert np.array_equal(mapped, walked), (entry.id, first)
 
 
+def test_len2_block_sweep_matches_sweep_lower_on_every_sequence_to_eight():
+    # the descending scan over every row at once, one segment per row,
+    # against the sequential sweep
+    for m in range(9):
+        hosts = engine.perm_block(m)
+        for tail_box in (False, True):
+            swept = bj._len2_sweep_rows(hosts, np.ones_like(hosts), bj.Frame(False, False, tail_box))
+            expected = [bj._sweep_lower(host, tail_box) for host in bj._hosts(m, None)]
+            assert swept.tolist() == [list(image) for image in expected], (m, tail_box)
+
+
 def test_verified_image_reads_the_row_of_the_host_in_its_block():
-    # S_9 has one block per first value; hosts from several blocks, for a
-    # block-swept, a closed-form and a host-walked entry
+    # S_9 has one block per first value; hosts from several blocks, some
+    # starting with 1, for a block-swept and a closed-form entry and one
+    # entry of each of len2_reduction (19), per_interval_len2 (30) and
+    # a1_complement (41)
     rng = random.Random(9)
     hosts = [tuple(rng.sample(range(1, 10), 9)) for _ in range(12)]
-    for eid in (46, 23, 41):
+    hosts += [(1, *rng.sample(range(2, 10), 8)) for _ in range(4)]
+    for eid in (46, 23, 19, 30, 41):
         entry = entry_by_id(eid)
         images = [bj.verified_image(entry, host) for host in hosts]
         assert images == [apply_family(entry, host) for host in hosts], eid
@@ -564,36 +573,33 @@ def test_verify_pair_maps_each_host_once():
     assert calls == 120
 
 
-def test_table_provider_matches_the_finder():
-    # verify_entry's engine-table provider against the pure-Python finder on
-    # every host of S_0..S_6 (no position triples below n = 3), for every
-    # family entry's shading and random ones; the walk of the one block of
-    # S_n is S_n in lexicographic order.
+def test_pair_hits_match_the_finder():
+    # the occurrence bits of engine.pair_hits, unpacked by the tests'
+    # hit_lists, against the pure-Python finder on every host of S_0..S_6
+    # (no position triples below n = 3), for every family entry's shading
+    # and random ones; the hosts of the one block of S_n are S_n in
+    # lexicographic order.
     rng = random.Random(7)
     shadings = {e.patterns()[0].shading for e in load_catalog() if e.family}
     shadings |= {ShadingSet(3, rng.randrange(1 << 16)) for _ in range(8)}
     for n in range(7):
-        provider = bj._TableProvider(n)
         hosts = list(enumerate_sn(n))
+        assert list(bj._hosts(n, None)) == hosts, n
         for shading in sorted(shadings, key=lambda s: s.mask):
-            walk = []
-            for host in provider.hosts(None):
-                walk.append(host)
-                assert provider(host, shading) == bj._pair_occurrences(host, shading), (n, shading, host)
-            assert walk == hosts, n
+            lists = hit_lists(n, shading)
+            assert len(lists) == len(hosts), (n, shading)
+            for host, listed in zip(hosts, lists):
+                assert listed == bj._pair_occurrences(host, shading), (n, shading, host)
 
 
-def test_table_provider_reads_the_blocks_of_s9():
-    # every 97th host of the block of S_9 that starts with 5 while the
-    # provider walks the block; it answers for no other permutation
+def test_pair_hits_read_the_blocks_of_s9():
+    # every 97th host of the block of S_9 that starts with 5
     shadings = [bj._OTH1_SHADING] + [entry_by_id(eid).patterns()[0].shading for eid in (41, 46)]
-    walker = bj._TableProvider(9)
     for shading in shadings:
-        for row, host in enumerate(walker.hosts(5)):
+        lists = hit_lists(9, shading, 5)
+        for row, host in enumerate(bj._hosts(9, 5)):
             if row % 97 == 0:
-                assert walker(host, shading) == bj._pair_occurrences(host, shading), (shading, host)
-                with pytest.raises(ValueError):
-                    walker(tuple(reversed(host)), shading)
+                assert host[0] == 5 and lists[row] == bj._pair_occurrences(host, shading), (shading, host)
 
 
 def test_verify_entry_reads_occurrences_from_the_tables(monkeypatch):
@@ -625,11 +631,13 @@ def test_verify_entry_reads_occurrences_from_the_tables(monkeypatch):
 def test_verify_entry_builds_each_streamed_block_once(monkeypatch):
     # With the table budget at 0, S_9 streams as S_10 does: each block's
     # table is built once, for its counts and then its hosts' occurrences
-    # (entry 39, pair_swap, reads both), and only the last one is held.
+    # (entry 39, pair_swap, and entry 41, a1_complement, read both), and
+    # only the last one is held.
     monkeypatch.setenv("MESHPERM_MAX_N", "9")
-    entries = [entry_by_id(eid) for eid in (13, 39)]
+    entries = [entry_by_id(eid) for eid in (13, 39, 41)]
     engine.clear_caches()
     expected = [verify_entry(entry, 9) for entry in entries]
+    assert all(report.ok() for report in expected)
     engine.clear_caches()
     built = []
     build_tables = engine.build_tables

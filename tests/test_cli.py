@@ -119,38 +119,29 @@ def test_verify_has_no_skip_involution_flag(capsys):
     capsys.readouterr()
 
 
-def faulty_maps(monkeypatch, transform):
-    """Make ``transform`` (host -> image) entry 46's map in one of two ways
-    per step: as nine_box's block map, mapping each block host by host, and
-    as the transform that ``transform_for`` returns, with nine_box's block
-    map gone so that verification walks the hosts."""
-    nine_box, transform_for = bijections._BY_NAME["nine_box"], bijections.transform_for
-
+def faulty_map(monkeypatch, transform):
+    """Make ``transform`` (host -> image) entry 46's map: nine_box's block
+    map becomes one that maps each block host by host."""
     def block_map(n, first, shading):
         return np.array([transform(host) for host in engine.perm_block(n, first).tolist()], dtype=np.int8)
 
+    nine_box = bijections._BY_NAME["nine_box"]
     monkeypatch.setitem(bijections._BY_NAME, "nine_box", dataclasses.replace(nine_box, block_map=block_map))
-    yield
-    monkeypatch.setitem(bijections._BY_NAME, "nine_box", dataclasses.replace(nine_box, block_map=None))
-    monkeypatch.setattr(bijections, "transform_for", lambda family, shading, *provider: transform)
-    yield
-    monkeypatch.setitem(bijections._BY_NAME, "nine_box", nine_box)
-    monkeypatch.setattr(bijections, "transform_for", transform_for)
 
 
 def test_verify_failure_names_the_counterexample(capsys, monkeypatch):
     code, _, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
     assert (code, err) == (EXIT_OK, "")
     # the identity does not swap the counts of host 1234
-    for _ in faulty_maps(monkeypatch, tuple):
-        code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
-        assert code == EXIT_FAILED
-        assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
-        assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); its image [1, 2, 3, 4] has counts (1, 0)\n"
-    for _ in faulty_maps(monkeypatch, lambda p: (*p, 4)):
-        code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "3"])
-        assert code == EXIT_FAILED
-        assert err == "counterexample: host [1, 2, 3] has counts (1, 0); its image [1, 2, 3, 4] is outside S_3\n"
+    faulty_map(monkeypatch, tuple)
+    code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
+    assert code == EXIT_FAILED
+    assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
+    assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); its image [1, 2, 3, 4] has counts (1, 0)\n"
+    faulty_map(monkeypatch, lambda p: (*p, 4))
+    code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "3"])
+    assert code == EXIT_FAILED
+    assert err == "counterexample: host [1, 2, 3] has counts (1, 0); its image [1, 2, 3, 4] is outside S_3\n"
 
 
 def test_verify_failure_names_the_error_of_the_map(capsys, monkeypatch):
@@ -161,12 +152,12 @@ def test_verify_failure_names_the_error_of_the_map(capsys, monkeypatch):
             raise ValueError("no image")
         return transform(p)
 
-    for _ in faulty_maps(monkeypatch, partial):
-        code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
-        assert code == EXIT_FAILED
-        assert json.loads(out)["bijective"] is False
-        assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
-        assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); the map raised ValueError: no image\n"
+    faulty_map(monkeypatch, partial)
+    code, out, err = run(capsys, ["verify", "--pair-id", "46", "--n", "4"])
+    assert code == EXIT_FAILED
+    assert json.loads(out)["bijective"] is False
+    assert json.loads(out)["counterexample"] == [1, 2, 3, 4]
+    assert err == "counterexample: host [1, 2, 3, 4] has counts (1, 0); the map raised ValueError: no image\n"
 
 
 def test_apply_reports_a_failing_map_as_a_defect(capsys, monkeypatch):

@@ -12,6 +12,8 @@ from meshperm.catalog import load_catalog
 from meshperm.mesh import MeshPattern, ShadingSet, count_occurrences, occurrence_box_mask, parse_pattern
 from meshperm.perms import enumerate_sn, lex_rank, standardize
 
+from hit_lists import hit_lists
+
 
 def test_blocks_partition():
     assert engine.blocks(5) == (None,)
@@ -265,23 +267,30 @@ def test_shading_full_kills_all_but_adjacent():
 
 
 def test_pair_occurrences_rows():
-    # rank order, 1-based triples; bijections tests the lists against the
+    # engine.pair_hits: one word per 32 combos in lexicographic order, one
+    # column per host in rank order; the tests' hit_lists reads them as
+    # 1-based triples, and bijections tests those lists against the
     # pure-Python finder on all of S_0..S_6
-    rows = engine.pair_occurrences(4, ShadingSet.empty(3))
-    assert len(rows) == 24
+    combos, words = engine.pair_hits(4, ShadingSet.empty(3))
+    assert combos == tuple(itertools.combinations(range(4), 3))
+    assert words.dtype == np.uint32 and words.shape == (1, 24)
+    # every triple of 1243 has type 123 or 132; none of 4321 has
+    assert words[0, lex_rank((1, 2, 4, 3))] == 0b1111
+    assert words[0, lex_rank((4, 3, 2, 1))] == 0
+    rows = hit_lists(4, ShadingSet.empty(3))
     assert rows[lex_rank((1, 2, 4, 3))] == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-    assert engine.pair_occurrences(2, ShadingSet.empty(3)) == [[], []]
+    assert hit_lists(2, ShadingSet.empty(3)) == [[], []]
     with pytest.raises(ValueError):
-        engine.pair_occurrences(4, ShadingSet.empty(2))
+        engine.pair_hits(4, ShadingSet.empty(2))
     # a block key selects the rows of the hosts with that first value
-    assert engine.pair_occurrences(4, ShadingSet.empty(3), 2) == rows[6:12]
+    assert np.array_equal(engine.pair_hits(4, ShadingSet.empty(3), 2)[1], words[:, 6:12])
 
 
 def test_pair_occurrences_reuses_the_count_vector_table():
     engine.clear_caches()
     engine.count_vector(5, parse_pattern("123|1/1"))
     built = engine.subseq_tables.cache_info().misses
-    engine.pair_occurrences(5, ShadingSet.empty(3))
+    engine.pair_hits(5, ShadingSet.empty(3))
     assert engine.subseq_tables.cache_info().misses == built
 
 
