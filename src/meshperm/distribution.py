@@ -7,17 +7,24 @@ smallest n at which paired shadings of 123 and 132 stop being
 equidistributed.  Exhaustive enumeration is guarded by a size cap: the
 default is 8, the MESHPERM_MAX_N environment variable raises it, and the
 hard ceiling of the enumeration layer still applies.
+
+Every histogram here counts one permutation of each inverse pair
+{p, p^-1}, which is exact because the count of P in p^-1 is that of
+``transform_pattern(P, "inverse")`` in p: a pattern fixed by the inverse
+symmetry, as (123, R) and (132, R) are for the scan's symmetric R, is
+counted once and its non-involution hosts weighted twice.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 
 import numpy as np
 
 from . import engine
-from .mesh import MeshPattern, ShadingSet, symmetric_shadings
+from .mesh import MeshPattern, ShadingSet, is_antidiagonal_symmetric, symmetric_shadings, transform_pattern
 from .perms import HARD_ENUMERATION_CAP
 
 DEFAULT_MAX_N = 8
@@ -97,10 +104,51 @@ class JointTable:
 
 
 def distribution(pattern: MeshPattern, n: int, *, cap: int | None = None) -> DistributionTable:
-    """Occurrence-count distribution of ``pattern`` over all of S_n."""
+    """Occurrence-count distribution of ``pattern`` over all of S_n.
+
+    Counted over one permutation of each inverse pair {p, p^-1}, as every
+    histogram is (see :func:`_histogram`).
+    """
     check_cap(n, cap)
-    hist = sum(_bincount(engine.count_vector(n, pattern, first), n, len(pattern)) for first in engine.blocks(n))
+    hist = _histogram((pattern,), n, lambda vec: _bincount(vec, n, len(pattern)))
     return DistributionTable(pattern, n, _counts(hist))
+
+
+def _histogram(patterns: tuple[MeshPattern, ...], n: int, bins) -> np.ndarray:
+    """``bins`` of the patterns' count vectors, summed over all of S_n.
+
+    The vectors cover one permutation of each inverse pair {p, p^-1}, the
+    rows of :func:`meshperm.engine.inverse_pair_block`: the count of P in
+    p^-1 is that of P' = ``transform_pattern(P, "inverse")`` in p, so the
+    hosts p^-1 are binned from the vectors of the P' (see
+    :func:`_over_inverse_pairs`).  When every P' is P, as for (123, R) and
+    (132, R) with R symmetric, the patterns are counted once.
+    """
+    inverses = tuple(transform_pattern(p, "inverse") for p in patterns)
+    counted = patterns if inverses == patterns else patterns + inverses
+    hist = 0
+    for first in engine.blocks(n):
+        vectors = engine.count_vectors(n, counted, first, inverse_pairs=True)
+        own = vectors[:len(patterns)]
+        flipped = own if counted is patterns else vectors[len(patterns):]
+        _, involutions = engine.inverse_pair_block(n, first)
+        hist += _over_inverse_pairs(bins, own, flipped, involutions)
+    return hist
+
+
+def _over_inverse_pairs(bins, vectors, inverse_vectors, involutions: int) -> np.ndarray:
+    """``bins`` over both permutations of each inverse pair of a block.
+
+    ``vectors`` count the patterns on the rows p of
+    :func:`meshperm.engine.inverse_pair_block`, the first ``involutions``
+    of them with p = p^-1; ``inverse_vectors`` count the patterns' inverses
+    there, which are the patterns' counts on the hosts p^-1.  Those hosts
+    are all but the involutions, already binned once as p.  Patterns that
+    are their own inverses pass ``vectors`` itself, binned once.
+    """
+    own = bins(*vectors)
+    both = 2 * own if inverse_vectors is vectors else own + bins(*inverse_vectors)
+    return both - bins(*(v[:involutions] for v in inverse_vectors))
 
 
 def _bincount(vec: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -130,8 +178,7 @@ def _joint_histogram(pattern1: MeshPattern, pattern2: MeshPattern, n: int, cap: 
     ``(C(n, k1) + 1, C(n, k2) + 1)`` array for pattern lengths k1, k2."""
     check_cap(n, cap)
     widths = tuple(math.comb(n, len(p)) + 1 for p in (pattern1, pattern2))
-    return sum(_joint_bincount(*engine.count_vectors(n, (pattern1, pattern2), first), widths)
-               for first in engine.blocks(n))
+    return _histogram((pattern1, pattern2), n, lambda v1, v2: _joint_bincount(v1, v2, widths))
 
 
 def _joint_bincount(v1: np.ndarray, v2: np.ndarray, widths: tuple[int, int]) -> np.ndarray:
@@ -203,25 +250,50 @@ class ScanResult:
 
 
 def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
-    """Histogram the counts of (123, R) and (132, R) over one block of S_n.
+    """Histogram the counts of (123, R) and (132, R) over one block's share of S_n.
 
     Returns a ``(2 * len(masks), C(n, 3) + 1)`` array: row 2i is the
     histogram of (123, R) for R = ``masks[i]``, row 2i + 1 that of
-    (132, R), the two marginals of the pair's joint histogram.  The block's
-    table is built here and dropped on return: the scan reads it once, so
-    caching it would keep every block of every n alive.
+    (132, R), the two marginals of the pair's joint histogram.  The hosts
+    are both permutations of each inverse pair whose representative lies
+    in the block, the rows of :func:`meshperm.engine.inverse_pair_block`
+    (see :func:`_over_inverse_pairs`), so the blocks of
+    :func:`meshperm.engine.blocks` sum to S_n.  A symmetric R is its own
+    transpose, so its pair is counted once; any other R also counts the
+    inverse pair (123, R^T), (132, R^T).  The block's table is built here
+    and dropped on return: the scan reads it once, so caching it would keep
+    every block of every n alive.
     """
     n, first, masks = task
-    _, planes = engine.build_tables(n, 3, first)
-    patterns = [MeshPattern(tau, ShadingSet(3, mask)) for mask in masks for tau in _SCAN_PAIR]
-    counts = engine.occurrence_counts(n, planes, patterns)
+    _, planes = engine.build_tables(n, 3, first, inverse_pairs=True)
+    _, involutions = engine.inverse_pair_block(n, first)
+    counted, symmetric = _scan_patterns(masks)
+    counts = engine.occurrence_counts(n, planes, counted)
     widths = (math.comb(n, 3) + 1,) * 2
     hists = []
-    # the vectors come in pairs, (123, R) then (132, R) for each mask
-    for v1, v2 in zip(counts, counts):
-        joint = _joint_bincount(v1, v2, widths)
+    for same in symmetric:
+        own = (next(counts), next(counts))
+        flipped = own if same else (next(counts), next(counts))
+        joint = _over_inverse_pairs(lambda v1, v2: _joint_bincount(v1, v2, widths), own, flipped, involutions)
         hists += [joint.sum(axis=1), joint.sum(axis=0)]
     return np.array(hists)
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_patterns(masks: tuple[int, ...]) -> tuple[list[MeshPattern], list[bool]]:
+    """The patterns :func:`_scan_block` counts for the masks, and for each
+    mask whether its pair is its own inverse: (123, R) and (132, R), then
+    their inverses (123, R^T) and (132, R^T) unless those are the same.
+    Every block of an n scans the same masks, so they are built once per n.
+    """
+    counted, symmetric = [], []
+    for mask in masks:
+        shading = ShadingSet(3, mask)
+        pair = tuple(MeshPattern(tau, shading) for tau in _SCAN_PAIR)
+        # 123 and 132 are involutions, so the pair is its own inverse when R is symmetric
+        symmetric.append(is_antidiagonal_symmetric(shading))
+        counted += pair if symmetric[-1] else pair + tuple(transform_pattern(p, "inverse") for p in pair)
+    return counted, symmetric
 
 
 def _pair_histograms(n: int, masks: tuple[int, ...], jobs: int) -> np.ndarray:
@@ -241,12 +313,19 @@ def _pair_histograms(n: int, masks: tuple[int, ...], jobs: int) -> np.ndarray:
     return sum(_scan_block(t) for t in tasks)
 
 
+#: The first n at which some (123, R) and (132, R) can differ: below 3
+#: neither occurs, and at 3 the one combo of a host has no other point, so
+#: R is never read and 123 and 132 each occur in one host.
+_SCAN_FROM = 4
+
+
 def scan_symmetric_pairs(
     max_n: int = DEFAULT_MAX_N, *, jobs: int = 1, long_running: bool = False
 ) -> list[ScanResult]:
     """Test every inverse-symmetric shading R of length 3 for (123, R) ~ (132, R).
 
     Returns one :class:`ScanResult` per shading, ordered by shading mask.
+    The sizes below ``_SCAN_FROM`` cannot separate a pair and are skipped.
     Sizes at or beyond 9 multiply the runtime by orders of magnitude and must
     be requested with ``long_running=True``.
     """
@@ -258,7 +337,7 @@ def scan_symmetric_pairs(
         raise CapExceededError(f"scan cannot exceed n = {HARD_ENUMERATION_CAP}")
     shadings = symmetric_shadings(3)
     diverged: dict[int, int] = {}
-    for n in range(1, max_n + 1):
+    for n in range(_SCAN_FROM, max_n + 1):
         pending = tuple(s.mask for s in shadings if s.mask not in diverged)
         if not pending:
             break

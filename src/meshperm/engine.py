@@ -19,6 +19,14 @@ of the row stands in for the k + 1 planes.
 Permutations are partitioned by their first value when n >= 9 to keep the
 tables at a manageable size; callers aggregate over ``blocks(n)``.
 
+A block's table covers its rows in lexicographic order, or with
+``inverse_pairs`` only one permutation of each inverse pair {p, p^-1}:
+the rows of :func:`inverse_pair_block`, about half of S_n over the
+blocks.  A host's counts of P and of its inverse pattern swap between p
+and p^-1, so histograms over S_n need only those rows; counts that
+address hosts by lex rank (count vectors, occurrence bits, verification)
+read the lex tables.
+
 A block's table is built by :func:`build_tables`, and every count is read
 from the planes it returns by one kernel, :func:`occurrence_counts`, which
 counts the patterns of a shading together in buffers allocated once per
@@ -65,9 +73,51 @@ def perm_block(n: int, first: int | None = None) -> np.ndarray:
 
     S_0 is the one empty permutation, shape ``(1, 0)``.
     """
-    arr = _lex_sn(n) if first is None else _prefixed(_lex_sn(n - 1), first)
+    arr = _block_rows(n, first)
     arr.setflags(write=False)
     return arr
+
+
+def _block_rows(n: int, first: int | None) -> np.ndarray:
+    """A new array of the rows of :func:`perm_block`."""
+    return _lex_sn(n) if first is None else _prefixed(_lex_sn(n - 1), first)
+
+
+@functools.lru_cache(maxsize=64)
+def inverse_pair_block(n: int, first: int | None = None) -> tuple[np.ndarray, int]:
+    """One permutation of each inverse pair {p, p^-1} of S_n, from one block.
+
+    Returns ``(rows, involutions)``: the rows p of :func:`perm_block` with
+    p <=_lex p^-1, as an int8 array, the ``involutions`` (p = p^-1) first
+    and then the others, each part in lexicographic order.  Over the keys
+    of :func:`blocks` every pair has exactly one row: p if it is the
+    smaller, in p's block.  A host's counts of a pattern P and of
+    ``transform_pattern(P, "inverse")`` swap between p and p^-1, so counts
+    over these rows give a histogram over all of S_n with each
+    non-involution weighted twice.
+
+    p^-1(1) is the position of 1 in p, so comparing it with p(1) settles
+    most rows; only rows where the two are equal build their inverse and
+    compare further.
+    """
+    rows = _block_rows(n, first)
+    involutions = len(rows)  # S_0 and S_1 hold one permutation, an involution
+    if n > 1:
+        heads = rows[:, 0].astype(np.intp)
+        ones = np.argmax(rows == 1, axis=1) + 1
+        tied = np.flatnonzero(heads == ones)
+        ties = rows[tied]
+        inverses = np.empty_like(ties)
+        np.put_along_axis(inverses, ties.astype(np.intp) - 1, np.arange(1, n + 1, dtype=np.int8)[None], axis=1)
+        differ = ties != inverses
+        at = differ.argmax(axis=1)[:, None]
+        smaller = np.take_along_axis(ties, at, axis=1) < np.take_along_axis(inverses, at, axis=1)
+        involution = ~differ.any(axis=1)
+        rest = np.sort(np.concatenate([np.flatnonzero(heads < ones), tied[smaller[:, 0]]]))
+        rows = rows[np.concatenate([tied[involution], rest])]
+        involutions = int(np.count_nonzero(involution))
+    rows.setflags(write=False)
+    return rows, involutions
 
 
 def _lex_sn(m: int) -> np.ndarray:
@@ -109,21 +159,29 @@ def _type_bits(k: int) -> int:
     return math.factorial(k).bit_length()
 
 
-def _table_shape(n: int, k: int, first: int | None) -> tuple[int, int, int]:
-    """(planes, words, rows) of the uint32 length-k table of a block of S_n."""
-    return (k + 1) ** 2 + _type_bits(k), -(-math.comb(n, k) // _WORD), math.factorial(n if first is None else n - 1)
+def _table_shape(n: int, k: int, rows: int) -> tuple[int, int, int]:
+    """(planes, words, rows) of the uint32 length-k table of ``rows`` permutations of S_n."""
+    return (k + 1) ** 2 + _type_bits(k), -(-math.comb(n, k) // _WORD), rows
 
 
-def build_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+def _table_rows(n: int, first: int | None, inverse_pairs: bool) -> np.ndarray:
+    """The permutations a block's table covers: :func:`perm_block`, or with
+    ``inverse_pairs`` the rows of :func:`inverse_pair_block`."""
+    return inverse_pair_block(n, first)[0] if inverse_pairs else perm_block(n, first)
+
+
+def build_tables(n: int, k: int, first: int | None = None,
+                 inverse_pairs: bool = False) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Bit planes of the length-k position subsets of every permutation in a block.
 
     Returns ``(combos, planes)``.  ``combos`` lists the 0-based position
     k-subsets in lexicographic order; combo c is bit ``c % 32`` of word
     ``c // 32``.  ``planes`` is a uint32 array of shape ``(planes, words,
-    rows)``: row r is the block's rank-r permutation, so each plane word is
-    one contiguous vector over the rows.  Plane p < (k+1)^2 has the bit of
-    a combo set when another point of the permutation lies in box p of the
-    combo's grid (the bit order of :class:`meshperm.mesh.ShadingSet`
+    rows)``: row r is the block's rank-r permutation, or with
+    ``inverse_pairs`` row r of :func:`inverse_pair_block`, so each plane
+    word is one contiguous vector over the rows.  Plane p < (k+1)^2 has
+    the bit of a combo set when another point of the permutation lies in
+    box p of the combo's grid (the bit order of :class:`meshperm.mesh.ShadingSet`
     masks).  The planes above hold the bits of the combo's classical type
     id, low bit first; the padding bits of the last word read as the code
     with every type bit set, which no type id has.
@@ -146,12 +204,14 @@ def build_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[
     """
     if k not in SUPPORTED_LENGTHS:
         raise ValueError(f"tables support pattern lengths {SUPPORTED_LENGTHS}, not {k}")
-    cols = np.ascontiguousarray(perm_block(n, first).T)
+    cols = np.ascontiguousarray(_table_rows(n, first, inverse_pairs).T)
     combos = tuple(itertools.combinations(range(n), k))
     boxes = (k + 1) ** 2
-    planes = np.zeros(_table_shape(n, k, first), dtype=np.uint32)
+    planes = np.zeros(_table_shape(n, k, cols.shape[1]), dtype=np.uint32)
+    width = min(_CHUNK, cols.shape[1])
+    work = (np.empty((n, width), dtype=bool), np.empty((n + k + 1, width), dtype=np.uint32))
     for lo in range(0, planes.shape[2], _CHUNK):
-        _fill(planes[:, :, lo:lo + _CHUNK], cols[:, lo:lo + _CHUNK], k)
+        _fill(planes[:, :, lo:lo + _CHUNK], cols[:, lo:lo + _CHUNK], k, work)
     if k == 3:
         # the type planes hold the relations of _TYPE_PAIRS; in the type id
         # 2 * ([x>y] + [x>z]) + [y>z], bit 1 is the sum's low bit, bit 2 its carry
@@ -172,16 +232,22 @@ def build_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[
 _CHUNK = 16384
 
 
-def _fill(planes: np.ndarray, cols: np.ndarray, k: int) -> None:
+def _fill(planes: np.ndarray, cols: np.ndarray, k: int, work: tuple[np.ndarray, np.ndarray]) -> None:
     """Write the box planes of a zeroed (planes, words, rows) table, and in
     its type planes the slot relations of :data:`_TYPE_PAIRS`, for the
-    permutations whose values at each position are the rows of ``cols``."""
+    permutations whose values at each position are the rows of ``cols``.
+
+    ``work`` is a bool and a uint32 array with at least as many columns as
+    ``cols`` and n and n + k + 1 rows, written over: the build allocates
+    them once for all its passes.
+    """
     boxes = (k + 1) ** 2
     relations = {pair: planes[boxes + t] for t, pair in enumerate(_TYPE_PAIRS[k])}
-    scratch = np.empty(planes.shape[2:], dtype=np.uint32)
-    slot_words = np.empty((k, *planes.shape[2:]), dtype=np.uint32)
+    rows = cols.shape[1]
+    greater, words = work[0][:, :rows], work[1][:, :rows]
+    above, slot_words, scratch = words[:len(cols)], words[len(cols):-1], words[-1]
     for q in range(len(cols)):
-        above = np.negative(cols[q] > cols, dtype=np.uint32)
+        np.negative(np.greater(cols[q], cols, out=greater), dtype=np.uint32, out=above)
         for w, (slots, columns) in enumerate(_layout(len(cols), k)):
             below = [_gather(above, slot, out, scratch) for slot, out in zip(slots, slot_words)]
             for (s, t), relation in relations.items():
@@ -280,27 +346,31 @@ def _at_least(words: Sequence[np.ndarray]) -> list[np.ndarray]:
 _KEPT_TABLE_BYTES = 16 * 2**20
 
 
-def subseq_tables(n: int, k: int, first: int | None = None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """:func:`build_tables`, held for later calls with the same block.
+def subseq_tables(n: int, k: int, first: int | None = None,
+                  inverse_pairs: bool = False) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """:func:`build_tables`, held for later calls with the same block and rows.
 
     Tables that fit ``_KEPT_TABLE_BYTES`` (every block up to n = 9) are
     kept, so queries that revisit an n build each table once.  Above that
-    only the block asked for last is held, and dropped before the next is
+    only the table asked for last is held, and dropped before the next is
     built: a query that visits each block once builds each table once and
-    holds one at a time.  ``cache_info()`` and ``cache_clear()`` are those
-    of an ``lru_cache`` of the kept tables; :func:`clear_caches` drops the
-    held block too.
+    holds one at a time.  The budget is measured on the table's own rows,
+    so the smaller tables over :func:`inverse_pair_block` count as what
+    they are.  ``cache_info()`` and ``cache_clear()`` are those of an
+    ``lru_cache`` of the kept tables; :func:`clear_caches` drops the held
+    table too.
     """
-    if math.prod(_table_shape(n, k, first)) * 4 <= _KEPT_TABLE_BYTES:
-        return _kept_tables(n, k, first)
-    if (n, k, first) not in _last_table:
+    key = (n, k, first, inverse_pairs)
+    if math.prod(_table_shape(n, k, len(_table_rows(n, first, inverse_pairs)))) * 4 <= _KEPT_TABLE_BYTES:
+        return _kept_tables(*key)
+    if key not in _last_table:
         _last_table.clear()
-        _last_table[n, k, first] = build_tables(n, k, first)
-    return _last_table[n, k, first]
+        _last_table[key] = build_tables(*key)
+    return _last_table[key]
 
 
 # the lambda looks build_tables up at call time, as the held-block path does
-_kept_tables = functools.lru_cache(maxsize=None)(lambda n, k, first: build_tables(n, k, first))
+_kept_tables = functools.lru_cache(maxsize=None)(lambda *key: build_tables(*key))
 _last_table: dict = {}
 subseq_tables.cache_info = _kept_tables.cache_info
 subseq_tables.cache_clear = _kept_tables.cache_clear
@@ -407,11 +477,13 @@ def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[MeshPattern
         yield counted[tid]
 
 
-def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = None) -> list[np.ndarray]:
+def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = None,
+                  inverse_pairs: bool = False) -> list[np.ndarray]:
     """Occurrence counts of each pattern for every permutation in the block.
 
     Entry r of a vector corresponds to the rank-r permutation of the block
-    in lexicographic order (see :func:`meshperm.perms.lex_rank`).  The
+    in lexicographic order (see :func:`meshperm.perms.lex_rank`), or with
+    ``inverse_pairs`` to row r of :func:`inverse_pair_block`.  The
     patterns of each table length are counted by one
     :func:`occurrence_counts` call over the block's table from
     :func:`subseq_tables`, which holds it for the block's other queries,
@@ -424,10 +496,10 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
     for k in dict.fromkeys(len(p) for p in patterns):
         same = [p for p in patterns if len(p) == k]
         if k in SUPPORTED_LENGTHS:
-            _, planes = subseq_tables(n, k, first)
+            _, planes = subseq_tables(n, k, first, inverse_pairs)
             counted[k] = occurrence_counts(n, planes, same)
         else:
-            hosts = perm_block(n, first).tolist()
+            hosts = _table_rows(n, first, inverse_pairs).tolist()
             counted[k] = iter([np.array([count_occurrences(h, p) for h in hosts], dtype=np.int64) for p in same])
     return [next(counted[len(p)]) for p in patterns]
 
@@ -479,5 +551,6 @@ def clear_caches() -> None:
     cold: the tests call it to free the tables they built, and the
     benchmark before each pass."""
     perm_block.cache_clear()
+    inverse_pair_block.cache_clear()
     subseq_tables.cache_clear()
     _last_table.clear()

@@ -351,10 +351,11 @@ def run_cli_in_child(argv):
 
 @pytest.mark.long_running
 def test_long_running_scan_to_ten_in_bounded_memory(tmp_path):
-    # The full sweep to n = 10 in a fresh process (about 30 s); run with
+    # The full sweep to n = 10 in a fresh process (about 8 s); run with
     # ``pytest -m long_running``.  The scan holds one block table at a
-    # time: the child peaked at 216 MB on two cores, against 1326 MB when
-    # every block table stayed cached.
+    # time, over one permutation of each inverse pair: the child peaked at
+    # 164 MB on two cores, against 198 MB over every row of each block and
+    # 1326 MB when every block table stayed cached.
     out = tmp_path / "scan.jsonl"
     _, peak_mb = run_cli_in_child(["scan", "--max-n", "10", "--long", "--out", str(out)])
     verdicts = [json.loads(line)["verdict"] for line in out.read_text().splitlines()]
@@ -374,7 +375,8 @@ def test_long_running_scan_to_ten_in_bounded_memory(tmp_path):
     (["verify", "--pair-id", "13", "--n", "10"], "0c2b02f1b23cc740a3e02a37f62bb795"),
 ], ids=["dist", "joint", "verify"])
 def test_long_running_query_at_ten_in_bounded_memory(argv, md5):
-    # about 4-14 s each; 186, 209 and 342 MB peaks on two cores
+    # about 2-5 s each; 156, 161 and 319 MB peaks on two cores (dist and
+    # joint count over inverse pairs: 181 and 193 MB over every row)
     stdout, peak_mb = run_cli_in_child(argv)
     assert hashlib.md5(stdout).hexdigest() == md5, stdout[:200]
     assert peak_mb < 400, peak_mb

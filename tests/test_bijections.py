@@ -632,7 +632,8 @@ def test_verify_entry_builds_each_streamed_block_once(monkeypatch):
     # With the table budget at 0, S_9 streams as S_10 does: each block's
     # table is built once, for its counts and then its hosts' occurrences
     # (entry 39, pair_swap, and entry 41, a1_complement, read both), and
-    # only the last one is held.
+    # only the last one is held.  The keys end in False: verification reads
+    # the lex tables, not those over inverse_pair_block.
     monkeypatch.setenv("MESHPERM_MAX_N", "9")
     entries = [entry_by_id(eid) for eid in (13, 39, 41)]
     engine.clear_caches()
@@ -646,9 +647,9 @@ def test_verify_entry_builds_each_streamed_block_once(monkeypatch):
     for entry, report in zip(entries, expected):
         built.clear()
         assert verify_entry(entry, 9) == report, entry.id
-        assert built == [(9, 3, first) for first in engine.blocks(9)], entry.id
+        assert built == [(9, 3, first, False) for first in engine.blocks(9)], entry.id
     assert engine.subseq_tables.cache_info().currsize == 0
-    assert list(engine._last_table) == [(9, 3, 9)]
+    assert list(engine._last_table) == [(9, 3, 9, False)]
     engine.clear_caches()
 
 

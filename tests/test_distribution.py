@@ -13,10 +13,11 @@ import pytest
 import sympy
 
 from meshperm import engine
-from meshperm.catalog import entry_by_id
+from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.distribution import (
     CapExceededError,
     _joint_bincount,
+    _joint_histogram,
     _pair_histograms,
     _scan_block,
     avoidance_sequence,
@@ -29,7 +30,14 @@ from meshperm.distribution import (
     scan_symmetric_pairs,
     stirling_first_kind,
 )
-from meshperm.mesh import MeshPattern, ShadingSet, count_occurrences, parse_pattern
+from meshperm.mesh import (
+    MeshPattern,
+    ShadingSet,
+    count_occurrences,
+    parse_pattern,
+    symmetric_shadings,
+    transform_pattern,
+)
 from meshperm.perms import enumerate_sn
 
 P123 = parse_pattern("123|")
@@ -177,32 +185,118 @@ def test_scan_symmetric_pairs_counts():
 
 
 def test_scan_block_matches_the_count_vectors():
-    # the scan kernel shares one OR of the shaded planes between 123 and 132;
-    # on an n = 9 block it must give count_vector's histograms for both, in
-    # rows 2i and 2i + 1 of one array
+    # the scan kernel counts (123, R) and (132, R) over the block's rows of
+    # inverse_pair_block and shares one OR of the shaded planes between
+    # them; on an n = 9 block each of its rows must be count_vector's
+    # histogram of the same hosts, read at their lex ranks, with every
+    # non-involution p also binned as p^-1: twice for a symmetric R, and
+    # from the counts of R^T for the asymmetric one
     n, first = 9, 4
     shadings = [ShadingSet.empty(3), ShadingSet.full(3)]
     shadings += [entry_by_id(i).patterns()[0].shading for i in (23, 87)]
+    shadings.append(ShadingSet.from_boxes(3, [(0, 3), (1, 1)]))
     hists = _scan_block((n, first, tuple(s.mask for s in shadings)))
     width = math.comb(n, 3) + 1
     assert hists.shape == (2 * len(shadings), width)
-    rows = iter(hists.tolist())
+    rows, involutions = engine.inverse_pair_block(n, first)
+    at = engine.lex_ranks(rows) - engine.lex_ranks(engine.perm_block(n, first)[:1])[0]
+    hist_rows = iter(hists.tolist())
     for shading in shadings:
         for tau in ((1, 2, 3), (1, 3, 2)):
-            vec = engine.count_vector(n, MeshPattern(tau, shading), first)
-            assert next(rows) == np.bincount(vec, minlength=width).tolist(), (shading, tau)
+            own = engine.count_vector(n, MeshPattern(tau, shading), first)[at]
+            flipped = engine.count_vector(n, MeshPattern(tau, shading.transposed()), first)[at]
+            expected = (np.bincount(own, minlength=width) + np.bincount(flipped, minlength=width)
+                        - np.bincount(flipped[:involutions], minlength=width))
+            assert next(hist_rows) == expected.tolist(), (shading, tau)
     engine.clear_caches()
+
+
+def lex_histograms(n, masks):
+    """The rows of ``_pair_histograms`` for ``masks``, from count_vector's
+    lex tables: the histograms of (123, R) and (132, R) over S_n."""
+    width = math.comb(n, 3) + 1
+    return np.array([sum(np.bincount(engine.count_vector(n, MeshPattern(tau, ShadingSet(3, mask)), first),
+                                     minlength=width) for first in engine.blocks(n))
+                     for mask in masks for tau in ((1, 2, 3), (1, 3, 2))])
 
 
 def test_pair_histograms_sum_the_blocks_of_s9():
     # the scan adds the histograms of the nine blocks of S_9 into each
-    # pattern's distribution over all of S_9
+    # pattern's distribution over all of S_9, the lex tables' histograms
     masks = (ShadingSet.empty(3).mask, entry_by_id(23).patterns()[0].shading.mask)
-    rows = iter(_pair_histograms(9, masks, jobs=1).tolist())
-    for mask in masks:
-        for tau in ((1, 2, 3), (1, 3, 2)):
-            counts = distribution(MeshPattern(tau, ShadingSet(3, mask)), 9, cap=9).counts
-            assert next(rows) == [counts.get(k, 0) for k in range(math.comb(9, 3) + 1)], (mask, tau)
+    assert np.array_equal(_pair_histograms(9, masks, jobs=1), lex_histograms(9, masks))
+    engine.clear_caches()
+
+
+def test_pair_histograms_equal_the_lex_tables_for_every_symmetric_shading():
+    masks = tuple(s.mask for s in symmetric_shadings(3))
+    for n in range(8):
+        assert np.array_equal(_pair_histograms(n, masks, jobs=1), lex_histograms(n, masks)), n
+    engine.clear_caches()
+
+
+def test_scan_from_four_skips_sizes_that_cannot_separate_a_pair():
+    # below 4 every shading gives (123, R) and (132, R) one histogram, so
+    # the scan starts at n = 4 with the same verdicts
+    masks = tuple(s.mask for s in symmetric_shadings(3))
+    for n in range(4):
+        hists = _pair_histograms(n, masks, jobs=1)
+        assert np.array_equal(hists[0::2], hists[1::2]), n
+    assert all(r.equidistributed for r in scan_symmetric_pairs(3))
+
+
+def lex_joint_histogram(p1, p2, n):
+    """The joint histogram of two patterns from count_vectors' lex tables."""
+    widths = tuple(math.comb(n, len(p)) + 1 for p in (p1, p2))
+    return sum(_joint_bincount(*engine.count_vectors(n, (p1, p2), first), widths) for first in engine.blocks(n))
+
+
+def assert_inverse_pair_histograms_match_the_lex_tables(entries, n):
+    for entry in entries:
+        p1, p2 = entry.patterns()
+        lex = lex_joint_histogram(p1, p2, n)
+        assert np.array_equal(_joint_histogram(p1, p2, n, n), lex), (entry.id, n)
+        for pattern, marginal in ((p1, lex.sum(axis=1)), (p2, lex.sum(axis=0))):
+            assert distribution(pattern, n, cap=n).counts == {k: c for k, c in enumerate(marginal.tolist()) if c}
+
+
+def test_inverse_pair_histograms_equal_the_lex_tables_for_every_catalog_entry():
+    # the 37 entries whose patterns are not their own inverses (101-136 and
+    # the length-2 entry 303) count P and P' = inverse(P); the others once
+    entries = load_catalog()
+    flipped = [e.id for e in entries if any(transform_pattern(p, "inverse") != p for p in e.patterns())]
+    assert flipped == [*range(101, 137), 303]
+    for n in range(9):
+        assert_inverse_pair_histograms_match_the_lex_tables(entries, n)
+    engine.clear_caches()
+
+
+@pytest.mark.long_running
+def test_long_running_inverse_pair_histograms_of_non_invariant_entries_at_nine():
+    # the 37 entries whose patterns are not their own inverses, over the
+    # nine blocks of S_9 (about 2 s)
+    entries = [e for e in load_catalog() if any(transform_pattern(p, "inverse") != p for p in e.patterns())]
+    assert len(entries) == 37
+    assert_inverse_pair_histograms_match_the_lex_tables(entries, 9)
+    engine.clear_caches()
+
+
+def test_histograms_build_each_streamed_inverse_pair_table_once(monkeypatch):
+    # With the table budget at 0, S_9 streams as S_10 does: a joint query
+    # builds each block's table over inverse pairs once, for the pair and
+    # its inverse patterns (entry 110 is not its own inverse), and holds
+    # only the last one.
+    p1, p2 = entry_by_id(110).patterns()
+    expected = joint_distribution(p1, p2, 9, cap=9)
+    engine.clear_caches()
+    built = []
+    build_tables = engine.build_tables
+    monkeypatch.setattr(engine, "_KEPT_TABLE_BYTES", 0)
+    monkeypatch.setattr(engine, "build_tables", lambda *key: built.append(key) or build_tables(*key))
+    assert joint_distribution(p1, p2, 9, cap=9) == expected
+    assert built == [(9, 3, first, True) for first in engine.blocks(9)]
+    assert engine.subseq_tables.cache_info().currsize == 0
+    assert list(engine._last_table) == [(9, 3, 9, True)]
     engine.clear_caches()
 
 

@@ -45,6 +45,74 @@ def test_perm_block_matches_itertools_on_every_block():
     engine.clear_caches()
 
 
+def involution_count(n):
+    """Involutions of S_n: I(n) = I(n - 1) + (n - 1) I(n - 2)."""
+    a, b = 1, 1
+    for m in range(2, n + 1):
+        a, b = b, b + (m - 1) * a
+    return b
+
+
+def test_inverse_pair_block_keeps_the_smaller_permutation_of_each_inverse_pair():
+    # over every block key of S_0..S_9, and the per-first-value blocks below
+    # the split: the rows with p <=_lex p^-1, involutions first and each
+    # part in lexicographic order, one row per pair over the blocks of S_n
+    for n in range(10):
+        keys = [engine.blocks(n)] if n > engine._SINGLE_BLOCK_MAX else [(None,), range(1, n + 1)][:1 + (n > 0)]
+        for firsts in keys:
+            ranks = []
+            for first in firsts:
+                rows, involutions = engine.inverse_pair_block(n, first)
+                assert rows.dtype == np.int8 and not rows.flags.writeable, (n, first)
+                inverses = np.argsort(rows, axis=1).astype(np.int8) + 1
+                assert np.array_equal(rows[:involutions], inverses[:involutions]), (n, first)
+                if n > 1:
+                    others, their_inverses = rows[involutions:], inverses[involutions:]
+                    differ = others != their_inverses
+                    assert differ.any(axis=1).all(), (n, first)
+                    at = differ.argmax(axis=1)[:, None]
+                    assert np.all(np.take_along_axis(others, at, 1) < np.take_along_axis(their_inverses, at, 1))
+                for part in (rows[:involutions], rows[involutions:]):
+                    part_ranks = engine.lex_ranks(part)
+                    assert np.all(np.diff(part_ranks) > 0), (n, first)
+                    ranks.append(part_ranks)
+                if first is not None:
+                    assert np.all(rows[:, 0] == first)
+            ranks = np.concatenate(ranks)
+            assert len(np.unique(ranks)) == len(ranks) == (math.factorial(n) + involution_count(n)) // 2, n
+    assert [involution_count(n) for n in range(7)] == [1, 1, 2, 4, 10, 26, 76]
+    engine.clear_caches()
+
+
+def test_inverse_pair_tables_are_the_rows_of_the_lex_tables():
+    # a table over the representatives is the lex table of the block read at
+    # their ranks, bit for bit
+    for n, first in ((6, None), (9, 2)):
+        for k in (2, 3):
+            _, planes = engine.build_tables(n, k, first)
+            _, pairs = engine.subseq_tables(n, k, first, inverse_pairs=True)
+            rows, _ = engine.inverse_pair_block(n, first)
+            offset = engine.lex_ranks(engine.perm_block(n, first)[:1])[0]
+            assert np.array_equal(pairs, planes[:, :, engine.lex_ranks(rows) - offset]), (n, first, k)
+            assert pairs.shape[2] == len(rows) < planes.shape[2]
+    assert engine.subseq_tables(9, 3, 2, True) is engine.subseq_tables(9, 3, 2, inverse_pairs=True)
+    engine.clear_caches()
+
+
+def test_subseq_tables_budget_counts_the_rows_of_the_table(monkeypatch):
+    # the budget is measured on the table's own rows: under 1 MB the table
+    # over the 2636 inverse-pair rows of the last block of S_9 is kept, and
+    # the lex table of its 40320 rows only held
+    engine.clear_caches()
+    monkeypatch.setattr(engine, "_KEPT_TABLE_BYTES", 2**20)
+    _, pairs = engine.subseq_tables(9, 3, 9, inverse_pairs=True)
+    assert pairs.shape[2] == 2636 and engine.subseq_tables.cache_info().currsize == 1
+    _, lex = engine.subseq_tables(9, 3, 9)
+    assert lex.nbytes > 2**20 and list(engine._last_table) == [(9, 3, 9, False)]
+    assert engine.subseq_tables.cache_info().currsize == 1
+    engine.clear_caches()
+
+
 def test_pattern_type_ids_distinct():
     ids = {engine.pattern_type_id(tau) for tau in enumerate_sn(3)}
     assert len(ids) == 6
