@@ -5,7 +5,7 @@ the number of occurrences of the first pattern in pi equals the number of
 occurrences of the second pattern in pi', and vice versa.  Each transform
 belongs to a family keyed by the structure of the shading it supports.
 :data:`FAMILIES` is the registry: one row per family with its accept rule,
-its transform builder and its block map.  :func:`transform_for` resolves a
+its per-host map and its block map.  :func:`transform_for` resolves a
 catalog family record through it, and :func:`verify_pair` checks
 exhaustively over S_n that a transform is a bijection, swaps the counts and
 is its own inverse: every family's transform is an involution.  The
@@ -711,10 +711,6 @@ def _block_sweep_block(n: int, first: int | None, shading: ShadingSet) -> np.nda
 # ---------------------------------------------------------------------------
 # the family registry
 
-#: A family's transform builder: (accepted shading, occurrence provider) -> transform.
-Build = Callable[[ShadingSet, OccurrenceProvider], Transform]
-
-
 #: A family's block map: (n, block key, accepted shading) -> the images of
 #: the block's hosts, the rows of :func:`meshperm.engine.perm_block`, as a
 #: (rows, n) int8 array.
@@ -727,60 +723,45 @@ class Family:
 
     ``accepts`` tells whether the family handles a shading; a shading
     carries its pattern length, so the rule fixes the length too.
-    ``build`` turns an accepted shading and an occurrence provider into the
-    transform, which checks nothing further per host; families that read no
-    occurrences ignore the provider.  The transform is the family's
-    definition.  ``block_map`` computes the same images for a whole block
-    of S_n at once, and :func:`verify_entry` uses it.  Every family's
+    ``transform(p, shading, provider)`` maps one host under an accepted
+    shading, which it checks no further; families that read no occurrences
+    ignore the provider.  The transform is the family's definition.
+    ``block_map(n, first, shading)`` computes the same images for a whole
+    block of S_n at once, and :func:`verify_entry` uses it.  Every family's
     transform is its own inverse.
     """
 
     name: str
     accepts: Callable[[ShadingSet], bool]
-    build: Build
+    transform: Callable[[Sequence[int], ShadingSet, OccurrenceProvider], Perm]
     block_map: BlockMap
 
 
-def _fixed(transform: Transform) -> Build:
-    """Build rule of a family whose map is the same for every shading."""
-    return lambda shading, provider: transform
-
-
-def _with_shading(transform: Callable[[Sequence[int], ShadingSet, OccurrenceProvider], Perm]) -> Build:
-    """Build rule of a family whose map reads the shading's occurrences."""
-    return lambda shading, provider: functools.partial(transform, shading=shading, provider=provider)
-
-
-def _build_len2_reduction(shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
+def _len2_reduction(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
     sweep = _len2_sweep if shading.k == 2 else _prepend_one_sweep
-    return functools.partial(sweep, frame=_PREPEND_ONE_FRAMES[shading])
+    return sweep(p, _PREPEND_ONE_FRAMES[shading])
 
 
-def _build_per_interval_len2(shading: ShadingSet, provider: OccurrenceProvider) -> Transform:
-    return functools.partial(_per_interval_sweep, frame=_INTERVAL_FRAMES[shading])
+def _per_interval_len2(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider) -> Perm:
+    return _per_interval_sweep(p, _INTERVAL_FRAMES[shading])
 
 
-#: The five occurrence-swapping families run the block sweep behind different
-#: accept rules.
-_build_block_sweep = _with_shading(_block_sweep)
-
-
-#: The family registry, one row per family; FAMILY_NAMES lists the rows in this order.
+#: The family registry, one row per family; FAMILY_NAMES lists the rows in this
+#: order.  The five occurrence-swapping families run the block sweep behind
+#: different accept rules.
 FAMILIES = (
-    Family("direct", lambda s: s.k == 3, _build_block_sweep, _block_sweep_block),
-    Family("oth1", lambda s: s == _OTH1_SHADING, _build_block_sweep, _block_sweep_block),
-    Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, _fixed(complement_after_one),
+    Family("direct", lambda s: s.k == 3, _block_sweep, _block_sweep_block),
+    Family("oth1", lambda s: s == _OTH1_SHADING, _block_sweep, _block_sweep_block),
+    Family("complement_after_one", lambda s: s in _AFTER_ONE_SHADINGS, lambda p, *_: complement_after_one(p),
            _complement_after_one_block),
-    Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _build_len2_reduction, _len2_reduction_block),
-    Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, _fixed(ltr_interval_complement),
+    Family("len2_reduction", lambda s: s in _PREPEND_ONE_FRAMES, _len2_reduction, _len2_reduction_block),
+    Family("ltr_interval_complement", lambda s: s in _LTR_SHADINGS, lambda p, *_: ltr_interval_complement(p),
            _ltr_interval_complement_block),
-    Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _build_per_interval_len2,
-           _per_interval_len2_block),
-    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _build_block_sweep, _block_sweep_block),
-    Family("a1_complement", lambda s: s in _A1_SHADINGS, _with_shading(_a1_complement), _a1_complement_block),
-    Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _build_block_sweep, _block_sweep_block),
-    Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _build_block_sweep,
-           _block_sweep_block),
+    Family("per_interval_len2", lambda s: s in _INTERVAL_FRAMES, _per_interval_len2, _per_interval_len2_block),
+    Family("pair_swap", lambda s: s in _PAIR_SWAP_SHADINGS, _block_sweep, _block_sweep_block),
+    Family("a1_complement", lambda s: s in _A1_SHADINGS, _a1_complement, _a1_complement_block),
+    Family("nine_box", lambda s: s in _NINE_BOX_SHADINGS, _block_sweep, _block_sweep_block),
+    Family("per_interval_nine_box", lambda s: s in _INTERVAL_BLOCK_SHADINGS, _block_sweep, _block_sweep_block),
 )
 
 _BY_NAME = {family.name: family for family in FAMILIES}
@@ -811,7 +792,8 @@ def transform_for(family: dict, shading: ShadingSet, provider: OccurrenceProvide
     :class:`UnsupportedShadingError` when the shading does not have the
     structure the family requires, and ValueError for unknown names.
     """
-    return _accepting(family.get("name"), shading).build(shading, provider)
+    transform = _accepting(family.get("name"), shading).transform
+    return lambda p: transform(p, shading, provider)
 
 
 def apply_family(entry, p: Sequence[int]) -> Perm:

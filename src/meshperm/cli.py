@@ -12,6 +12,7 @@ import sys
 
 from . import bijections, catalog
 from .distribution import (
+    DEFAULT_MAX_N,
     CapExceededError,
     avoidance_sequence,
     bell,
@@ -24,7 +25,7 @@ from .distribution import (
     stirling_first_kind,
 )
 from .mesh import count_occurrences, parse_pattern, pattern_literal
-from .perms import EnumerationCapError, Perm, format_perm, is_perm, parse_perm
+from .perms import Perm, format_perm, is_perm, parse_perm
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -80,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_pair, n_arg="max_n")
 
     p = sub.add_parser("scan", help="scan all 1024 inverse-symmetric shadings of length 3")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--long", action="store_true", help="confirm a long run (n >= 9)")
     p.add_argument("--out", help="write the JSON-lines report here instead of stdout")
@@ -272,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _UsageError as exc:
         parser.error(str(exc))
-    except (CapExceededError, EnumerationCapError) as exc:
+    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except bijections.UnsupportedShadingError as exc:

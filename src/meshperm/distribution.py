@@ -25,16 +25,12 @@ import numpy as np
 
 from . import engine
 from .mesh import MeshPattern, ShadingSet, is_antidiagonal_symmetric, symmetric_shadings, transform_pattern
-from .perms import HARD_ENUMERATION_CAP
+from .perms import HARD_ENUMERATION_CAP, CapExceededError
 
 DEFAULT_MAX_N = 8
 
 #: n at which the scan switches to the long-running code path.
 LONG_RUN_THRESHOLD = 9
-
-
-class CapExceededError(ValueError):
-    """Raised when a request would enumerate beyond the active size cap."""
 
 
 def effective_cap() -> int:

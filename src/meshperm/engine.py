@@ -79,8 +79,13 @@ def perm_block(n: int, first: int | None = None) -> np.ndarray:
 
 
 def _block_rows(n: int, first: int | None) -> np.ndarray:
-    """A new array of the rows of :func:`perm_block`."""
-    return _lex_sn(n) if first is None else _prefixed(_lex_sn(n - 1), first)
+    """A new array of the rows of :func:`perm_block`: S_(n-1), cached,
+    with ``first`` put in front, and S_n as those blocks in turn."""
+    if first is not None:
+        return _prefixed(perm_block(n - 1, None), first)
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    return np.concatenate([_block_rows(n, v) for v in range(1, n + 1)])
 
 
 @functools.lru_cache(maxsize=64)
@@ -118,15 +123,6 @@ def inverse_pair_block(n: int, first: int | None = None) -> tuple[np.ndarray, in
         involutions = int(np.count_nonzero(involution))
     rows.setflags(write=False)
     return rows, involutions
-
-
-def _lex_sn(m: int) -> np.ndarray:
-    """S_m in lexicographic order: for each first value v in turn, S_(m-1)
-    with its entries from v up raised by one."""
-    block = np.zeros((1, 0), dtype=np.int8)
-    for size in range(1, m + 1):
-        block = np.concatenate([_prefixed(block, v) for v in range(1, size + 1)])
-    return block
 
 
 def _prefixed(rest: np.ndarray, first: int) -> np.ndarray:

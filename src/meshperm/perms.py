@@ -16,8 +16,9 @@ Perm = tuple[int, ...]
 HARD_ENUMERATION_CAP = 10
 
 
-class EnumerationCapError(ValueError):
-    """Raised when an S_n enumeration would exceed the hard size cap."""
+class CapExceededError(ValueError):
+    """Raised when a request would enumerate beyond a size cap: the hard
+    cap here, or the active cap of :mod:`meshperm.distribution`."""
 
 
 def is_perm(values: Sequence[int]) -> bool:
@@ -143,7 +144,7 @@ def enumerate_sn(n: int, *, force: bool = False) -> Iterator[Perm]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > HARD_ENUMERATION_CAP and not force:
-        raise EnumerationCapError(
+        raise CapExceededError(
             f"refusing to enumerate S_{n} (> {HARD_ENUMERATION_CAP}); pass force=True to override"
         )
     yield from itertools.permutations(range(1, n + 1))

@@ -19,6 +19,7 @@ import pytest
 
 import meshperm
 from meshperm import bijections as bj
+from meshperm import engine
 from meshperm.bijections import UnsupportedShadingError, transform_for, verify_entry, verify_pair
 from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.distribution import (
@@ -285,16 +286,26 @@ def test_criterion_11_mask_equivalence_invariant():
 
 def test_criterion_11_involution_invariant():
     done = elapsed_under(300)
+    # The bulk reads each host's occurrences from the engine tables, which
+    # test_pair_hits_match_the_finder pins against the finder on S_0..S_6.
     for entry in PROVED:
-        f = transform_for(entry.family, entry.patterns()[0].shading)
+        shading = entry.patterns()[0].shading
+        f = transform_for(entry.family, shading, table_provider(6, shading))
         for host in enumerate_sn(6):
             assert f(f(host)) == host, entry.id
     # One representative per involution family at n = 7.
-    for eid in (2, 12, 13, 19, 23, 30, 39, 41, 46, 74):
-        entry = entry_by_id(eid)
-        f = transform_for(entry.family, entry.patterns()[0].shading)
+    representatives = [entry_by_id(eid) for eid in (2, 12, 13, 19, 23, 30, 39, 41, 46, 74)]
+    assert {e.family["name"] for e in representatives} == set(bj.FAMILY_NAMES)
+    for entry in representatives:
+        shading = entry.patterns()[0].shading
+        f = transform_for(entry.family, shading, table_provider(7, shading))
         for host in enumerate_sn(7):
-            assert f(f(host)) == host, eid
+            assert f(f(host)) == host, entry.id
+    # The same representatives on S_6 with the pure-Python finder.
+    for entry in representatives:
+        f = transform_for(entry.family, entry.patterns()[0].shading)
+        for host in enumerate_sn(6):
+            assert f(f(host)) == host, entry.id
     done()
 
 
@@ -310,13 +321,17 @@ def test_criterion_11_occurrence_free_identity_invariant():
         "per_interval_nine_box",
     )
     entries = [e for e in load_catalog() if e.family and e.family["name"] in occurrence_driven]
+    # The hosts free of both patterns are read from the engine's count
+    # vectors, and the maps read occurrences from its tables; both are
+    # pinned against the finder (test_engine, test_pair_hits_match_the_finder).
     for entry in entries:
         p1, p2 = entry.patterns()
-        f = transform_for(entry.family, p1.shading)
         for n in range(1, 7):
-            for host in enumerate_sn(n):
-                if count_occurrences(host, p1) == 0 and count_occurrences(host, p2) == 0:
-                    assert f(host) == host, (entry.id, host)
+            f = transform_for(entry.family, p1.shading, table_provider(n, p1.shading))
+            occ1, occ2 = engine.count_vectors(n, (p1, p2))
+            hosts = engine.perm_block(n, None)[(occ1 == 0) & (occ2 == 0)].tolist()
+            for host in map(tuple, hosts):
+                assert f(host) == host, (entry.id, host)
     done()
 
 

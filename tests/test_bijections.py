@@ -197,10 +197,9 @@ def host_and_block_images(family, shading, n, first):
     """The images of a block's hosts under a family's per-host map for
     ``shading``, walked on occurrences read from the block's table, and
     under its block map."""
-    family = bj._BY_NAME[family]
-    transform = family.build(shading, table_provider(n, shading, first) if shading.k == 3 else None)
+    transform = transform_for({"name": family}, shading, table_provider(n, shading, first) if shading.k == 3 else None)
     walked = np.array([transform(host) for host in bj._hosts(n, first)], dtype=np.int8)
-    return walked.reshape(len(engine.perm_block(n, first)), n), family.block_map(n, first, shading)
+    return walked.reshape(len(engine.perm_block(n, first)), n), bj._BY_NAME[family].block_map(n, first, shading)
 
 
 def test_block_maps_match_the_host_maps_on_small_n():

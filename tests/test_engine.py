@@ -45,6 +45,19 @@ def test_perm_block_matches_itertools_on_every_block():
     engine.clear_caches()
 
 
+def test_blocks_of_s9_build_the_rows_of_s8_once(monkeypatch):
+    # every block of S_9 puts its first value in front of S_8, and the
+    # eight blocks of S_8 over S_7 are built once for all nine
+    engine.clear_caches()
+    prefixed, shapes = engine._prefixed, []
+    monkeypatch.setattr(engine, "_prefixed", lambda rest, first: shapes.append(rest.shape) or prefixed(rest, first))
+    for first in engine.blocks(9):
+        engine.perm_block(9, first)
+    assert shapes.count((math.factorial(7), 7)) == 8
+    assert shapes.count((math.factorial(8), 8)) == 9
+    engine.clear_caches()
+
+
 def involution_count(n):
     """Involutions of S_n: I(n) = I(n - 1) + (n - 1) I(n - 2)."""
     a, b = 1, 1

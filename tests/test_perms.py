@@ -3,7 +3,7 @@
 import pytest
 
 from meshperm.perms import (
-    EnumerationCapError,
+    CapExceededError,
     as_perm,
     complement,
     complement_on_set,
@@ -91,7 +91,7 @@ def test_enumerate_sn_lex_order_and_counts():
 
 
 def test_enumeration_cap():
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(CapExceededError):
         list(enumerate_sn(11))
     # force bypasses the guard; just check the generator starts.
     gen = enumerate_sn(11, force=True)
