@@ -445,19 +445,6 @@ _A1_SHADINGS = frozenset(
 )
 
 
-def _a1_complement_raw(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Perm:
-    """Complement, as a set, the values serving as second or third entries.
-
-    This naive reading of the tail-complement rule swaps the counts for small
-    n but is not a bijection in general; it is kept so that
-    :func:`verify_pair` can demonstrate the failure on the refuted shadings.
-    """
-    values = {p[q - 1] for occ in provider(p, shading) for q in occ[1:]}
-    if not values:
-        return tuple(p)
-    return complement_on_set(p, values)
-
-
 def _largest_block(p: Sequence[int], lo_a: int, hi_a: int, lo_b: int, hi_b: int) -> tuple[int, int] | None:
     """Longest position interval [a, b] with a in [lo_a, hi_a] and b in
     [lo_b, hi_b] whose values form an interval, or None."""
@@ -905,29 +892,33 @@ def _verify(
     a map that reads the block's table finds it built by the counts."""
     check_cap(n)
     keys = engine.blocks(n)
-    # every block holds the same number of hosts, and 10! < 2^31
-    occ1, occ2, image = np.empty((3, math.factorial(n)), dtype=np.int32)
+    # every block holds the same number of hosts; 10! < 2^31, and no count
+    # in S_n exceeds C(10, 5) = 252 under the cap
+    occ1, occ2 = np.empty((2, math.factorial(n)), dtype=np.uint8)
+    image = np.empty(len(occ1), dtype=np.int32)
     rows = len(image) // len(keys)
     for b, first in enumerate(keys):
         block = slice(b * rows, (b + 1) * rows)
         occ1[block], occ2[block] = engine.count_vectors(n, (pattern1, pattern2), first)
         image[block] = image_ranks(first)
     inside = image >= 0
-    first_hit = np.zeros(len(image), dtype=bool)
-    first_hit[np.unique(image, return_index=True)[1]] = True
-    # a host is non-bijective when its image is outside S_n or repeats an earlier host's
-    not_bijective = ~(inside & first_hit)
     s = np.where(inside, image, 0)
     no_swap = inside & ((occ1 != occ2[s]) | (occ2 != occ1[s]))
     no_inverse = inside & (image[s] != np.arange(len(image)))
-    bad = not_bijective | no_swap | no_inverse
+    # A map of S_n into itself is a bijection when it hits every rank.  A
+    # host h that repeats the image x of an earlier host g is no earlier
+    # witness than the first bad host: if image[x] = g, h fails the inverse
+    # check, and otherwise g does.
+    hit = np.zeros(len(image), dtype=bool)
+    hit[s] = True
+    bad = ~inside | no_swap | no_inverse
     witness = None
     if bad.any():
         block, row = divmod(int(bad.argmax()), rows)
         witness = tuple(engine.perm_block(n, keys[block])[row].tolist())
     if not inside.any():
         return VerificationReport(n, False, None, None, witness)
-    return VerificationReport(n, not not_bijective.any(), not no_swap.any(), not no_inverse.any(), witness)
+    return VerificationReport(n, bool(inside.all() and hit.all()), not no_swap.any(), not no_inverse.any(), witness)
 
 
 def verify_entry(entry, n: int) -> VerificationReport:

@@ -96,10 +96,6 @@ def entry_by_id(entry_id: int) -> CatalogEntry:
     raise KeyError(f"no catalog entry with id {entry_id}")
 
 
-def entries_in_table(table: str) -> tuple[CatalogEntry, ...]:
-    return tuple(e for e in load_catalog() if e.table == table)
-
-
 def validate_catalog(entries: tuple[CatalogEntry, ...] | None = None) -> list[str]:
     """Structural validation; returns a list of problems (empty when valid)."""
     if entries is None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 from collections.abc import Iterable, Sequence
 
 from .perms import Perm, as_perm, complement as perm_complement, inverse as perm_inverse, reverse as perm_reverse
@@ -280,12 +279,3 @@ def pattern_literal(pattern: MeshPattern) -> str:
     """Inverse of :func:`parse_pattern`."""
     tau = "".join(map(str, pattern.tau)) if len(pattern) < 10 else ",".join(map(str, pattern.tau))
     return f"{tau}|{boxes_literal(pattern.shading)}"
-
-
-def pattern_to_json(pattern: MeshPattern) -> str:
-    return json.dumps({"tau": list(pattern.tau), "boxes": [list(b) for b in pattern.shading.boxes()]})
-
-
-def pattern_from_json(text: str) -> MeshPattern:
-    data = json.loads(text)
-    return MeshPattern.of(data["tau"], (tuple(b) for b in data["boxes"]))

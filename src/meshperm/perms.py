@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
-#: Largest n for which full S_n enumeration is allowed without force=True.
+#: Largest n for which full S_n enumeration is allowed.
 HARD_ENUMERATION_CAP = 10
 
 
@@ -136,17 +136,15 @@ def standardize(seq: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in seq)
 
 
-def enumerate_sn(n: int, *, force: bool = False) -> Iterator[Perm]:
+def enumerate_sn(n: int) -> Iterator[Perm]:
     """Yield S_n in lexicographic order.
 
-    Enumeration beyond n = HARD_ENUMERATION_CAP is refused unless forced.
+    Enumeration beyond n = HARD_ENUMERATION_CAP is refused.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > HARD_ENUMERATION_CAP and not force:
-        raise CapExceededError(
-            f"refusing to enumerate S_{n} (> {HARD_ENUMERATION_CAP}); pass force=True to override"
-        )
+    if n > HARD_ENUMERATION_CAP:
+        raise CapExceededError(f"refusing to enumerate S_{n} (> {HARD_ENUMERATION_CAP})")
     yield from itertools.permutations(range(1, n + 1))
 
 

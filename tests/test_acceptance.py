@@ -38,7 +38,7 @@ from meshperm.mesh import (
     parse_pattern,
     transform_pattern,
 )
-from meshperm.perms import complement, enumerate_sn, inverse, reverse, standardize
+from meshperm.perms import complement, complement_on_set, enumerate_sn, inverse, reverse, standardize
 
 from hit_lists import table_provider
 
@@ -166,6 +166,19 @@ def test_criterion_08_worked_examples():
     done()
 
 
+def a1_complement_raw(p, shading, provider=bj._pair_occurrences):
+    """Complement, as a set, the values serving as second or third entries.
+
+    This naive reading of the tail-complement rule swaps the counts for small
+    n but is not a bijection in general; :func:`verify_pair` demonstrates the
+    failure on the refuted shadings.
+    """
+    values = {p[q - 1] for occ in provider(p, shading) for q in occ[1:]}
+    if not values:
+        return tuple(p)
+    return complement_on_set(p, values)
+
+
 def test_criterion_09_counterexamples():
     done = elapsed_under(120)
     e201, e202 = entry_by_id(201), entry_by_id(202)
@@ -181,10 +194,10 @@ def test_criterion_09_counterexamples():
     p1, p2 = e202.patterns()
     shading = p1.shading
     tables = table_provider(8, shading)
-    report = verify_pair(p1, p2, lambda p: bj._a1_complement_raw(p, shading, tables), 8)
+    report = verify_pair(p1, p2, lambda p: a1_complement_raw(p, shading, tables), 8)
     assert report.joint_swap is False
     witness = (2, 5, 1, 7, 8, 6, 4, 3)
-    image = bj._a1_complement_raw(witness, shading)
+    image = a1_complement_raw(witness, shading)
     assert image == (2, 5, 1, 4, 3, 6, 7, 8)
     w_counts = (count_occurrences(witness, p1), count_occurrences(witness, p2))
     i_counts = (count_occurrences(image, p1), count_occurrences(image, p2))
@@ -390,7 +403,7 @@ def test_long_running_scan_to_ten_in_bounded_memory(tmp_path):
     (["verify", "--pair-id", "13", "--n", "10"], "0c2b02f1b23cc740a3e02a37f62bb795"),
 ], ids=["dist", "joint", "verify"])
 def test_long_running_query_at_ten_in_bounded_memory(argv, md5):
-    # about 2-5 s each; 156, 161 and 319 MB peaks on two cores (dist and
+    # about 1-2 s each; 160, 164 and 263 MB peaks on two cores (dist and
     # joint count over inverse pairs: 181 and 193 MB over every row)
     stdout, peak_mb = run_cli_in_child(argv)
     assert hashlib.md5(stdout).hexdigest() == md5, stdout[:200]
@@ -399,14 +412,24 @@ def test_long_running_query_at_ten_in_bounded_memory(argv, md5):
 
 @pytest.mark.long_running
 def test_long_running_every_family_entry_is_an_involution_at_seven():
-    # f(f(p)) == p on all of S_7 for each of the 111 entries with a family
-    # (about 220 s); run with ``pytest -m long_running``.
+    # f(f(p)) == p on all of S_7 for each of the 111 entries with a family;
+    # run with ``pytest -m long_running``.  The first entry of each family
+    # reads its occurrences from the pure-Python finder; the others read
+    # them from the engine tables, which test_pair_hits_match_the_finder
+    # pins against the finder.
     entries = [e for e in load_catalog() if e.family]
     assert len(entries) == 111
+    finder_path = set()
     for entry in entries:
-        f = transform_for(entry.family, entry.patterns()[0].shading)
+        shading = entry.patterns()[0].shading
+        if entry.family["name"] in finder_path:
+            f = transform_for(entry.family, shading, table_provider(7, shading))
+        else:
+            finder_path.add(entry.family["name"])
+            f = transform_for(entry.family, shading)
         for host in enumerate_sn(7):
             assert f(f(host)) == host, (entry.id, host)
+    assert finder_path == set(bj.FAMILY_NAMES)
 
 
 @pytest.mark.long_running

@@ -399,19 +399,6 @@ def test_a1_complement_examples():
         transform_for({"name": "a1_complement"}, s202)
 
 
-def test_a1_complement_raw_rule_is_not_count_swapping():
-    # The simpler rule (complement every value of every occurrence after the
-    # shared minimum) reproduces a plausible-looking image but fails the
-    # count swap; this regression pins the witness that rules it out.
-    s202 = entry_by_id(202).patterns()[0].shading
-    entry = entry_by_id(202)
-    host = (2, 5, 1, 7, 8, 6, 4, 3)
-    image = bj._a1_complement_raw(host, s202)
-    assert image == (2, 5, 1, 4, 3, 6, 7, 8)
-    assert pair_counts(host, entry) == (2, 6)
-    assert pair_counts(image, entry) == (6, 1)  # not the swap of (2, 6)
-
-
 def test_nine_box_transform_examples():
     e46 = entry_by_id(46)
     assert apply_family(e46, (1, 2, 3)) == (1, 3, 2)
@@ -524,6 +511,83 @@ def test_verify_pair_requires_an_involution():
     rep = verify_pair(p1, p2, cycle, 3)
     assert rep == VerificationReport(3, True, True, False, (2, 1, 3))
     assert not rep.ok()
+
+
+def reference_report(p1, p2, images, n):
+    """The report that :class:`VerificationReport` defines, by brute force
+    over the hosts of S_n in lexicographic order; ``images`` maps each host
+    to its image, or to None where the map has none."""
+    hosts = list(enumerate_sn(n))
+    counts = {h: (count_occurrences(h, p1), count_occurrences(h, p2)) for h in hosts}
+    inside = {h: images[h] in counts for h in hosts}
+    seen, witness = set(), None
+    bijective = swaps = inverts = True
+    for host in hosts:
+        image = images[host]
+        repeats = image in seen
+        seen.add(image)
+        no_swap = inside[host] and counts[image] != counts[host][::-1]
+        no_inverse = inside[host] and images[image] != host
+        bijective &= inside[host] and not repeats
+        swaps &= not no_swap
+        inverts &= not no_inverse
+        if witness is None and (not inside[host] or repeats or no_swap or no_inverse):
+            witness = host
+    if not any(inside.values()):
+        return VerificationReport(n, False, None, None, witness)
+    return VerificationReport(n, bijective, swaps, inverts, witness)
+
+
+def test_verify_pair_witness_when_images_repeat():
+    # 213 and 312 both map to 231, whose image is 213: the first host that
+    # breaks a property is 312, which repeats 213's image and is not its
+    # image's image.
+    p1, p2 = entry_by_id(1).patterns()
+    images = {
+        (1, 2, 3): (1, 3, 2),
+        (1, 3, 2): (1, 2, 3),
+        (2, 1, 3): (2, 3, 1),
+        (2, 3, 1): (2, 1, 3),
+        (3, 1, 2): (2, 3, 1),
+    }
+    rep = verify_pair(p1, p2, lambda p: images.get(tuple(p), tuple(p)), 3)
+    assert rep == VerificationReport(3, False, True, False, (3, 1, 2))
+
+
+def test_verify_pair_matches_the_reference_on_random_maps_of_s4():
+    # random functions (some images outside S_4), random bijections, and
+    # involutions with one to three images spoiled: random ones and the
+    # count-swapping map of entry 23
+    rng = random.Random(21)
+    hosts = list(enumerate_sn(4))
+    outside = [None, (1, 1, 2, 3), (1, 2, 3)]
+    entry = entry_by_id(23)
+    p1, p2 = entry.patterns()
+    swap = {h: apply_family(entry, h) for h in hosts}
+    maps = []
+    for _ in range(60):
+        maps.append({h: rng.choice(hosts + outside) for h in hosts})
+        maps.append(dict(zip(hosts, rng.sample(hosts, len(hosts)))))
+        order = rng.sample(hosts, len(hosts))
+        fixed = rng.randrange(0, len(hosts) + 1, 2)
+        involution = {h: h for h in order[:fixed]}
+        for a, b in zip(order[fixed::2], order[fixed + 1::2]):
+            involution[a], involution[b] = b, a
+        for base in (involution, swap):
+            spoiled = dict(base)
+            for host in rng.sample(hosts, rng.randint(1, 3)):
+                spoiled[host] = rng.choice(hosts + outside)
+            maps.append(spoiled)
+
+    def apply(images):
+        def transform(p):
+            if images[p] is None:
+                raise ValueError("no image")
+            return images[p]
+        return transform
+
+    for images in maps:
+        assert verify_pair(p1, p2, apply(images), 4) == reference_report(p1, p2, images, 4), images
 
 
 def test_verify_pair_counts_patterns_of_any_length():

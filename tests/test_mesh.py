@@ -16,9 +16,7 @@ from meshperm.mesh import (
     occurrences,
     parse_boxes,
     parse_pattern,
-    pattern_from_json,
     pattern_literal,
-    pattern_to_json,
     symmetric_shadings,
     transform_pattern,
 )
@@ -174,11 +172,6 @@ def test_parse_pattern_round_trip():
         parse_pattern("abc|0/0")
     with pytest.raises(ValueError):
         parse_pattern("122|0/0")
-
-
-def test_pattern_json_round_trip():
-    text = pattern_to_json(BELL123)
-    assert pattern_from_json(text) == BELL123
 
 
 def test_mesh_pattern_of():

@@ -93,9 +93,6 @@ def test_enumerate_sn_lex_order_and_counts():
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         list(enumerate_sn(11))
-    # force bypasses the guard; just check the generator starts.
-    gen = enumerate_sn(11, force=True)
-    assert next(iter(gen)) == tuple(range(1, 12))
 
 
 def test_parse_and_format_round_trip():
