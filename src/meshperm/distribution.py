@@ -127,7 +127,7 @@ def _histogram(patterns: tuple[MeshPattern, ...], n: int, bins) -> np.ndarray:
         vectors = engine.count_vectors(n, counted, first, inverse_pairs=True)
         own = vectors[:len(patterns)]
         flipped = own if counted is patterns else vectors[len(patterns):]
-        _, involutions = engine.inverse_pair_block(n, first)
+        _, involutions = engine.inverse_pair_counts(n, first)
         hist += _over_inverse_pairs(bins, own, flipped, involutions)
     return hist
 
@@ -262,7 +262,7 @@ def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
     """
     n, first, masks = task
     _, planes = engine.build_tables(n, 3, first, inverse_pairs=True)
-    _, involutions = engine.inverse_pair_block(n, first)
+    _, involutions = engine.inverse_pair_counts(n, first)
     counted, symmetric = _scan_patterns(masks)
     counts = engine.occurrence_counts(n, planes, counted)
     widths = (math.comb(n, 3) + 1,) * 2

@@ -21,8 +21,10 @@ tables at a manageable size; callers aggregate over ``blocks(n)``.
 
 A block's table covers its rows in lexicographic order, or with
 ``inverse_pairs`` only one permutation of each inverse pair {p, p^-1}:
-the rows of :func:`inverse_pair_block`, about half of S_n over the
-blocks.  A host's counts of P and of its inverse pattern swap between p
+the rows of :func:`inverse_pair_block`, about n!/(2n) in every block of
+S_n, built with the table and dropped after it, while
+:func:`inverse_pair_counts` gives their number without building them.
+A host's counts of P and of its inverse pattern swap between p
 and p^-1, so histograms over S_n need only those rows; counts that
 address hosts by lex rank (count vectors, occurrence bits, verification)
 read the lex tables.
@@ -88,41 +90,89 @@ def _block_rows(n: int, first: int | None) -> np.ndarray:
     return np.concatenate([_block_rows(n, v) for v in range(1, n + 1)])
 
 
-@functools.lru_cache(maxsize=64)
-def inverse_pair_block(n: int, first: int | None = None) -> tuple[np.ndarray, int]:
+def inverse_pair_block(n: int, first: int | None = None) -> np.ndarray:
     """One permutation of each inverse pair {p, p^-1} of S_n, from one block.
 
-    Returns ``(rows, involutions)``: the rows p of :func:`perm_block` with
-    p <=_lex p^-1, as an int8 array, the ``involutions`` (p = p^-1) first
-    and then the others, each part in lexicographic order.  Over the keys
-    of :func:`blocks` every pair has exactly one row: p if it is the
-    smaller, in p's block.  A host's counts of a pattern P and of
-    ``transform_pattern(P, "inverse")`` swap between p and p^-1, so counts
-    over these rows give a histogram over all of S_n with each
-    non-involution weighted twice.
+    The rows p of :func:`perm_block` that the pair keeps, as a new int8
+    array: the involutions (p = p^-1) first and then the others, each part
+    in lexicographic order; :func:`inverse_pair_counts` gives both sizes.
+    Over the keys of :func:`blocks` every pair has exactly one row.  A
+    host's counts of a pattern P and of ``transform_pattern(P, "inverse")``
+    swap between p and p^-1, so counts over these rows give a histogram
+    over all of S_n with each non-involution weighted twice.
 
-    p^-1(1) is the position of 1 in p, so comparing it with p(1) settles
-    most rows; only rows where the two are equal build their inverse and
-    compare further.
+    p lies in block f = p(1) and p^-1 in block g = p^-1(1), the position
+    of 1 in p.  When f = g, as in all of block 1, the pair keeps the
+    lexicographically smaller of p and p^-1, and only these rows build
+    their inverse.  Otherwise f and g lie in 2..n, and with m = n - 1 the
+    pair keeps p when g is less than m/2 steps ahead of f on the cycle
+    2, ..., n, and at exactly m/2 steps when f < g.  So every block f >= 2
+    keeps the same share of its rows, and each block holds about n!/(2n).
+
+    Nothing is cached: a block's rows live only as long as the table built
+    over them.
     """
     rows = _block_rows(n, first)
-    involutions = len(rows)  # S_0 and S_1 hold one permutation, an involution
     if n > 1:
-        heads = rows[:, 0].astype(np.intp)
-        ones = np.argmax(rows == 1, axis=1) + 1
+        heads, ones = rows[:, 0], _ones_at(n, first)
+        # with d = g - f, d mod m < m/2, or d = m/2 and f < g, reads 0 < 2d <= m or 2d < -m
+        twice, m = 2 * (ones - heads), n - 1
+        keep = (0 < twice) & (twice <= m) | (twice < -m)
         tied = np.flatnonzero(heads == ones)
-        ties = rows[tied]
+        ties = np.take(rows, tied, axis=0)
+        # entry r * n + v - 1 of the flat inverses is the position of v in tie r
         inverses = np.empty_like(ties)
-        np.put_along_axis(inverses, ties.astype(np.intp) - 1, np.arange(1, n + 1, dtype=np.int8)[None], axis=1)
-        differ = ties != inverses
-        at = differ.argmax(axis=1)[:, None]
-        smaller = np.take_along_axis(ties, at, axis=1) < np.take_along_axis(inverses, at, axis=1)
-        involution = ~differ.any(axis=1)
-        rest = np.sort(np.concatenate([np.flatnonzero(heads < ones), tied[smaller[:, 0]]]))
-        rows = rows[np.concatenate([tied[involution], rest])]
-        involutions = int(np.count_nonzero(involution))
+        starts = np.arange(-1, ties.size - 1, n)
+        for i in range(n):
+            inverses.reshape(-1)[starts + ties[:, i]] = i + 1
+        # rows of the bytes 1..n compare as byte strings in lexicographic order
+        ties, inverses = ties.view(f"S{n}")[:, 0], inverses.view(f"S{n}")[:, 0]
+        keep[tied] = ties < inverses
+        rows = np.take(rows, np.concatenate([tied[ties == inverses], np.flatnonzero(keep)]), axis=0)
     rows.setflags(write=False)
-    return rows, involutions
+    return rows
+
+
+def _ones_at(n: int, first: int | None) -> np.ndarray:
+    """The position of 1, counted from 1, in each row of :func:`perm_block`
+    for n >= 1, as int8, read off the lexicographic order: S_m lists the
+    rows that start with 1, and then m - 1 blocks that each put a larger
+    value in front of S_(m-1), which moves its 1 one place on."""
+    at = np.ones(1, dtype=np.int8)
+    for m in range(2, n + (first is None)):
+        at = np.concatenate([np.ones_like(at), np.tile(at + 1, m - 1)])
+    if first is None:
+        return at
+    return np.ones_like(at) if first == 1 else at + 1
+
+
+def _involutions(n: int) -> int:
+    """Involutions of S_n: I(n) = I(n - 1) + (n - 1) I(n - 2), with I(0) = I(1) = 1."""
+    a, b = 1, 1
+    for m in range(2, n + 1):
+        a, b = b, b + (m - 1) * a
+    return b
+
+
+@functools.lru_cache(maxsize=None)
+def inverse_pair_counts(n: int, first: int | None = None) -> tuple[int, int]:
+    """``(rows, involutions)`` of :func:`inverse_pair_block`, from closed
+    forms, without building the rows.
+
+    A block keeps all its involutions and half of the rest.  S_n has I(n)
+    involutions; block 1 holds the I(n - 1) that fix 1, and block f >= 2
+    the I(n - 2) that swap 1 and f, among the (n - 2)! rows with 1 at
+    position f.  Block f >= 2 also keeps every one of the (n - 2)! rows
+    with 1 at position g for each g less than m/2 steps ahead of f, where
+    m = n - 1: floor((m - 1) / 2) of them, and one more for even m when f
+    lies in the first half of 2..n.  Memoized, since every query asks for
+    each block's counts.
+    """
+    fixed = 0 if first is None else min(first, 2)  # entries the key pins: none, 1 -> 1, or 1 <-> first
+    size, involutions = math.factorial(n - fixed), _involutions(n - fixed)
+    m = n - 1
+    ahead = (m - 1) // 2 + (m % 2 == 0 and first - 2 < m // 2) if fixed == 2 else 0
+    return (size + involutions) // 2 + ahead * size, involutions
 
 
 def _prefixed(rest: np.ndarray, first: int) -> np.ndarray:
@@ -162,8 +212,8 @@ def _table_shape(n: int, k: int, rows: int) -> tuple[int, int, int]:
 
 def _table_rows(n: int, first: int | None, inverse_pairs: bool) -> np.ndarray:
     """The permutations a block's table covers: :func:`perm_block`, or with
-    ``inverse_pairs`` the rows of :func:`inverse_pair_block`."""
-    return inverse_pair_block(n, first)[0] if inverse_pairs else perm_block(n, first)
+    ``inverse_pairs`` the rows of :func:`inverse_pair_block`, built anew."""
+    return inverse_pair_block(n, first) if inverse_pairs else perm_block(n, first)
 
 
 def build_tables(n: int, k: int, first: int | None = None,
@@ -352,12 +402,14 @@ def subseq_tables(n: int, k: int, first: int | None = None,
     built: a query that visits each block once builds each table once and
     holds one at a time.  The budget is measured on the table's own rows,
     so the smaller tables over :func:`inverse_pair_block` count as what
-    they are.  ``cache_info()`` and ``cache_clear()`` are those of an
-    ``lru_cache`` of the kept tables; :func:`clear_caches` drops the held
-    table too.
+    they are; their rows are counted by :func:`inverse_pair_counts`, and
+    built only when the table is.  ``cache_info()`` and ``cache_clear()``
+    are those of an ``lru_cache`` of the kept tables; :func:`clear_caches`
+    drops the held table too.
     """
     key = (n, k, first, inverse_pairs)
-    if math.prod(_table_shape(n, k, len(_table_rows(n, first, inverse_pairs)))) * 4 <= _KEPT_TABLE_BYTES:
+    rows = inverse_pair_counts(n, first)[0] if inverse_pairs else math.factorial(n - (first is not None))
+    if math.prod(_table_shape(n, k, rows)) * 4 <= _KEPT_TABLE_BYTES:
         return _kept_tables(*key)
     if key not in _last_table:
         _last_table.clear()
@@ -545,8 +597,8 @@ def lex_ranks(perms: np.ndarray) -> np.ndarray:
 def clear_caches() -> None:
     """Drop all memoized blocks and tables, so that the next query starts
     cold: the tests call it to free the tables they built, and the
-    benchmark before each pass."""
+    benchmark before each pass.  The rows of :func:`inverse_pair_block`
+    are never memoized; they go with the table built over them."""
     perm_block.cache_clear()
-    inverse_pair_block.cache_clear()
     subseq_tables.cache_clear()
     _last_table.clear()

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -198,7 +199,8 @@ def test_scan_block_matches_the_count_vectors():
     hists = _scan_block((n, first, tuple(s.mask for s in shadings)))
     width = math.comb(n, 3) + 1
     assert hists.shape == (2 * len(shadings), width)
-    rows, involutions = engine.inverse_pair_block(n, first)
+    rows = engine.inverse_pair_block(n, first)
+    _, involutions = engine.inverse_pair_counts(n, first)
     at = engine.lex_ranks(rows) - engine.lex_ranks(engine.perm_block(n, first)[:1])[0]
     hist_rows = iter(hists.tolist())
     for shading in shadings:
@@ -232,6 +234,27 @@ def test_pair_histograms_equal_the_lex_tables_for_every_symmetric_shading():
     masks = tuple(s.mask for s in symmetric_shadings(3))
     for n in range(8):
         assert np.array_equal(_pair_histograms(n, masks, jobs=1), lex_histograms(n, masks)), n
+    engine.clear_caches()
+
+
+def test_scan_blocks_of_each_first_value_sum_to_the_lex_tables(monkeypatch):
+    # scan --jobs splits every n >= 2 by first value, below the split of
+    # engine.blocks at n = 9 too: for every symmetric shading the n blocks
+    # must sum to the lex tables' histograms of S_n.  The rows of each
+    # block live only as long as its table, which the scan drops.
+    masks = tuple(s.mask for s in symmetric_shadings(3))
+    built, block = [], engine.inverse_pair_block
+
+    def tracked(*key):
+        rows = block(*key)
+        built.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(engine, "inverse_pair_block", tracked)
+    for n in range(2, 9):
+        hists = sum(_scan_block((n, first, masks)) for first in range(1, n + 1))
+        assert np.array_equal(hists, lex_histograms(n, masks)), n
+    assert len(built) == sum(range(2, 9)) and all(ref() is None for ref in built)
     engine.clear_caches()
 
 

@@ -58,43 +58,66 @@ def test_blocks_of_s9_build_the_rows_of_s8_once(monkeypatch):
     engine.clear_caches()
 
 
-def involution_count(n):
-    """Involutions of S_n: I(n) = I(n - 1) + (n - 1) I(n - 2)."""
-    a, b = 1, 1
-    for m in range(2, n + 1):
-        a, b = b, b + (m - 1) * a
-    return b
+def kept_by_the_rule(rows, inverses):
+    """Whether each row p of S_n, with ``inverses`` its p^-1, is the one its
+    inverse pair keeps: p <=_lex p^-1 when p(1) = p^-1(1), and otherwise
+    p when p^-1(1) is less than (n - 1)/2 steps ahead of p(1) on the cycle
+    2..n, or exactly that far with p(1) < p^-1(1)."""
+    n = rows.shape[1]
+    if n < 2:
+        return np.ones(len(rows), dtype=bool)
+    f, g = rows[:, 0].astype(int), inverses[:, 0].astype(int)
+    ahead = 2 * ((g - f) % (n - 1))
+    differ = rows != inverses
+    at = differ.argmax(axis=1)[:, None]
+    smaller = (np.take_along_axis(rows, at, 1) <= np.take_along_axis(inverses, at, 1))[:, 0]
+    return np.where(f == g, smaller, (ahead < n - 1) | (ahead == n - 1) & (f < g))
 
 
-def test_inverse_pair_block_keeps_the_smaller_permutation_of_each_inverse_pair():
+def test_inverse_pair_block_keeps_one_permutation_of_each_inverse_pair():
     # over every block key of S_0..S_9, and the per-first-value blocks below
-    # the split: the rows with p <=_lex p^-1, involutions first and each
-    # part in lexicographic order, one row per pair over the blocks of S_n
+    # the split: each permutation once, as a row or as the inverse of a row;
+    # the involutions first and each part in lexicographic order; every row
+    # the one the rule keeps; and the sizes of inverse_pair_counts
     for n in range(10):
         keys = [engine.blocks(n)] if n > engine._SINGLE_BLOCK_MAX else [(None,), range(1, n + 1)][:1 + (n > 0)]
         for firsts in keys:
-            ranks = []
+            ranks, involution_total = [], 0
             for first in firsts:
-                rows, involutions = engine.inverse_pair_block(n, first)
+                rows = engine.inverse_pair_block(n, first)
+                size, involutions = engine.inverse_pair_counts(n, first)
                 assert rows.dtype == np.int8 and not rows.flags.writeable, (n, first)
+                assert len(rows) == size, (n, first)
                 inverses = np.argsort(rows, axis=1).astype(np.int8) + 1
-                assert np.array_equal(rows[:involutions], inverses[:involutions]), (n, first)
-                if n > 1:
-                    others, their_inverses = rows[involutions:], inverses[involutions:]
-                    differ = others != their_inverses
-                    assert differ.any(axis=1).all(), (n, first)
-                    at = differ.argmax(axis=1)[:, None]
-                    assert np.all(np.take_along_axis(others, at, 1) < np.take_along_axis(their_inverses, at, 1))
+                fixed = (rows == inverses).all(axis=1)
+                assert fixed[:involutions].all() and not fixed[involutions:].any(), (n, first)
+                assert kept_by_the_rule(rows, inverses).all(), (n, first)
                 for part in (rows[:involutions], rows[involutions:]):
-                    part_ranks = engine.lex_ranks(part)
-                    assert np.all(np.diff(part_ranks) > 0), (n, first)
-                    ranks.append(part_ranks)
+                    assert np.all(np.diff(engine.lex_ranks(part)) > 0), (n, first)
+                ranks += [engine.lex_ranks(rows), engine.lex_ranks(inverses[involutions:])]
+                involution_total += involutions
                 if first is not None:
                     assert np.all(rows[:, 0] == first)
             ranks = np.concatenate(ranks)
-            assert len(np.unique(ranks)) == len(ranks) == (math.factorial(n) + involution_count(n)) // 2, n
-    assert [involution_count(n) for n in range(7)] == [1, 1, 2, 4, 10, 26, 76]
+            assert np.array_equal(np.sort(ranks), np.arange(math.factorial(n))), n
+            assert involution_total == [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620][n], n
+    assert [engine.inverse_pair_counts(9, f)[0] for f in engine.blocks(9)] == [20542] + [22796] * 4 + [17756] * 4
     engine.clear_caches()
+
+
+@pytest.mark.long_running
+def test_long_running_inverse_pair_blocks_of_ten_are_balanced():
+    # block 1 of S_10 holds (9! + I(9)) / 2 rows and each other block
+    # (8! + I(8)) / 2 + 4 * 8!: the largest block falls from the 343102
+    # rows that p <=_lex p^-1 kept in block 2
+    sizes = []
+    for first in engine.blocks(10):
+        rows = engine.inverse_pair_block(10, first)
+        fixed = (rows == np.argsort(rows, axis=1).astype(np.int8) + 1).all(axis=1)
+        sizes.append((len(rows), int(fixed.sum())))
+        assert sizes[-1] == engine.inverse_pair_counts(10, first), first
+    assert sizes == [(182750, 2620)] + [(181822, 764)] * 9
+    assert sum(size for size, _ in sizes) == (math.factorial(10) + 9496) // 2
 
 
 def test_inverse_pair_tables_are_the_rows_of_the_lex_tables():
@@ -104,7 +127,7 @@ def test_inverse_pair_tables_are_the_rows_of_the_lex_tables():
         for k in (2, 3):
             _, planes = engine.build_tables(n, k, first)
             _, pairs = engine.subseq_tables(n, k, first, inverse_pairs=True)
-            rows, _ = engine.inverse_pair_block(n, first)
+            rows = engine.inverse_pair_block(n, first)
             offset = engine.lex_ranks(engine.perm_block(n, first)[:1])[0]
             assert np.array_equal(pairs, planes[:, :, engine.lex_ranks(rows) - offset]), (n, first, k)
             assert pairs.shape[2] == len(rows) < planes.shape[2]
@@ -113,15 +136,20 @@ def test_inverse_pair_tables_are_the_rows_of_the_lex_tables():
 
 
 def test_subseq_tables_budget_counts_the_rows_of_the_table(monkeypatch):
-    # the budget is measured on the table's own rows: under 1 MB the table
-    # over the 2636 inverse-pair rows of the last block of S_9 is kept, and
-    # the lex table of its 40320 rows only held
+    # the budget is measured on the table's own rows, counted without
+    # building them: under 5 MB the table over the 17756 inverse-pair rows
+    # of the last block of S_9 (4.0 MB) is kept, and the lex table of its
+    # 40320 rows (9.2 MB) only held
     engine.clear_caches()
-    monkeypatch.setattr(engine, "_KEPT_TABLE_BYTES", 2**20)
+    monkeypatch.setattr(engine, "_KEPT_TABLE_BYTES", 5 * 2**20)
+    built, block = [], engine.inverse_pair_block
+    monkeypatch.setattr(engine, "inverse_pair_block", lambda *key: built.append(key) or block(*key))
     _, pairs = engine.subseq_tables(9, 3, 9, inverse_pairs=True)
-    assert pairs.shape[2] == 2636 and engine.subseq_tables.cache_info().currsize == 1
+    assert pairs.shape[2] == 17756 and pairs.nbytes < 5 * 2**20
+    assert engine.subseq_tables(9, 3, 9, inverse_pairs=True)[1] is pairs
+    assert built == [(9, 9)] and engine.subseq_tables.cache_info().currsize == 1
     _, lex = engine.subseq_tables(9, 3, 9)
-    assert lex.nbytes > 2**20 and list(engine._last_table) == [(9, 3, 9, False)]
+    assert lex.nbytes > 5 * 2**20 and list(engine._last_table) == [(9, 3, 9, False)]
     assert engine.subseq_tables.cache_info().currsize == 1
     engine.clear_caches()
 
