@@ -13,6 +13,11 @@ Every histogram here counts one permutation of each inverse pair
 ``transform_pattern(P, "inverse")`` in p: a pattern fixed by the inverse
 symmetry, as (123, R) and (132, R) are for the scan's symmetric R, is
 counted once and its non-involution hosts weighted twice.
+
+The scan plans its pending shadings once per n (their ``(tau, mask)``
+patterns and the transposes that an asymmetric R adds), counts them with
+:func:`meshperm.engine.occurrence_counts` a group of shadings at a time,
+and bins each group's counts with one ``np.bincount``.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ import os
 import numpy as np
 
 from . import engine
-from .mesh import MeshPattern, ShadingSet, is_antidiagonal_symmetric, symmetric_shadings, transform_pattern
+from .mesh import MeshPattern, ShadingSet, symmetric_shadings, transform_pattern
 from .perms import HARD_ENUMERATION_CAP, CapExceededError
 
 DEFAULT_MAX_N = 8
@@ -255,41 +260,72 @@ def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
     in the block, the rows of :func:`meshperm.engine.inverse_pair_block`
     (see :func:`_over_inverse_pairs`), so the blocks of
     :func:`meshperm.engine.blocks` sum to S_n.  A symmetric R is its own
-    transpose, so its pair is counted once; any other R also counts the
-    inverse pair (123, R^T), (132, R^T).  The block's table is built here
-    and dropped on return: the scan reads it once, so caching it would keep
-    every block of every n alive.
+    transpose, so its pair is counted once and its hosts other than the
+    involutions binned twice; any other R also counts the inverse pair
+    (123, R^T), (132, R^T), whose counts bin the hosts p^-1.
+
+    Each group of shadings that :func:`meshperm.engine.occurrence_counts`
+    yields is binned by one ``np.bincount``: a host's key is its joint bin
+    c123 * width + c132, offset by width^2 times the shading's place in
+    the group and, for the involutions, by one more group of bins.  The
+    block's table is built here and dropped on return: the scan reads it
+    once, so caching it would keep every block of every n alive.
     """
     n, first, masks = task
     _, planes = engine.build_tables(n, 3, first, inverse_pairs=True)
     _, involutions = engine.inverse_pair_counts(n, first)
-    counted, symmetric = _scan_patterns(masks)
-    counts = engine.occurrence_counts(n, planes, counted)
-    widths = (math.comb(n, 3) + 1,) * 2
-    hists = []
-    for same in symmetric:
-        own = (next(counts), next(counts))
-        flipped = own if same else (next(counts), next(counts))
-        joint = _over_inverse_pairs(lambda v1, v2: _joint_bincount(v1, v2, widths), own, flipped, involutions)
-        hists += [joint.sum(axis=1), joint.sum(axis=0)]
-    return np.array(hists)
+    patterns, twice, transposed = _scan_plan(masks)
+    width = math.comb(n, 3) + 1
+    square = width * width
+    hists = np.zeros((len(masks), 2, width), dtype=np.int64)
+    lo = 0
+    for counts in engine.occurrence_counts(n, planes, patterns):
+        size = len(counts) // 2
+        dtype = np.promote_types(np.min_scalar_type(2 * size * square), counts.dtype)
+        keys = np.multiply(counts[0::2], width, dtype=dtype)
+        keys += counts[1::2]
+        if size > 1:
+            keys += np.arange(0, size * square, square, dtype=keys.dtype)[:, None]
+        keys[:, :involutions] += size * square
+        joint = np.bincount(keys.ravel(), minlength=2 * size * square).reshape(2, size, width, width)
+        # per shading, the marginals of 123 and 132 over the other hosts and over the involutions
+        others, fixed = np.stack([joint.sum(axis=3), joint.sum(axis=2)], axis=2)
+        own = max(0, min(size, len(masks) - lo))
+        hists[lo:lo + own] += fixed[:own] + others[:own] * twice[lo:lo + own, None, None]
+        if own < size:
+            hists[transposed[lo + own - len(masks):lo + size - len(masks)]] += others[own:]
+        lo += size
+    return hists.reshape(2 * len(masks), width)
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_patterns(masks: tuple[int, ...]) -> tuple[list[MeshPattern], list[bool]]:
-    """The patterns :func:`_scan_block` counts for the masks, and for each
-    mask whether its pair is its own inverse: (123, R) and (132, R), then
-    their inverses (123, R^T) and (132, R^T) unless those are the same.
-    Every block of an n scans the same masks, so they are built once per n.
+def _scan_plan(masks: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int], ...], np.ndarray, np.ndarray]:
+    """``(patterns, twice, transposed)`` of :func:`_scan_block` for the masks.
+
+    ``patterns`` lists the ``(tau, mask)`` pairs to count: (123, R) and
+    (132, R) for each mask, then (123, R^T) and (132, R^T) for each R that
+    is not its own transpose, the masks of those R listed by index in
+    ``transposed``.  ``twice[i]`` weighs the non-involution hosts of mask
+    i: 2 when R = R^T, whose counts on p are those on p^-1 (123 and 132
+    are involutions), else 1.  Every block of an n scans the same masks,
+    so they are planned once per n.
     """
-    counted, symmetric = [], []
-    for mask in masks:
-        shading = ShadingSet(3, mask)
-        pair = tuple(MeshPattern(tau, shading) for tau in _SCAN_PAIR)
-        # 123 and 132 are involutions, so the pair is its own inverse when R is symmetric
-        symmetric.append(is_antidiagonal_symmetric(shading))
-        counted += pair if symmetric[-1] else pair + tuple(transform_pattern(p, "inverse") for p in pair)
-    return counted, symmetric
+    transposes = [_transposed(mask) for mask in masks]
+    transposed = [i for i, (mask, t) in enumerate(zip(masks, transposes)) if mask != t]
+    counted = [*masks, *(transposes[i] for i in transposed)]
+    patterns = tuple((tau, mask) for mask in counted for tau in _SCAN_PAIR)
+    twice = np.array([1 + (mask == t) for mask, t in zip(masks, transposes)], dtype=np.int64)
+    return patterns, twice, np.array(transposed, dtype=np.intp)
+
+
+def _transposed(mask: int) -> int:
+    """The mask of R^T for a length-3 shading mask R.  Box (i, j) is bit
+    4i + j, so R^T swaps bits 4i + j and 4j + i: within each 2 x 2 corner
+    of the 4 x 4 grid first, and then the two corners off the diagonal."""
+    t = (mask ^ mask >> 3) & 0x0A0A
+    mask ^= t ^ t << 3
+    t = (mask ^ mask >> 6) & 0x00CC
+    return mask ^ t ^ t << 6
 
 
 def _pair_histograms(n: int, masks: tuple[int, ...], jobs: int) -> np.ndarray:

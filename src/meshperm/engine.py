@@ -31,8 +31,12 @@ read the lex tables.
 
 A block's table is built by :func:`build_tables`, and every count is read
 from the planes it returns by one kernel, :func:`occurrence_counts`, which
-counts the patterns of a shading together in buffers allocated once per
-call.  The build is bit-sliced as well: it works on the packed words
+counts the patterns of a call in groups of shadings, in buffers allocated
+once per call: each group fills one accumulator of at most
+``_GROUP_BYTES``, so a scan's many shadings over a small table share a few
+passes, while a table of S_8 or more takes one shading at a time.  What
+the kernel reads for each shading is planned once per pattern list and
+group size.  The build is bit-sliced as well: it works on the packed words
 themselves, one word operation for 32 combos over every row, guided by
 masks that depend only on (n, k) and are computed once per pair, on first
 use.
@@ -47,8 +51,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,10 +181,18 @@ def inverse_pair_counts(n: int, first: int | None = None) -> tuple[int, int]:
 
 def _prefixed(rest: np.ndarray, first: int) -> np.ndarray:
     """``first`` followed by each row of ``rest`` with its entries from
-    ``first`` up raised by one; rows of 1..m become rows of 1..m+1."""
-    out = np.empty((rest.shape[0], rest.shape[1] + 1), dtype=np.int8)
+    ``first`` up raised by one; rows of 1..m become rows of 1..m+1.
+
+    Each row's tail is written as one m-byte item of a void view, which
+    halved the copy against a strided int8 write (S_8 with first = 5:
+    227 -> 119 us on a 2-core Xeon).
+    """
+    rows, m = rest.shape
+    out = np.empty((rows, m + 1), dtype=np.int8)
     out[:, 0] = first
-    out[:, 1:] = rest + (rest >= first)
+    if m:
+        tails = rest + (rest >= first)
+        out[:, 1:].view(f"V{m}")[:, 0] = tails.view(f"V{m}")[:, 0]
     return out
 
 
@@ -274,7 +286,15 @@ def build_tables(n: int, k: int, first: int | None = None,
 #: Rows per pass of the build: a 64 KB vector per word, so that the
 #: words a pass reads again and again stay in cache.  At n = 10 this made
 #: a block's build about a third faster than one pass over all rows (on a
-#: 2-core Xeon with 2 MB of L2 cache per core).
+#: 2-core Xeon with 2 MB of L2 cache per core).  Most inverse-pair blocks
+#: of S_8 and S_9 (17756 to 22796 rows) take a second, short pass, but
+#: larger passes grow the build's work arrays with them: all blocks of a
+#: table length over inverse pairs, median ms at 16384 / 24576 / 32768
+#: rows, S_9 k = 3 35.1 / 31.5 / 33.0, k = 2 18.0 / 16.6 / 16.6, S_10
+#: k = 3 535 / 502 / 505, k = 2 210 / 187 / 179, the lex blocks of S_9
+#: (k = 3) 53.7 / 47.7 / 49.1; at 24576 the peak of ``scan --max-n 9
+#: --long`` rose from 38.5 to 39.1 MB and that of ``--max-n 10`` from 100.0
+#: to 100.9 MB, for 3.6 ms of the 0.2 s scan, so the value stays.
 _CHUNK = 16384
 
 
@@ -436,93 +456,216 @@ def _or_into(out: np.ndarray, terms: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _clear_combos(n: int, k: int, planes: np.ndarray, mask: int, ruled_out: Sequence[np.ndarray],
-                  out: np.ndarray) -> np.ndarray:
-    """Write to ``out`` the combos of each row with no point in a box of
-    ``mask`` and no bit set in ``ruled_out``, and return it.
+class _Group(NamedTuple):
+    """The shadings that :func:`occurrence_counts` clears in one pass."""
 
-    A column of ``mask`` that shades all k + 1 boxes of its position gap is
-    read from :func:`_gap_masks` as one word per word of the row, broadcast
-    over the rows, instead of from its k + 1 planes.
+    #: Number of shadings in the group.
+    shadings: int
+    #: Box planes that every shading of the group reads.
+    always: tuple[int, ...]
+    #: ``(plane, where)`` for each box plane that only some read: ``where``
+    #: has shape ``(shadings, 1, 1)`` and is set for those that do.
+    some: tuple[tuple[int, np.ndarray], ...]
+    #: The OR of the gap words of each shading's full columns, shape
+    #: ``(shadings, words, 1)`` or ``(words, 1)`` for one shading, or None
+    #: when no shading has one.
+    gaps: np.ndarray | None
+    #: The type classes that the group's patterns count.
+    classes: tuple[int, ...]
+    #: The row of each pattern's count vector, in order, among the
+    #: ``(classes, size, rows)`` counts of a plan's groups of ``size``
+    #: shadings, flattened over the first two axes: class * size + the
+    #: pattern's shading, counted from the group's first.
+    take: np.ndarray
+
+
+class _Plan(NamedTuple):
+    """What :func:`occurrence_counts` reads for a list of patterns."""
+
+    k: int
+    #: The distinct type ids of the patterns, ascending: the type classes.
+    classes: tuple[int, ...]
+    #: ``(bit, complemented)`` of the type bits that all the ids share: a
+    #: combo is ruled out where the plane, or its complement, has a bit set.
+    shared: tuple[tuple[int, bool], ...]
+    #: The type bits in which the ids differ, low bit first.
+    split: tuple[int, ...]
+    #: The largest number of shadings in a group.
+    size: int
+    groups: tuple[_Group, ...]
+
+
+@functools.lru_cache(maxsize=2)
+def _plan(n: int, patterns: tuple[tuple[Perm, int], ...], size: int) -> _Plan:
+    """The plan of :func:`occurrence_counts` for ``(tau, shading mask)``
+    patterns of one length k over a table of S_n, at most ``size``
+    shadings to a group.
+
+    Consecutive patterns with one mask form a run that shares its
+    shading's clear combos; the runs go ``size`` at a time.  Memoized, so
+    that every block of a scan or a streamed query plans its masks once.
+    """
+    k = len(patterns[0][0])
+    tids = [pattern_type_id(tau) for tau, _ in patterns]
+    classes = sorted(set(tids))
+    differ = 0
+    for t in classes:
+        differ |= t ^ classes[0]
+    runs: list[tuple[int, list[int]]] = []
+    for (_, mask), tid in zip(patterns, tids):
+        if runs and runs[-1][0] == mask:
+            runs[-1][1].append(classes.index(tid))
+        else:
+            runs.append((mask, [classes.index(tid)]))
+    size = min(size, len(runs))
+    return _Plan(k, tuple(classes),
+                 tuple((t, bool(classes[0] >> t & 1)) for t in range(_type_bits(k)) if not differ >> t & 1),
+                 tuple(t for t in range(differ.bit_length()) if differ >> t & 1), size,
+                 tuple(_group(n, k, runs[lo:lo + size], size) for lo in range(0, len(runs), size)))
+
+
+def _group(n: int, k: int, runs: list[tuple[int, list[int]]], size: int) -> _Group:
+    """The :class:`_Group` of ``(mask, classes)`` runs of a length-k plan
+    over S_n whose groups hold at most ``size`` shadings.
+
+    A column of a mask that shades all k + 1 boxes of its position gap is
+    read as its gap word from :func:`_gap_words` instead of as k + 1 planes.
     """
     side = k + 1
     column = (1 << side) - 1
-    full = [i for i in range(side) if mask >> i * side & column == column]
-    for i in full:
-        mask &= ~(column << i * side)
-    terms = [*ruled_out, *(planes[p] for p in range(mask.bit_length()) if mask >> p & 1)]
-    if full:
-        terms.append(np.bitwise_or.reduce(_gap_masks(n, k)[full])[:, None])
-    return np.invert(_or_into(out, terms), out=out)
+    starts = ((1 << side * side) - 1) // column  # bit i * side for each column i
+    reads, full = [], []
+    for mask, _ in runs:
+        # bit i * side of ``whole`` is set when column i is full
+        whole = mask & starts
+        for s in range(1, side):
+            whole &= mask >> s
+        reads.append(mask & ~(whole * column))
+        full.append(whole)
+    if len(runs) == 1:
+        always = tuple(p for p in range(reads[0].bit_length()) if reads[0] >> p & 1)
+        some: tuple[tuple[int, np.ndarray], ...] = ()
+    else:
+        shaded = (np.array(reads)[:, None] >> np.arange(side * side) & 1).astype(bool)
+        counts = shaded.sum(axis=0).tolist()
+        always = tuple(p for p, c in enumerate(counts) if c == len(runs))
+        some = tuple((p, shaded[:, p, None, None]) for p, c in enumerate(counts) if 0 < c < len(runs))
+    words, row = _gap_words(n, k)
+    # one shading's gaps drop the shading axis, as its accumulator does
+    at = [row[w] for w in full]
+    gaps = words[at[0] if len(runs) == 1 else at, :, None] if any(full) else None
+    classes = {c for _, cs in runs for c in cs}
+    take = np.array([c * size + i for i, (_, cs) in enumerate(runs) for c in cs])
+    return _Group(len(runs), always, some, gaps, tuple(sorted(classes)), take)
 
 
-def _row_counts(words: np.ndarray, pop: np.ndarray) -> np.ndarray:
-    """Set bits per row of a (words, rows) bit array, in the narrowest
-    unsigned dtype that holds 32 bits per word (uint8 up to 7 words);
-    ``pop``, a uint8 array of the same shape, takes each word's popcount."""
-    return np.bitwise_count(words, out=pop).sum(axis=0, dtype=np.min_scalar_type(len(words) * _WORD))
+@functools.lru_cache(maxsize=None)
+def _gap_words(n: int, k: int) -> tuple[np.ndarray, dict[int, int]]:
+    """``(words, row)``: for each set of full columns, the OR of their rows
+    of :func:`_gap_masks`.  A set is keyed as in :func:`_group`, with bit
+    i * (k + 1) for column i, and ``row[key]`` is its row of ``words``."""
+    side = k + 1
+    subsets = list(itertools.product((0, 1), repeat=side))
+    words = np.array([np.bitwise_or.reduce(_gap_masks(n, k)[list(map(bool, s))], axis=0) for s in subsets],
+                     dtype=np.uint32).reshape(len(subsets), -1)
+    return words, {sum(b << i * side for i, b in enumerate(s)): r for r, s in enumerate(subsets)}
 
 
-def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[MeshPattern]) -> Iterator[np.ndarray]:
+def _clear_group(planes: np.ndarray, group: _Group, ruled_out: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Write to ``out``, of shape ``(group.shadings, words, rows)`` or
+    ``(words, rows)`` for one shading, the combos of each row with no point
+    in a box of each shading of the group and no bit set in ``ruled_out``,
+    and return it.
+
+    One OR covers what every shading of the group reads; a plane that only
+    some read is ORed into theirs alone, through ``where=``.
+    """
+    terms = [*ruled_out, *(planes[p] for p in group.always)]
+    if group.gaps is not None:
+        terms.append(group.gaps)
+    _or_into(out, terms)
+    for p, where in group.some:
+        np.bitwise_or(out, planes[p], out=out, where=where)
+    return np.invert(out, out=out)
+
+
+def _row_counts(words: np.ndarray, pop: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Set bits per row of a (..., words, rows) bit array, written to
+    ``out`` and returned; ``pop``, a uint8 array of the shape of
+    ``words``, takes each word's popcount."""
+    return np.add.reduce(np.bitwise_count(words, out=pop), axis=-2, dtype=out.dtype, out=out)
+
+
+#: Largest accumulator, in bytes, that :func:`occurrence_counts` clears a
+#: group of shadings in.  Up to S_6 a scan's pending masks fit in a few
+#: groups; from S_8 on every block counts one shading at a time.  Budgets
+#: from 16 to 256 KB timed the same, and 1 MB made the n = 9 scan slower,
+#: its masked ORs then running over many shadings (2-core Xeon).
+_GROUP_BYTES = 64 * 2**10
+
+
+def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[tuple[Perm, int]]) -> Iterator[np.ndarray]:
     """Occurrence counts of each pattern for every permutation of a block.
 
     ``planes`` is a block's table of S_n from :func:`build_tables` or
-    :func:`subseq_tables` for the patterns' one length k; yields one count
-    vector per pattern, in order, entry r for the block's rank-r
-    permutation, in the narrowest unsigned dtype that holds 32 bits per word
-    of a row (uint8 through n = 12).
+    :func:`subseq_tables` for the patterns' one length k; each pattern is
+    a pair ``(tau, mask)`` of its classical pattern and its shading's
+    :class:`meshperm.mesh.ShadingSet` mask.  The distinct shadings are
+    counted in groups, and each group yields one array of shape (patterns
+    in the group, rows): row i counts the group's i-th pattern, entry r for
+    the block's rank-r permutation, in the narrowest unsigned dtype that
+    holds 32 bits per word of a row (uint8 through n = 12).  A group holds
+    as many shadings as fit a ``(shadings, words, rows)`` uint32
+    accumulator of ``_GROUP_BYTES``, and at least one.
 
     A combo is an occurrence when no shaded box holds a point and its type
     bits spell the pattern's type id.  The type bits that all the ids share
     are checked once per call: the OR of the type planes where the ids have
-    a 0 bit and of the complements where they have a 1.  Consecutive
-    patterns with one shading then share one accumulator, allocated once
-    per call: that OR and the shading's box planes are ORed into it and it
-    is inverted in place, leaving the combos that are clear.  A full
-    position-gap column of the shading, all k + 1 boxes between two
-    positions of the pattern, is ORed in as a constant word per word from
-    :func:`_gap_masks` instead of as k + 1 planes.  This is exact: every
-    other point lies in exactly one box, so the column holds a point
-    exactly when the gap holds a position, which depends on the combo
-    alone.
+    a 0 bit and of the complements where they have a 1.  The patterns of
+    a group then share one accumulator, allocated once per call: that OR
+    and each shading's box planes are ORed into its slice, each plane once
+    for all the shadings that read it, and it is inverted in place,
+    leaving the combos that are clear.  A full position-gap column of a
+    shading, all k + 1 boxes between two positions of the pattern, is ORed
+    in as a constant word per word from :func:`_gap_masks` instead of as
+    k + 1 planes.  This is exact: every other point lies in exactly one
+    box, so the column holds a point exactly when the gap holds a position,
+    which depends on the combo alone.
 
-    The ids' other bits are checked per shading.  When they differ in one
+    The ids' other bits are checked per group.  When they differ in one
     bit, as those of 123 and 132 or 12 and 21 do, the id with that bit set
     counts the clear combos whose type plane has it, and the other id
     counts the rest: the clear count minus that one.  When they differ in
     more bits, each id ANDs in the type plane or its complement that it
     calls for, bit by bit.  The count per row is a popcount of the bits
-    left set.
+    left set.  The groups are planned once per patterns and group size
+    (:func:`_plan`).
     """
-    k = len(patterns[0])
-    base = (k + 1) ** 2
-    tids = [pattern_type_id(p.tau) for p in patterns]
-    differ = functools.reduce(operator.or_, (t ^ tids[0] for t in tids), 0)
-    shape = planes.shape[1:]
-    shared = [~planes[base + t] if tids[0] >> t & 1 else planes[base + t]
-              for t in range(_type_bits(k)) if not differ >> t & 1]
+    words, rows = planes.shape[1:]
+    plan = _plan(n, tuple(patterns), max(1, _GROUP_BYTES // max(1, 4 * words * rows)))
+    types = planes[(plan.k + 1) ** 2:]
+    shared = [~types[t] if complemented else types[t] for t, complemented in plan.shared]
     if len(shared) > 1:
-        shared = [_or_into(np.empty(shape, dtype=np.uint32), shared)]
-    split = [t for t in range(differ.bit_length()) if differ >> t & 1]
-    clear = np.empty(shape, dtype=np.uint32)
-    hits = np.empty(shape, dtype=np.uint32) if split else None
-    pop = np.empty(shape, dtype=np.uint8)
-    mask = None
-    for pattern, tid in zip(patterns, tids):
-        if pattern.shading.mask != mask:
-            mask = pattern.shading.mask
-            _clear_combos(n, k, planes, mask, shared, clear)
-            counted = {}
-        if tid not in counted and len(split) == 1:
-            bit = 1 << split[0]
-            ones = _row_counts(np.bitwise_and(clear, planes[base + split[0]], out=hits), pop)
-            counted[tid | bit], counted[tid & ~bit] = ones, _row_counts(clear, pop) - ones
-        elif tid not in counted:
-            words = clear
-            for t in split:
-                words = np.bitwise_and(words, planes[base + t] if tid >> t & 1 else ~planes[base + t], out=hits)
-            counted[tid] = _row_counts(words, pop)
-        yield counted[tid]
+        shared = [_or_into(np.empty((words, rows), dtype=np.uint32), shared)]
+    clear = np.empty((plan.size, words, rows), dtype=np.uint32)
+    hits = np.empty_like(clear) if plan.split else None
+    pop = np.empty(clear.shape, dtype=np.uint8)
+    counted = np.empty((len(plan.classes), plan.size, rows), dtype=np.min_scalar_type(words * _WORD))
+    rows_of = counted.reshape(-1, rows)
+    for group in plan.groups:
+        # one shading works on plain (words, rows) arrays, which numpy ORs faster than broadcast ones
+        at = 0 if group.shadings == 1 else slice(group.shadings)
+        cleared = _clear_group(planes, group, shared, clear[at])
+        if len(plan.split) == 1:
+            ones = _row_counts(np.bitwise_and(cleared, types[plan.split[0]], out=hits[at]), pop[at], counted[1, at])
+            np.subtract(_row_counts(cleared, pop[at], counted[0, at]), ones, out=counted[0, at])
+        else:
+            for c in group.classes:
+                bits = cleared
+                for t in plan.split:
+                    bits = np.bitwise_and(bits, types[t] if plan.classes[c] >> t & 1 else ~types[t], out=hits[at])
+                _row_counts(bits, pop[at], counted[c, at])
+        yield rows_of.take(group.take, axis=0)
 
 
 def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = None,
@@ -536,16 +679,17 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
     :func:`occurrence_counts` call over the block's table from
     :func:`subseq_tables`, which holds it for the block's other queries,
     so a pair that shares a shading ORs its box planes once, and its
-    vectors come in that kernel's narrow dtype; any other length by
-    :func:`meshperm.mesh.count_occurrences` on each row of the block, as
-    int64.
+    vectors come in that kernel's narrow dtype, the rows of its groups;
+    any other length by :func:`meshperm.mesh.count_occurrences` on each
+    row of the block, as int64.
     """
     counted = {}
     for k in dict.fromkeys(len(p) for p in patterns):
         same = [p for p in patterns if len(p) == k]
         if k in SUPPORTED_LENGTHS:
             _, planes = subseq_tables(n, k, first, inverse_pairs)
-            counted[k] = occurrence_counts(n, planes, same)
+            groups = occurrence_counts(n, planes, [(p.tau, p.shading.mask) for p in same])
+            counted[k] = itertools.chain.from_iterable(groups)
         else:
             hosts = _table_rows(n, first, inverse_pairs).tolist()
             counted[k] = iter([np.array([count_occurrences(h, p) for h in hosts], dtype=np.int64) for p in same])
@@ -569,10 +713,10 @@ def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> tuple[tu
     if shading.k != 3:
         raise ValueError("pair occurrences need a length-3 shading")
     combos, planes = subseq_tables(n, 3, first)
+    group = _group(n, 3, [(shading.mask, [0])], 1)
     # the type planes follow the 16 box planes; 123 and 132 are the ids 0
     # and 1, the two with type bits 1 and 2 clear
-    types = planes[16:]
-    return combos, _clear_combos(n, 3, planes, shading.mask, types[1:3], np.empty(planes.shape[1:], dtype=np.uint32))
+    return combos, _clear_group(planes, group, planes[17:19], np.empty(planes.shape[1:], dtype=np.uint32))
 
 
 def lex_ranks(perms: np.ndarray) -> np.ndarray:

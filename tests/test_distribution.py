@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import weakref
@@ -21,6 +22,7 @@ from meshperm.distribution import (
     _joint_histogram,
     _pair_histograms,
     _scan_block,
+    _transposed,
     avoidance_sequence,
     bell,
     catalan,
@@ -266,6 +268,72 @@ def test_scan_from_four_skips_sizes_that_cannot_separate_a_pair():
         hists = _pair_histograms(n, masks, jobs=1)
         assert np.array_equal(hists[0::2], hists[1::2]), n
     assert all(r.equidistributed for r in scan_symmetric_pairs(3))
+
+
+def group_size(planes):
+    """Shadings per group of ``engine.occurrence_counts`` over ``planes``."""
+    words, rows = planes.shape[1:]
+    return max(1, engine._GROUP_BYTES // (4 * words * rows))
+
+
+def mixed_masks(size, seed):
+    """Distinct length-3 masks, at least two groups' worth and one more, so
+    not a multiple of ``size``: symmetric and asymmetric shadings, with
+    full position-gap columns among them.  The last, 0x1111, is the
+    transpose of the first asymmetric one, 0x000F (column 0 full), so the
+    scan's last (123, R), (132, R) and its first (123, R^T), (132, R^T)
+    share a shading."""
+    rng = random.Random(seed)
+    symmetric = [s.mask for s in symmetric_shadings(3)]
+    masks = dict.fromkeys([0, 0xFFFF, 0x000F, 0xF00F, 0x0F1F, 0x0001, 0x0010])
+    while len(masks) < size * max(2, 16 // size):
+        mask = rng.choice(symmetric) if rng.random() < 0.5 else rng.getrandbits(16)
+        if mask != 0x1111:
+            masks[mask] = None
+    masks = (*masks, 0x1111)
+    assert len(masks) % size and _transposed(0x000F) == 0x1111
+    assert any(_transposed(m) == m for m in masks[3:])
+    return masks
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_grouped_kernel_matches_each_pattern_counted_alone(n):
+    # the kernel ORs a group of shadings into one accumulator, each box
+    # plane only into the shadings that read it; every pattern's row must
+    # equal the pattern counted in a call of its own (a group of one, the
+    # path test_occurrence_counts_match_the_direct_counter pins).  Runs of
+    # one to three patterns per mask, with type ids one bit apart (123/132)
+    # and several bits apart (231/312, all six types), cross the groups'
+    # ends.
+    _, planes = engine.build_tables(n, 3, inverse_pairs=True)
+    size = group_size(planes)
+    assert size > 1
+    masks = mixed_masks(size, n)
+    taus = list(enumerate_sn(3))
+    mixed = [[[(2, 3, 1), (3, 1, 2)], [(2, 3, 1)], taus[i % 4:i % 4 + 3]][i % 3] for i in range(len(masks))]
+    for runs in ([[(1, 2, 3), (1, 3, 2)]] * len(masks), mixed):
+        patterns = [(tau, mask) for mask, run in zip(masks, runs) for tau in run]
+        groups = list(engine.occurrence_counts(n, planes, patterns))
+        assert len(groups) == -(-len(masks) // size)
+        assert sum(len(g) for g in groups) == len(patterns)
+        for pattern, row in zip(patterns, np.concatenate(groups)):
+            (alone,) = engine.occurrence_counts(n, planes, [pattern])
+            assert np.array_equal(row, alone[0]), (n, pattern)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_pair_histograms_of_mixed_masks_equal_the_lex_tables(n):
+    # the scan bins each group with one bincount; masks that are not their
+    # own transposes count (123, R^T) and (132, R^T) too, which may fall in
+    # another group than R's
+    _, planes = engine.build_tables(n, 3, inverse_pairs=True)
+    masks = mixed_masks(group_size(planes), n)
+    assert np.array_equal(_pair_histograms(n, masks, jobs=1), lex_histograms(n, masks))
+    engine.clear_caches()
+
+
+def test_transposed_masks():
+    assert all(_transposed(m) == ShadingSet(3, m).transposed().mask for m in range(1 << 16))
 
 
 def lex_joint_histogram(p1, p2, n):

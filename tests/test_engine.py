@@ -291,8 +291,10 @@ def test_occurrence_counts_match_the_direct_counter(n):
                 shading = ShadingSet(k, full.mask | extra)
                 expected = {tau: [count_occurrences(h, MeshPattern(tau, shading)) for h in hosts] for tau in taus}
                 for group in groups:
-                    patterns = [MeshPattern(tau, shading) for tau in group]
-                    for tau, vec in zip(group, engine.occurrence_counts(n, planes, patterns)):
+                    patterns = [(tau, shading.mask) for tau in group]
+                    vectors = np.concatenate(list(engine.occurrence_counts(n, planes, patterns)))
+                    assert len(vectors) == len(group)
+                    for tau, vec in zip(group, vectors):
                         assert vec.tolist() == expected[tau], (n, shading, group, tau)
 
 
