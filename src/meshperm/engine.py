@@ -52,7 +52,6 @@ import functools
 import itertools
 import math
 from collections.abc import Iterator, Sequence
-from typing import NamedTuple
 
 import numpy as np
 
@@ -456,54 +455,22 @@ def _or_into(out: np.ndarray, terms: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-class _Group(NamedTuple):
-    """The shadings that :func:`occurrence_counts` clears in one pass."""
-
-    #: Number of shadings in the group.
-    shadings: int
-    #: Box planes that every shading of the group reads.
-    always: tuple[int, ...]
-    #: ``(plane, where)`` for each box plane that only some read: ``where``
-    #: has shape ``(shadings, 1, 1)`` and is set for those that do.
-    some: tuple[tuple[int, np.ndarray], ...]
-    #: The OR of the gap words of each shading's full columns, shape
-    #: ``(shadings, words, 1)`` or ``(words, 1)`` for one shading, or None
-    #: when no shading has one.
-    gaps: np.ndarray | None
-    #: The type classes that the group's patterns count.
-    classes: tuple[int, ...]
-    #: The row of each pattern's count vector, in order, among the
-    #: ``(classes, size, rows)`` counts of a plan's groups of ``size``
-    #: shadings, flattened over the first two axes: class * size + the
-    #: pattern's shading, counted from the group's first.
-    take: np.ndarray
-
-
-class _Plan(NamedTuple):
-    """What :func:`occurrence_counts` reads for a list of patterns."""
-
-    k: int
-    #: The distinct type ids of the patterns, ascending: the type classes.
-    classes: tuple[int, ...]
-    #: ``(bit, complemented)`` of the type bits that all the ids share: a
-    #: combo is ruled out where the plane, or its complement, has a bit set.
-    shared: tuple[tuple[int, bool], ...]
-    #: The type bits in which the ids differ, low bit first.
-    split: tuple[int, ...]
-    #: The largest number of shadings in a group.
-    size: int
-    groups: tuple[_Group, ...]
-
-
 @functools.lru_cache(maxsize=2)
-def _plan(n: int, patterns: tuple[tuple[Perm, int], ...], size: int) -> _Plan:
-    """The plan of :func:`occurrence_counts` for ``(tau, shading mask)``
-    patterns of one length k over a table of S_n, at most ``size``
-    shadings to a group.
+def _plan(patterns: tuple[tuple[Perm, int], ...], size: int) -> tuple:
+    """``(classes, shared, split, size, groups)``: what
+    :func:`occurrence_counts` reads for ``(tau, shading mask)`` patterns of
+    one length, at most ``size`` shadings to a group.
 
-    Consecutive patterns with one mask form a run that shares its
-    shading's clear combos; the runs go ``size`` at a time.  Memoized, so
-    that every block of a scan or a streamed query plans its masks once.
+    ``classes`` are the patterns' distinct type ids, ascending, and
+    ``shared`` lists ``(bit, complemented)`` for each type bit that all of
+    them share: a combo is ruled out where that type plane, or its
+    complement, has its bit set.  ``split`` lists the bits in which the ids
+    differ, low bit first.  Consecutive patterns with one mask form a run
+    that shares its shading's clear combos, and ``groups`` takes the runs
+    ``size`` at a time (:func:`_group`); the returned ``size`` is the
+    largest group's.  Nothing here depends on n, so the sizes of one query
+    share a plan, and every block of a scan or a streamed query plans its
+    masks once; memoized.
     """
     k = len(patterns[0][0])
     tids = [pattern_type_id(tau) for tau, _ in patterns]
@@ -518,18 +485,28 @@ def _plan(n: int, patterns: tuple[tuple[Perm, int], ...], size: int) -> _Plan:
         else:
             runs.append((mask, [classes.index(tid)]))
     size = min(size, len(runs))
-    return _Plan(k, tuple(classes),
-                 tuple((t, bool(classes[0] >> t & 1)) for t in range(_type_bits(k)) if not differ >> t & 1),
-                 tuple(t for t in range(differ.bit_length()) if differ >> t & 1), size,
-                 tuple(_group(n, k, runs[lo:lo + size], size) for lo in range(0, len(runs), size)))
+    shared = tuple([(t, bool(classes[0] >> t & 1)) for t in range(_type_bits(k)) if not differ >> t & 1])
+    split = tuple([t for t in range(differ.bit_length()) if differ >> t & 1])
+    groups = tuple([_group(k, runs[lo:lo + size], size) for lo in range(0, len(runs), size)])
+    return tuple(classes), shared, split, size, groups
 
 
-def _group(n: int, k: int, runs: list[tuple[int, list[int]]], size: int) -> _Group:
-    """The :class:`_Group` of ``(mask, classes)`` runs of a length-k plan
-    over S_n whose groups hold at most ``size`` shadings.
+def _group(k: int, runs: list[tuple[int, list[int]]], size: int) -> tuple:
+    """``(shadings, always, some, gaps, classes, take)`` of ``(mask,
+    classes)`` runs of length-k patterns, in a plan whose groups hold at
+    most ``size`` shadings.
 
-    A column of a mask that shades all k + 1 boxes of its position gap is
-    read as its gap word from :func:`_gap_words` instead of as k + 1 planes.
+    ``shadings`` counts the runs.  ``always`` lists the box planes that
+    every shading reads, and ``some`` pairs each plane that only some read
+    with a bool array of shape ``(shadings, 1, 1)``, set for those.  A
+    column of a mask that shades all k + 1 boxes of its position gap is
+    not read from its planes but as a gap word: ``gaps`` is the row of
+    :func:`_gap_words` for each shading's full columns, one index for one
+    shading, or None when no shading has one.  ``classes`` lists the type
+    classes that the patterns count, and ``take`` the row of each
+    pattern's counts, in order, in the kernel's ``(classes, size, rows)``
+    counts flattened over the first two axes: class * size + the pattern's
+    shading, counted from the group's first.
     """
     side = k + 1
     column = (1 << side) - 1
@@ -543,48 +520,58 @@ def _group(n: int, k: int, runs: list[tuple[int, list[int]]], size: int) -> _Gro
         reads.append(mask & ~(whole * column))
         full.append(whole)
     if len(runs) == 1:
-        always = tuple(p for p in range(reads[0].bit_length()) if reads[0] >> p & 1)
+        always = tuple([p for p in range(reads[0].bit_length()) if reads[0] >> p & 1])
         some: tuple[tuple[int, np.ndarray], ...] = ()
     else:
         shaded = (np.array(reads)[:, None] >> np.arange(side * side) & 1).astype(bool)
         counts = shaded.sum(axis=0).tolist()
         always = tuple(p for p, c in enumerate(counts) if c == len(runs))
         some = tuple((p, shaded[:, p, None, None]) for p, c in enumerate(counts) if 0 < c < len(runs))
-    words, row = _gap_words(n, k)
-    # one shading's gaps drop the shading axis, as its accumulator does
-    at = [row[w] for w in full]
-    gaps = words[at[0] if len(runs) == 1 else at, :, None] if any(full) else None
-    classes = {c for _, cs in runs for c in cs}
+    gaps = None
+    if any(full):
+        rows = _gap_rows(k)
+        # one shading's gaps drop the shading axis, as its accumulator does
+        gaps = rows[full[0]] if len(runs) == 1 else [rows[w] for w in full]
+    classes = tuple(sorted({c for _, cs in runs for c in cs}))
     take = np.array([c * size + i for i, (_, cs) in enumerate(runs) for c in cs])
-    return _Group(len(runs), always, some, gaps, tuple(sorted(classes)), take)
+    return len(runs), always, some, gaps, classes, take
 
 
 @functools.lru_cache(maxsize=None)
-def _gap_words(n: int, k: int) -> tuple[np.ndarray, dict[int, int]]:
-    """``(words, row)``: for each set of full columns, the OR of their rows
-    of :func:`_gap_masks`.  A set is keyed as in :func:`_group`, with bit
-    i * (k + 1) for column i, and ``row[key]`` is its row of ``words``."""
+def _gap_rows(k: int) -> dict[int, int]:
+    """The row of :func:`_gap_words` for each set of full columns of a
+    length-k shading, keyed with bit i * (k + 1) for column i."""
     side = k + 1
-    subsets = list(itertools.product((0, 1), repeat=side))
-    words = np.array([np.bitwise_or.reduce(_gap_masks(n, k)[list(map(bool, s))], axis=0) for s in subsets],
-                     dtype=np.uint32).reshape(len(subsets), -1)
-    return words, {sum(b << i * side for i, b in enumerate(s)): r for r, s in enumerate(subsets)}
+    return {sum(1 << i * side for i in range(side) if c >> i & 1): c for c in range(1 << side)}
 
 
-def _clear_group(planes: np.ndarray, group: _Group, ruled_out: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Write to ``out``, of shape ``(group.shadings, words, rows)`` or
-    ``(words, rows)`` for one shading, the combos of each row with no point
-    in a box of each shading of the group and no bit set in ``ruled_out``,
-    and return it.
+@functools.lru_cache(maxsize=None)
+def _gap_words(n: int, k: int) -> np.ndarray:
+    """Row c is the OR of the rows of :func:`_gap_masks` of the columns i
+    with bit i of c set, shaped ``(words, 1)`` to broadcast over the rows."""
+    masks = _gap_masks(n, k)
+    words = np.zeros((1 << (k + 1), masks.shape[1], 1), dtype=np.uint32)
+    for c in range(1 << (k + 1)):
+        words[c, :, 0] = np.bitwise_or.reduce(masks[[i for i in range(k + 1) if c >> i & 1]], axis=0)
+    words.setflags(write=False)
+    return words
+
+
+def _clear_group(planes: np.ndarray, always: Sequence[int], some: Sequence[tuple[int, np.ndarray]],
+                 gaps: np.ndarray | None, ruled_out: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Write to ``out``, of shape ``(shadings, words, rows)`` or ``(words,
+    rows)`` for one shading, the combos of each row with no point in a box
+    of each shading of a group (see :func:`_group`), none in the gap words
+    ``gaps`` and no bit set in ``ruled_out``, and return it.
 
     One OR covers what every shading of the group reads; a plane that only
     some read is ORed into theirs alone, through ``where=``.
     """
-    terms = [*ruled_out, *(planes[p] for p in group.always)]
-    if group.gaps is not None:
-        terms.append(group.gaps)
+    terms = [*ruled_out, *(planes[p] for p in always)]
+    if gaps is not None:
+        terms.append(gaps)
     _or_into(out, terms)
-    for p, where in group.some:
+    for p, where in some:
         np.bitwise_or(out, planes[p], out=out, where=where)
     return np.invert(out, out=out)
 
@@ -642,30 +629,33 @@ def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[tuple[Perm,
     (:func:`_plan`).
     """
     words, rows = planes.shape[1:]
-    plan = _plan(n, tuple(patterns), max(1, _GROUP_BYTES // max(1, 4 * words * rows)))
-    types = planes[(plan.k + 1) ** 2:]
-    shared = [~types[t] if complemented else types[t] for t, complemented in plan.shared]
+    k = len(patterns[0][0])
+    budget = max(1, _GROUP_BYTES // max(1, 4 * words * rows))
+    classes, shared_bits, split, size, groups = _plan(tuple(patterns), min(budget, len(patterns)))
+    types = planes[(k + 1) ** 2:]
+    shared = [~types[t] if complemented else types[t] for t, complemented in shared_bits]
     if len(shared) > 1:
         shared = [_or_into(np.empty((words, rows), dtype=np.uint32), shared)]
-    clear = np.empty((plan.size, words, rows), dtype=np.uint32)
-    hits = np.empty_like(clear) if plan.split else None
+    gap_words = _gap_words(n, k)
+    clear = np.empty((size, words, rows), dtype=np.uint32)
+    hits = np.empty_like(clear) if split else None
     pop = np.empty(clear.shape, dtype=np.uint8)
-    counted = np.empty((len(plan.classes), plan.size, rows), dtype=np.min_scalar_type(words * _WORD))
+    counted = np.empty((len(classes), size, rows), dtype=np.min_scalar_type(words * _WORD))
     rows_of = counted.reshape(-1, rows)
-    for group in plan.groups:
+    for shadings, always, some, gaps, group_classes, take in groups:
         # one shading works on plain (words, rows) arrays, which numpy ORs faster than broadcast ones
-        at = 0 if group.shadings == 1 else slice(group.shadings)
-        cleared = _clear_group(planes, group, shared, clear[at])
-        if len(plan.split) == 1:
-            ones = _row_counts(np.bitwise_and(cleared, types[plan.split[0]], out=hits[at]), pop[at], counted[1, at])
+        at = 0 if shadings == 1 else slice(shadings)
+        cleared = _clear_group(planes, always, some, None if gaps is None else gap_words[gaps], shared, clear[at])
+        if len(split) == 1:
+            ones = _row_counts(np.bitwise_and(cleared, types[split[0]], out=hits[at]), pop[at], counted[1, at])
             np.subtract(_row_counts(cleared, pop[at], counted[0, at]), ones, out=counted[0, at])
         else:
-            for c in group.classes:
+            for c in group_classes:
                 bits = cleared
-                for t in plan.split:
-                    bits = np.bitwise_and(bits, types[t] if plan.classes[c] >> t & 1 else ~types[t], out=hits[at])
+                for t in split:
+                    bits = np.bitwise_and(bits, types[t] if classes[c] >> t & 1 else ~types[t], out=hits[at])
                 _row_counts(bits, pop[at], counted[c, at])
-        yield rows_of.take(group.take, axis=0)
+        yield rows_of.take(take, axis=0)
 
 
 def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = None,
@@ -688,7 +678,7 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
         same = [p for p in patterns if len(p) == k]
         if k in SUPPORTED_LENGTHS:
             _, planes = subseq_tables(n, k, first, inverse_pairs)
-            groups = occurrence_counts(n, planes, [(p.tau, p.shading.mask) for p in same])
+            groups = occurrence_counts(n, planes, tuple((p.tau, p.shading.mask) for p in same))
             counted[k] = itertools.chain.from_iterable(groups)
         else:
             hosts = _table_rows(n, first, inverse_pairs).tolist()
@@ -713,10 +703,11 @@ def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> tuple[tu
     if shading.k != 3:
         raise ValueError("pair occurrences need a length-3 shading")
     combos, planes = subseq_tables(n, 3, first)
-    group = _group(n, 3, [(shading.mask, [0])], 1)
+    _, always, _, gaps, _, _ = _group(3, [(shading.mask, [0])], 1)
+    gaps = None if gaps is None else _gap_words(n, 3)[gaps]
     # the type planes follow the 16 box planes; 123 and 132 are the ids 0
     # and 1, the two with type bits 1 and 2 clear
-    return combos, _clear_group(planes, group, planes[17:19], np.empty(planes.shape[1:], dtype=np.uint32))
+    return combos, _clear_group(planes, always, (), gaps, planes[17:19], np.empty(planes.shape[1:], dtype=np.uint32))
 
 
 def lex_ranks(perms: np.ndarray) -> np.ndarray:
