@@ -468,9 +468,9 @@ def _plan(patterns: tuple[tuple[Perm, int], ...], size: int) -> tuple:
     differ, low bit first.  Consecutive patterns with one mask form a run
     that shares its shading's clear combos, and ``groups`` takes the runs
     ``size`` at a time (:func:`_group`); the returned ``size`` is the
-    largest group's.  Nothing here depends on n, so the sizes of one query
-    share a plan, and every block of a scan or a streamed query plans its
-    masks once; memoized.
+    largest group's.  Nothing here depends on n, so a query's sizes n share
+    a plan wherever their group sizes agree, and every block of a scan or a
+    streamed query plans its masks once; memoized.
     """
     k = len(patterns[0][0])
     tids = [pattern_type_id(tau) for tau, _ in patterns]
