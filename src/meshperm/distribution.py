@@ -321,7 +321,12 @@ def _scan_plan(masks: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int
 def _transposed(mask: int) -> int:
     """The mask of R^T for a length-3 shading mask R.  Box (i, j) is bit
     4i + j, so R^T swaps bits 4i + j and 4j + i: within each 2 x 2 corner
-    of the 4 x 4 grid first, and then the two corners off the diagonal."""
+    of the 4 x 4 grid first, and then the two corners off the diagonal.
+
+    This is :meth:`meshperm.mesh.ShadingSet.transposed` on masks, which
+    goes through box tuples: for the 1024 masks that the scan plans at
+    n = 4 that took 3.3 ms against 0.14 ms here, about 2% of a 0.15 s
+    ``scan --max-n 9 --long`` (2-core Xeon)."""
     t = (mask ^ mask >> 3) & 0x0A0A
     mask ^= t ^ t << 3
     t = (mask ^ mask >> 6) & 0x00CC

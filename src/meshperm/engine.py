@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -492,7 +493,7 @@ def _plan(patterns: tuple[tuple[Perm, int], ...], size: int) -> tuple:
 
 
 def _group(k: int, runs: list[tuple[int, list[int]]], size: int) -> tuple:
-    """``(shadings, always, some, gaps, classes, take)`` of ``(mask,
+    """``(shadings, always, some, gaps, take)`` of ``(mask,
     classes)`` runs of length-k patterns, in a plan whose groups hold at
     most ``size`` shadings.
 
@@ -500,49 +501,50 @@ def _group(k: int, runs: list[tuple[int, list[int]]], size: int) -> tuple:
     every shading reads, and ``some`` pairs each plane that only some read
     with a bool array of shape ``(shadings, 1, 1)``, set for those.  A
     column of a mask that shades all k + 1 boxes of its position gap is
-    not read from its planes but as a gap word: ``gaps`` is the row of
-    :func:`_gap_words` for each shading's full columns, one index for one
-    shading, or None when no shading has one.  ``classes`` lists the type
-    classes that the patterns count, and ``take`` the row of each
-    pattern's counts, in order, in the kernel's ``(classes, size, rows)``
-    counts flattened over the first two axes: class * size + the pattern's
-    shading, counted from the group's first.
+    not read from its planes but as a gap word: ``gaps`` is an index array
+    of the row of :func:`_gap_words` for each shading (see
+    :func:`_full_columns`), or None when no shading has a full column.
+    ``take`` lists the row of each pattern's counts, in order, in the
+    kernel's ``(classes, size, rows)`` counts flattened over the first two
+    axes: class * size + the pattern's shading, counted from the group's
+    first.  Only the masks of the group decide which plane is ORed where,
+    so a group of one shading reads its planes and gap word with no
+    ``where=``.
     """
+    reads, gaps = [], []
+    for mask, _ in runs:
+        read, gap = _full_columns(k, mask)
+        reads.append(read)
+        gaps.append(gap)
+    every = functools.reduce(operator.and_, reads)
+    only_some = functools.reduce(operator.or_, reads) & ~every
+    always = _bits(every)
+    some: tuple[tuple[int, np.ndarray], ...] = ()
+    if only_some:
+        shaded = (np.array(reads)[:, None] >> np.arange((k + 1) ** 2) & 1).astype(bool)
+        some = tuple([(p, shaded[:, p, None, None]) for p in _bits(only_some)])
+    take = np.array([c * size + i for i, (_, cs) in enumerate(runs) for c in cs])
+    return len(runs), always, some, np.array(gaps) if any(gaps) else None, take
+
+
+def _full_columns(k: int, mask: int) -> tuple[int, int]:
+    """``(read, gap)`` of a length-k shading mask: the boxes outside the
+    columns that shade all k + 1 boxes of a position gap, which are read
+    from their planes, and the row of :func:`_gap_words` for those columns,
+    bit i set for a full column i."""
     side = k + 1
     column = (1 << side) - 1
-    starts = ((1 << side * side) - 1) // column  # bit i * side for each column i
-    reads, full = [], []
-    for mask, _ in runs:
-        # bit i * side of ``whole`` is set when column i is full
-        whole = mask & starts
-        for s in range(1, side):
-            whole &= mask >> s
-        reads.append(mask & ~(whole * column))
-        full.append(whole)
-    if len(runs) == 1:
-        always = tuple([p for p in range(reads[0].bit_length()) if reads[0] >> p & 1])
-        some: tuple[tuple[int, np.ndarray], ...] = ()
-    else:
-        shaded = (np.array(reads)[:, None] >> np.arange(side * side) & 1).astype(bool)
-        counts = shaded.sum(axis=0).tolist()
-        always = tuple(p for p, c in enumerate(counts) if c == len(runs))
-        some = tuple((p, shaded[:, p, None, None]) for p, c in enumerate(counts) if 0 < c < len(runs))
-    gaps = None
-    if any(full):
-        rows = _gap_rows(k)
-        # one shading's gaps drop the shading axis, as its accumulator does
-        gaps = rows[full[0]] if len(runs) == 1 else [rows[w] for w in full]
-    classes = tuple(sorted({c for _, cs in runs for c in cs}))
-    take = np.array([c * size + i for i, (_, cs) in enumerate(runs) for c in cs])
-    return len(runs), always, some, gaps, classes, take
+    read, gap = mask, 0
+    for i in range(side):
+        if mask >> i * side & column == column:
+            read &= ~(column << i * side)
+            gap |= 1 << i
+    return read, gap
 
 
-@functools.lru_cache(maxsize=None)
-def _gap_rows(k: int) -> dict[int, int]:
-    """The row of :func:`_gap_words` for each set of full columns of a
-    length-k shading, keyed with bit i * (k + 1) for column i."""
-    side = k + 1
-    return {sum(1 << i * side for i in range(side) if c >> i & 1): c for c in range(1 << side)}
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, low bit first."""
+    return tuple([p for p in range(mask.bit_length()) if mask >> p & 1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -559,10 +561,10 @@ def _gap_words(n: int, k: int) -> np.ndarray:
 
 def _clear_group(planes: np.ndarray, always: Sequence[int], some: Sequence[tuple[int, np.ndarray]],
                  gaps: np.ndarray | None, ruled_out: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Write to ``out``, of shape ``(shadings, words, rows)`` or ``(words,
-    rows)`` for one shading, the combos of each row with no point in a box
-    of each shading of a group (see :func:`_group`), none in the gap words
-    ``gaps`` and no bit set in ``ruled_out``, and return it.
+    """Write to ``out``, of shape ``(shadings, words, rows)``, the combos of
+    each row with no point in a box of each shading of a group (see
+    :func:`_group`), none in the gap words ``gaps`` and no bit set in
+    ``ruled_out``, and return it; one shading may drop the first axis.
 
     One OR covers what every shading of the group reads; a plane that only
     some read is ORed into theirs alone, through ``where=``.
@@ -632,28 +634,33 @@ def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[tuple[Perm,
     k = len(patterns[0][0])
     budget = max(1, _GROUP_BYTES // max(1, 4 * words * rows))
     classes, shared_bits, split, size, groups = _plan(tuple(patterns), min(budget, len(patterns)))
+    # each plane shaped (1, words, rows), as one shading's accumulator is:
+    # numpy ORs it into that as fast as into a plain (words, rows) array,
+    # where a broadcast (words, rows) plane was slower
+    planes = planes[:, None]
     types = planes[(k + 1) ** 2:]
     shared = [~types[t] if complemented else types[t] for t, complemented in shared_bits]
     if len(shared) > 1:
-        shared = [_or_into(np.empty((words, rows), dtype=np.uint32), shared)]
+        shared = [_or_into(np.empty((1, words, rows), dtype=np.uint32), shared)]
     gap_words = _gap_words(n, k)
     clear = np.empty((size, words, rows), dtype=np.uint32)
     hits = np.empty_like(clear) if split else None
     pop = np.empty(clear.shape, dtype=np.uint8)
     counted = np.empty((len(classes), size, rows), dtype=np.min_scalar_type(words * _WORD))
     rows_of = counted.reshape(-1, rows)
-    for shadings, always, some, gaps, group_classes, take in groups:
-        # one shading works on plain (words, rows) arrays, which numpy ORs faster than broadcast ones
-        at = 0 if shadings == 1 else slice(shadings)
-        cleared = _clear_group(planes, always, some, None if gaps is None else gap_words[gaps], shared, clear[at])
+    for shadings, always, some, gaps, take in groups:
+        at = slice(shadings)
+        if gaps is not None:
+            gaps = gap_words.take(gaps, axis=0)
+        cleared = _clear_group(planes, always, some, gaps, shared, clear[at])
         if len(split) == 1:
             ones = _row_counts(np.bitwise_and(cleared, types[split[0]], out=hits[at]), pop[at], counted[1, at])
             np.subtract(_row_counts(cleared, pop[at], counted[0, at]), ones, out=counted[0, at])
         else:
-            for c in group_classes:
+            for c, tid in enumerate(classes):
                 bits = cleared
                 for t in split:
-                    bits = np.bitwise_and(bits, types[t] if classes[c] >> t & 1 else ~types[t], out=hits[at])
+                    bits = np.bitwise_and(bits, types[t] if tid >> t & 1 else ~types[t], out=hits[at])
                 _row_counts(bits, pop[at], counted[c, at])
         yield rows_of.take(take, axis=0)
 
@@ -703,11 +710,12 @@ def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> tuple[tu
     if shading.k != 3:
         raise ValueError("pair occurrences need a length-3 shading")
     combos, planes = subseq_tables(n, 3, first)
-    _, always, _, gaps, _, _ = _group(3, [(shading.mask, [0])], 1)
-    gaps = None if gaps is None else _gap_words(n, 3)[gaps]
+    read, gap = _full_columns(3, shading.mask)
+    gaps = _gap_words(n, 3)[gap] if gap else None
     # the type planes follow the 16 box planes; 123 and 132 are the ids 0
     # and 1, the two with type bits 1 and 2 clear
-    return combos, _clear_group(planes, always, (), gaps, planes[17:19], np.empty(planes.shape[1:], dtype=np.uint32))
+    clear = np.empty(planes.shape[1:], dtype=np.uint32)
+    return combos, _clear_group(planes, _bits(read), (), gaps, planes[17:19], clear)
 
 
 def lex_ranks(perms: np.ndarray) -> np.ndarray:
