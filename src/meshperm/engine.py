@@ -488,14 +488,14 @@ def _plan(patterns: tuple[tuple[Perm, int], ...], size: int) -> tuple:
     size = min(size, len(runs))
     shared = tuple([(t, bool(classes[0] >> t & 1)) for t in range(_type_bits(k)) if not differ >> t & 1])
     split = tuple([t for t in range(differ.bit_length()) if differ >> t & 1])
-    groups = tuple([_group(k, runs[lo:lo + size], size) for lo in range(0, len(runs), size)])
+    groups = tuple([_group(k, runs[lo:lo + size], len(classes)) for lo in range(0, len(runs), size)])
     return tuple(classes), shared, split, size, groups
 
 
-def _group(k: int, runs: list[tuple[int, list[int]]], size: int) -> tuple:
-    """``(shadings, always, some, gaps, take)`` of ``(mask,
-    classes)`` runs of length-k patterns, in a plan whose groups hold at
-    most ``size`` shadings.
+def _group(k: int, runs: list[tuple[int, list[int]]], classes: int) -> tuple:
+    """``(shadings, always, some, gaps, take)`` of ``(mask, classes)``
+    runs of length-k patterns, in a plan that counts ``classes`` type
+    classes.
 
     ``shadings`` counts the runs.  ``always`` lists the box planes that
     every shading reads, and ``some`` pairs each plane that only some read
@@ -504,12 +504,14 @@ def _group(k: int, runs: list[tuple[int, list[int]]], size: int) -> tuple:
     not read from its planes but as a gap word: ``gaps`` is an index array
     of the row of :func:`_gap_words` for each shading (see
     :func:`_full_columns`), or None when no shading has a full column.
-    ``take`` lists the row of each pattern's counts, in order, in the
-    kernel's ``(classes, size, rows)`` counts flattened over the first two
-    axes: class * size + the pattern's shading, counted from the group's
-    first.  Only the masks of the group decide which plane is ORed where,
-    so a group of one shading reads its planes and gap word with no
-    ``where=``.
+    ``take`` indexes the row of each pattern's counts, in order, in the
+    kernel's ``(shadings, classes, rows)`` counts flattened over the first
+    two axes: the pattern's shading, counted from the group's first, times
+    ``classes`` plus its class.  It is a slice of all rows when those are
+    in pattern order already, as for a list of (123, R), (132, R) pairs,
+    and an index array otherwise.  Only the masks of the group decide
+    which plane is ORed where, so a group of one shading reads its planes
+    and gap word with no ``where=``.
     """
     reads, gaps = [], []
     for mask, _ in runs:
@@ -523,7 +525,8 @@ def _group(k: int, runs: list[tuple[int, list[int]]], size: int) -> tuple:
     if only_some:
         shaded = (np.array(reads)[:, None] >> np.arange((k + 1) ** 2) & 1).astype(bool)
         some = tuple([(p, shaded[:, p, None, None]) for p in _bits(only_some)])
-    take = np.array([c * size + i for i, (_, cs) in enumerate(runs) for c in cs])
+    rows = [i * classes + c for i, (_, cs) in enumerate(runs) for c in cs]
+    take = slice(None) if rows == [*range(len(rows))] else np.array(rows)
     return len(runs), always, some, np.array(gaps) if any(gaps) else None, take
 
 
@@ -646,23 +649,23 @@ def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[tuple[Perm,
     clear = np.empty((size, words, rows), dtype=np.uint32)
     hits = np.empty_like(clear) if split else None
     pop = np.empty(clear.shape, dtype=np.uint8)
-    counted = np.empty((len(classes), size, rows), dtype=np.min_scalar_type(words * _WORD))
-    rows_of = counted.reshape(-1, rows)
+    dtype = np.min_scalar_type(words * _WORD)
     for shadings, always, some, gaps, take in groups:
         at = slice(shadings)
         if gaps is not None:
             gaps = gap_words.take(gaps, axis=0)
         cleared = _clear_group(planes, always, some, gaps, shared, clear[at])
+        counted = np.empty((shadings, len(classes), rows), dtype=dtype)
         if len(split) == 1:
-            ones = _row_counts(np.bitwise_and(cleared, types[split[0]], out=hits[at]), pop[at], counted[1, at])
-            np.subtract(_row_counts(cleared, pop[at], counted[0, at]), ones, out=counted[0, at])
+            ones = _row_counts(np.bitwise_and(cleared, types[split[0]], out=hits[at]), pop[at], counted[:, 1])
+            np.subtract(_row_counts(cleared, pop[at], counted[:, 0]), ones, out=counted[:, 0])
         else:
             for c, tid in enumerate(classes):
                 bits = cleared
                 for t in split:
                     bits = np.bitwise_and(bits, types[t] if tid >> t & 1 else ~types[t], out=hits[at])
-                _row_counts(bits, pop[at], counted[c, at])
-        yield rows_of.take(take, axis=0)
+                _row_counts(bits, pop[at], counted[:, c])
+        yield counted.reshape(-1, rows)[take]
 
 
 def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = None,
