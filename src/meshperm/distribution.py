@@ -10,9 +10,12 @@ hard ceiling of the enumeration layer still applies.
 
 Every histogram here counts one permutation of each inverse pair
 {p, p^-1}, which is exact because the count of P in p^-1 is that of
-``transform_pattern(P, "inverse")`` in p: a pattern fixed by the inverse
-symmetry, as (123, R) and (132, R) are for the scan's symmetric R, is
-counted once and its non-involution hosts weighted twice.
+P' = ``transform_pattern(P, "inverse")`` in p: over a block it is
+fixed + others(P) + others(P'), the bins of the involutions, of the other
+rows, and of the other rows counted with the P'.  :func:`_bins` makes
+that split for the queries and the scan alike.  A pattern fixed by the
+inverse symmetry, as (123, R) and (132, R) are for the scan's symmetric
+R, is its own P' and is counted once.
 
 The scan plans its pending shadings once per n (their ``(tau, mask)``
 patterns and the transposes that an asymmetric R adds), counts them with
@@ -25,6 +28,7 @@ import dataclasses
 import functools
 import math
 import os
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -111,50 +115,60 @@ def distribution(pattern: MeshPattern, n: int, *, cap: int | None = None) -> Dis
     histogram is (see :func:`_histogram`).
     """
     check_cap(n, cap)
-    hist = _histogram((pattern,), n, lambda vec: _bincount(vec, n, len(pattern)))
-    return DistributionTable(pattern, n, _counts(hist))
+    return DistributionTable(pattern, n, _counts(_histogram((pattern,), n)))
 
 
-def _histogram(patterns: tuple[MeshPattern, ...], n: int, bins) -> np.ndarray:
-    """``bins`` of the patterns' count vectors, summed over all of S_n.
+def _histogram(patterns: tuple[MeshPattern, ...], n: int) -> np.ndarray:
+    """Hosts of S_n per tuple of the patterns' occurrence counts, as a
+    ``(C(n, k1) + 1, ...)`` array for the pattern lengths k1, ...
 
-    The vectors cover one permutation of each inverse pair {p, p^-1}, the
-    rows of :func:`meshperm.engine.inverse_pair_block`: the count of P in
-    p^-1 is that of P' = ``transform_pattern(P, "inverse")`` in p, so the
-    hosts p^-1 are binned from the vectors of the P' (see
-    :func:`_over_inverse_pairs`).  When every P' is P, as for (123, R) and
-    (132, R) with R symmetric, the patterns are counted once.
+    Each block's vectors cover one permutation of each inverse pair
+    {p, p^-1}, the rows of :func:`meshperm.engine.inverse_pair_block`, the
+    involutions first.  The count of P in p^-1 is that of
+    P' = ``transform_pattern(P, "inverse")`` in p, so a block adds
+    fixed + others(P) + others(P'): the bins of the involutions and of the
+    other rows p, counted with the patterns, and the bins of those other
+    rows counted with the P', which are the hosts p^-1 (see :func:`_bins`).
+    When every P' is P, as for (123, R) and (132, R) with R symmetric, the
+    patterns are counted once and their others added twice.
     """
     inverses = tuple(transform_pattern(p, "inverse") for p in patterns)
     counted = patterns if inverses == patterns else patterns + inverses
+    widths = tuple(math.comb(n, len(p)) + 1 for p in patterns)
     hist = 0
     for first in engine.blocks(n):
         vectors = engine.count_vectors(n, counted, first, inverse_pairs=True)
-        own = vectors[:len(patterns)]
-        flipped = own if counted is patterns else vectors[len(patterns):]
+        if counted is not patterns:
+            vectors = [np.array(pair) for pair in zip(vectors, vectors[len(patterns):])]
         _, involutions = engine.inverse_pair_counts(n, first)
-        hist += _over_inverse_pairs(bins, own, flipped, involutions)
+        others, fixed = _bins(vectors, widths, involutions)
+        hist += fixed[0] + others[0] + others[-1]
     return hist
 
 
-def _over_inverse_pairs(bins, vectors, inverse_vectors, involutions: int) -> np.ndarray:
-    """``bins`` over both permutations of each inverse pair of a block.
+def _bins(counts: Sequence[np.ndarray], widths: tuple[int, ...], involutions: int) -> np.ndarray:
+    """Hosts per tuple of counts, over the rows after the first
+    ``involutions`` and over those first rows: ``others, fixed = _bins(...)``.
 
-    ``vectors`` count the patterns on the rows p of
-    :func:`meshperm.engine.inverse_pair_block`, the first ``involutions``
-    of them with p = p^-1; ``inverse_vectors`` count the patterns' inverses
-    there, which are the patterns' counts on the hosts p^-1.  Those hosts
-    are all but the involutions, already binned once as p.  Patterns that
-    are their own inverses pass ``vectors`` itself, binned once.
+    ``counts`` holds one or two count arrays, one per entry of ``widths``
+    (the number of possible counts), each shaped ``(rows,)`` or ``(items,
+    rows)``; the result is a ``(2, items, *widths)`` array, with one item
+    for ``(rows,)`` counts.  It is one ``np.bincount`` of the keys
+    c1 * widths[1] + c2, offset by prod(widths) per item and by
+    items * prod(widths) on the first ``involutions`` rows, in the
+    narrowest dtype that holds every key and the counts.
     """
-    own = bins(*vectors)
-    both = 2 * own if inverse_vectors is vectors else own + bins(*inverse_vectors)
-    return both - bins(*(v[:involutions] for v in inverse_vectors))
-
-
-def _bincount(vec: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Hosts per occurrence count 0..C(n, k) in a count vector of a length-k pattern."""
-    return np.bincount(vec, minlength=math.comb(n, k) + 1)
+    size = math.prod(widths)
+    c1 = np.atleast_2d(counts[0])
+    items = len(c1)
+    dtype = np.promote_types(np.min_scalar_type(2 * items * size), np.result_type(*counts))
+    keys = np.multiply(c1, size // widths[0], dtype=dtype)
+    if len(counts) > 1:
+        keys += counts[1]
+    if items > 1:
+        keys += np.arange(0, items * size, size, dtype=dtype)[:, None]
+    keys[:, :involutions] += items * size
+    return np.bincount(keys.ravel(), minlength=2 * items * size).reshape(2, items, *widths)
 
 
 def _counts(hist: np.ndarray) -> dict[int, int]:
@@ -167,29 +181,12 @@ def joint_distribution(
     pattern1: MeshPattern, pattern2: MeshPattern, n: int, *, cap: int | None = None
 ) -> JointTable:
     """Joint distribution of the two patterns' occurrence counts over S_n."""
-    hist = _joint_histogram(pattern1, pattern2, n, cap)
+    check_cap(n, cap)
+    hist = _histogram((pattern1, pattern2), n)
     # the nonzero cells in row-major order, so the table lists (k, l) ascending
     ks, ls = np.nonzero(hist)
     counts = dict(zip(zip(ks.tolist(), ls.tolist()), hist[ks, ls].tolist()))
     return JointTable(pattern1, pattern2, n, counts)
-
-
-def _joint_histogram(pattern1: MeshPattern, pattern2: MeshPattern, n: int, cap: int | None) -> np.ndarray:
-    """Hosts of S_n per pair of occurrence counts, as a
-    ``(C(n, k1) + 1, C(n, k2) + 1)`` array for pattern lengths k1, k2."""
-    check_cap(n, cap)
-    widths = tuple(math.comb(n, len(p)) + 1 for p in (pattern1, pattern2))
-    return _histogram((pattern1, pattern2), n, lambda v1, v2: _joint_bincount(v1, v2, widths))
-
-
-def _joint_bincount(v1: np.ndarray, v2: np.ndarray, widths: tuple[int, int]) -> np.ndarray:
-    """Hosts per pair of counts in two count vectors, as a ``widths`` array:
-    one bincount of ``v1 * widths[1] + v2``, in the narrowest dtype that
-    holds every key and both vectors."""
-    size = widths[0] * widths[1]
-    keys = np.multiply(v1, widths[1], dtype=np.promote_types(np.min_scalar_type(size), np.result_type(v1, v2)))
-    keys += v2
-    return np.bincount(keys, minlength=size).reshape(widths)
 
 
 def first_divergence(
@@ -204,7 +201,7 @@ def first_divergence(
     check_cap(max_n, cap)
     for n in range(max_n + 1):
         # each pattern's distribution is a marginal of the joint histogram
-        joint = _joint_histogram(pattern1, pattern2, n, cap)
+        joint = _histogram((pattern1, pattern2), n)
         if _counts(joint.sum(axis=1)) != _counts(joint.sum(axis=0)):
             return n
     return None
@@ -257,65 +254,50 @@ def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
     histogram of (123, R) for R = ``masks[i]``, row 2i + 1 that of
     (132, R), the two marginals of the pair's joint histogram.  The hosts
     are both permutations of each inverse pair whose representative lies
-    in the block, the rows of :func:`meshperm.engine.inverse_pair_block`
-    (see :func:`_over_inverse_pairs`), so the blocks of
-    :func:`meshperm.engine.blocks` sum to S_n.  A symmetric R is its own
-    transpose, so its pair is counted once and its hosts other than the
-    involutions binned twice; any other R also counts the inverse pair
-    (123, R^T), (132, R^T), whose counts bin the hosts p^-1.
+    in the block, the rows of :func:`meshperm.engine.inverse_pair_block`,
+    so the blocks of :func:`meshperm.engine.blocks` sum to S_n.  As in
+    :func:`_histogram`, a pair adds fixed + others(P) + others(P'): 123
+    and 132 are involutions, so the inverse of (tau, R) is (tau, R^T),
+    and the hosts p^-1 are binned from the others of R^T, R itself when R
+    is symmetric.
 
     Each group of shadings that :func:`meshperm.engine.occurrence_counts`
-    yields is binned by one ``np.bincount``: a host's key is its joint bin
-    c123 * width + c132, offset by width^2 times the shading's place in
-    the group and, for the involutions, by one more group of bins.  The
-    block's table is built here and dropped on return: the scan reads it
-    once, so caching it would keep every block of every n alive.
+    yields is binned by one :func:`_bins`, which keeps the marginals of
+    each counted shading.  The block's table is built here and dropped on
+    return: the scan reads it once, so caching it would keep every block
+    of every n alive.
     """
     n, first, masks = task
     _, planes = engine.build_tables(n, 3, first, inverse_pairs=True)
     _, involutions = engine.inverse_pair_counts(n, first)
-    patterns, twice, transposed = _scan_plan(masks)
+    patterns, inverse = _scan_plan(masks)
     width = math.comb(n, 3) + 1
-    square = width * width
-    hists = np.zeros((len(masks), 2, width), dtype=np.int64)
-    lo = 0
+    marginals = []
     for counts in engine.occurrence_counts(n, planes, patterns):
-        size = len(counts) // 2
-        dtype = np.promote_types(np.min_scalar_type(2 * size * square), counts.dtype)
-        keys = np.multiply(counts[0::2], width, dtype=dtype)
-        keys += counts[1::2]
-        if size > 1:
-            keys += np.arange(0, size * square, square, dtype=keys.dtype)[:, None]
-        keys[:, :involutions] += size * square
-        joint = np.bincount(keys.ravel(), minlength=2 * size * square).reshape(2, size, width, width)
-        # per shading, the marginals of 123 and 132 over the other hosts and over the involutions
-        others, fixed = np.stack([joint.sum(axis=3), joint.sum(axis=2)], axis=2)
-        own = max(0, min(size, len(masks) - lo))
-        hists[lo:lo + own] += fixed[:own] + others[:own] * twice[lo:lo + own, None, None]
-        if own < size:
-            hists[transposed[lo + own - len(masks):lo + size - len(masks)]] += others[own:]
-        lo += size
-    return hists.reshape(2 * len(masks), width)
+        joint = _bins((counts[0::2], counts[1::2]), (width, width), involutions)
+        marginals.append(np.stack([joint.sum(axis=3), joint.sum(axis=2)], axis=2))
+    # per counted shading, the histograms of 123 and 132 over the other rows and over the involutions
+    others, fixed = np.concatenate(marginals, axis=1)
+    m = len(masks)
+    return (fixed[:m] + others[:m] + others[inverse]).reshape(2 * m, width)
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_plan(masks: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int], ...], np.ndarray, np.ndarray]:
-    """``(patterns, twice, transposed)`` of :func:`_scan_block` for the masks.
+def _scan_plan(masks: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int], ...], list[int]]:
+    """``(patterns, inverse)`` of :func:`_scan_block` for the distinct masks.
 
-    ``patterns`` lists the ``(tau, mask)`` pairs to count: (123, R) and
-    (132, R) for each mask, then (123, R^T) and (132, R^T) for each R that
-    is not its own transpose, the masks of those R listed by index in
-    ``transposed``.  ``twice[i]`` weighs the non-involution hosts of mask
-    i: 2 when R = R^T, whose counts on p are those on p^-1 (123 and 132
-    are involutions), else 1.  Every block of an n scans the same masks,
-    so they are planned once per n.
+    ``patterns`` lists the ``(tau, mask)`` pairs to count, (123, R) and
+    (132, R) for each counted shading R: the masks, then each R^T of a
+    mask that is not among them.  ``inverse[i]`` is the place of
+    ``masks[i]``'s transpose among the counted shadings, i for a symmetric
+    R.  Every block of an n scans the same masks, so they are planned once
+    per n.
     """
-    transposes = [_transposed(mask) for mask in masks]
-    transposed = [i for i, (mask, t) in enumerate(zip(masks, transposes)) if mask != t]
-    counted = [*masks, *(transposes[i] for i in transposed)]
+    counted: dict[int, int] = {}
+    for mask in (*masks, *map(_transposed, masks)):
+        counted.setdefault(mask, len(counted))
     patterns = tuple((tau, mask) for mask in counted for tau in _SCAN_PAIR)
-    twice = np.array([1 + (mask == t) for mask, t in zip(masks, transposes)], dtype=np.int64)
-    return patterns, twice, np.array(transposed, dtype=np.intp)
+    return patterns, [counted[_transposed(mask)] for mask in masks]
 
 
 def _transposed(mask: int) -> int:

@@ -697,12 +697,6 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
     return [next(counted[len(p)]) for p in patterns]
 
 
-def count_vector(n: int, pattern: MeshPattern, first: int | None = None) -> np.ndarray:
-    """Occurrence counts of ``pattern`` for every permutation in the block:
-    :func:`count_vectors` of the one pattern."""
-    return count_vectors(n, [pattern], first)[0]
-
-
 def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Occurrences of (123, R) and (132, R) in every permutation of the block, as bits.
 

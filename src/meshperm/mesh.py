@@ -226,16 +226,10 @@ def symmetric_shadings(k: int = 3) -> list[ShadingSet]:
     >>> len(symmetric_shadings(3))
     1024
     """
-    orbits = []
-    for i in range(k + 1):
-        for j in range(i, k + 1):
-            orbits.append(((i, j),) if i == j else ((i, j), (j, i)))
-    out = []
-    for include in itertools.product((False, True), repeat=len(orbits)):
-        boxes = [b for flag, orbit in zip(include, orbits) for b in orbit if flag]
-        out.append(ShadingSet.from_boxes(k, boxes))
-    out.sort(key=lambda s: s.mask)
-    return out
+    orbits = [1 << box_bit(i, j, k) | 1 << box_bit(j, i, k) for i in range(k + 1) for j in range(i, k + 1)]
+    masks = [sum(orbit for flag, orbit in zip(include, orbits) if flag)
+             for include in itertools.product((False, True), repeat=len(orbits))]
+    return [ShadingSet(k, mask) for mask in sorted(masks)]
 
 
 def parse_boxes(text: str, k: int) -> ShadingSet:

@@ -18,10 +18,11 @@ from meshperm import engine
 from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.distribution import (
     CapExceededError,
-    _joint_bincount,
-    _joint_histogram,
+    _bins,
+    _histogram,
     _pair_histograms,
     _scan_block,
+    _scan_plan,
     _transposed,
     avoidance_sequence,
     bell,
@@ -126,14 +127,30 @@ def test_joint_distribution_of_mixed_lengths_matches_the_direct_counter():
     assert joint_distribution(p1, p2, 6).counts == expected
 
 
-def test_joint_bincount_keys_outgrow_the_count_dtype():
+def test_bins_keys_outgrow_the_count_dtype():
     # the engine's counts of S_10 are uint8 (at most 120 each), but a pair's
     # key c1 * 121 + c2 reaches 14640: the keys take a dtype that holds it
     v1 = np.array([0, 120, 120, 7], dtype=np.uint8)
     v2 = np.array([0, 120, 3, 7], dtype=np.uint8)
-    hist = _joint_bincount(v1, v2, (121, 121))
-    assert hist.shape == (121, 121) and hist.sum() == 4
-    assert hist[0, 0] == hist[120, 120] == hist[120, 3] == hist[7, 7] == 1
+    others, fixed = _bins((v1, v2), (121, 121), 0)
+    assert others.shape == fixed.shape == (1, 121, 121)
+    assert others.sum() == 4 and not fixed.any()
+    assert others[0, 0, 0] == others[0, 120, 120] == others[0, 120, 3] == others[0, 7, 7] == 1
+    # a group of three items whose first two rows are involutions: the last
+    # item's (120, 120) on an involution takes the largest key,
+    # 2 * 3 * 121 * 121 - 1 = 87845, beyond uint16
+    c1 = np.array([[0, 120, 5, 120, 5], [1, 2, 3, 4, 3], [120, 120, 120, 0, 0]], dtype=np.uint8)
+    c2 = np.array([[0, 120, 120, 0, 120], [4, 3, 2, 1, 2], [120, 7, 120, 0, 0]], dtype=np.uint8)
+    others, fixed = _bins((c1, c2), (121, 121), 2)
+    assert others.shape == fixed.shape == (3, 121, 121) and fixed[2, 120, 120] == 1
+    for item in range(3):
+        for hist, rows in ((fixed, slice(None, 2)), (others, slice(2, None))):
+            expected = np.zeros((121, 121), dtype=np.int64)
+            np.add.at(expected, (c1[item, rows], c2[item, rows]), 1)
+            assert np.array_equal(hist[item], expected), item
+    # one count array, as a distribution bins it
+    others, fixed = _bins((np.array([0, 3, 3, 1], dtype=np.uint8),), (4,), 1)
+    assert others.tolist() == [[0, 1, 0, 2]] and fixed.tolist() == [[1, 0, 0, 0]]
 
 
 def test_counts_keys_are_ascending():
@@ -190,10 +207,10 @@ def test_scan_symmetric_pairs_counts():
 def test_scan_block_matches_the_count_vectors():
     # the scan kernel counts (123, R) and (132, R) over the block's rows of
     # inverse_pair_block and shares one OR of the shaded planes between
-    # them; on an n = 9 block each of its rows must be count_vector's
-    # histogram of the same hosts, read at their lex ranks, with every
-    # non-involution p also binned as p^-1: twice for a symmetric R, and
-    # from the counts of R^T for the asymmetric one
+    # them; on an n = 9 block each of its rows must be the lex count
+    # vector's histogram of the same hosts, read at their lex ranks, with
+    # every non-involution p also binned as p^-1, from the counts of R^T
+    # (R itself for a symmetric R)
     n, first = 9, 4
     shadings = [ShadingSet.empty(3), ShadingSet.full(3)]
     shadings += [entry_by_id(i).patterns()[0].shading for i in (23, 87)]
@@ -207,8 +224,8 @@ def test_scan_block_matches_the_count_vectors():
     hist_rows = iter(hists.tolist())
     for shading in shadings:
         for tau in ((1, 2, 3), (1, 3, 2)):
-            own = engine.count_vector(n, MeshPattern(tau, shading), first)[at]
-            flipped = engine.count_vector(n, MeshPattern(tau, shading.transposed()), first)[at]
+            own = engine.count_vectors(n, [MeshPattern(tau, shading)], first)[0][at]
+            flipped = engine.count_vectors(n, [MeshPattern(tau, shading.transposed())], first)[0][at]
             expected = (np.bincount(own, minlength=width) + np.bincount(flipped, minlength=width)
                         - np.bincount(flipped[:involutions], minlength=width))
             assert next(hist_rows) == expected.tolist(), (shading, tau)
@@ -216,10 +233,10 @@ def test_scan_block_matches_the_count_vectors():
 
 
 def lex_histograms(n, masks):
-    """The rows of ``_pair_histograms`` for ``masks``, from count_vector's
-    lex tables: the histograms of (123, R) and (132, R) over S_n."""
+    """The rows of ``_pair_histograms`` for ``masks``, from each pattern's
+    count vectors over the lex tables: the histograms of (123, R) and (132, R) over S_n."""
     width = math.comb(n, 3) + 1
-    return np.array([sum(np.bincount(engine.count_vector(n, MeshPattern(tau, ShadingSet(3, mask)), first),
+    return np.array([sum(np.bincount(engine.count_vectors(n, [MeshPattern(tau, ShadingSet(3, mask))], first)[0],
                                      minlength=width) for first in engine.blocks(n))
                      for mask in masks for tau in ((1, 2, 3), (1, 3, 2))])
 
@@ -335,17 +352,27 @@ def test_transposed_masks():
     assert all(_transposed(m) == ShadingSet(3, m).transposed().mask for m in range(1 << 16))
 
 
+def test_scan_plan_counts_each_shading_once():
+    # a transpose already among the masks is read from its own place; the
+    # others follow the masks, and a symmetric mask is its own transpose
+    masks = (0x000F, 0x0000, 0x1111, 0x0002, 0x0021)
+    patterns, inverse = _scan_plan(masks)
+    assert [mask for _, mask in patterns[0::2]] == [*masks, 0x0010]
+    assert all(tau == (1, 2, 3) for tau, _ in patterns[0::2]) and all(tau == (1, 3, 2) for tau, _ in patterns[1::2])
+    assert inverse == [2, 1, 0, 5, 4]
+
+
 def lex_joint_histogram(p1, p2, n):
     """The joint histogram of two patterns from count_vectors' lex tables."""
     widths = tuple(math.comb(n, len(p)) + 1 for p in (p1, p2))
-    return sum(_joint_bincount(*engine.count_vectors(n, (p1, p2), first), widths) for first in engine.blocks(n))
+    return sum(_bins(engine.count_vectors(n, (p1, p2), first), widths, 0)[0, 0] for first in engine.blocks(n))
 
 
 def assert_inverse_pair_histograms_match_the_lex_tables(entries, n):
     for entry in entries:
         p1, p2 = entry.patterns()
         lex = lex_joint_histogram(p1, p2, n)
-        assert np.array_equal(_joint_histogram(p1, p2, n, n), lex), (entry.id, n)
+        assert np.array_equal(_histogram((p1, p2), n), lex), (entry.id, n)
         for pattern, marginal in ((p1, lex.sum(axis=1)), (p2, lex.sum(axis=0))):
             assert distribution(pattern, n, cap=n).counts == {k: c for k, c in enumerate(marginal.tolist()) if c}
 
@@ -392,7 +419,7 @@ def test_histograms_build_each_streamed_inverse_pair_table_once(monkeypatch):
 
 def test_scan_caches_no_tables():
     # the scan builds each block's table for itself and drops it
-    engine.count_vector(5, P123)
+    engine.count_vectors(5, [P123])
     before = engine.subseq_tables.cache_info()
     scan_symmetric_pairs(6)
     assert engine.subseq_tables.cache_info() == before

@@ -225,7 +225,7 @@ def test_long_running_narrow_count_holds_the_largest_row_at_ten():
     # the identity of S_10, row 0 of block 1, has all C(10, 3) = 120 combos
     # as occurrences of 123 with no shading: the most any row of any table
     # up to the cap counts, in four words of 32 bits
-    vec = engine.count_vector(10, parse_pattern("123|"), 1)
+    vec = engine.count_vectors(10, [parse_pattern("123|")], 1)[0]
     assert vec[0] == 120 == vec.max()
     assert vec.dtype == np.uint8
     engine.clear_caches()
@@ -257,9 +257,9 @@ def test_padding_bits_never_count():
     for n in range(10):
         for first in engine.blocks(n):
             for k in (2, 3):
-                vectors = [engine.count_vector(n, MeshPattern.of(tau, []), first) for tau in enumerate_sn(k)]
+                vectors = [engine.count_vectors(n, [MeshPattern.of(tau, [])], first)[0] for tau in enumerate_sn(k)]
                 assert np.all(sum(vectors) == math.comb(n, k)), (n, first, k)
-                full = [engine.count_vector(n, MeshPattern.of(tau, ShadingSet.full(k).boxes()), first)
+                full = [engine.count_vectors(n, [MeshPattern.of(tau, ShadingSet.full(k).boxes())], first)[0]
                         for tau in enumerate_sn(k)]
                 assert np.all(sum(full) == (1 if n == k else 0)), (n, first, k)
         engine.clear_caches()
@@ -307,22 +307,22 @@ def test_count_vector_matches_direct_counter():
         boxes = rng.sample(all_boxes, rng.randrange(0, 10))
         cases.append(MeshPattern.of(tau, boxes))
     for pattern in cases:
-        vec = engine.count_vector(5, pattern)
+        vec = engine.count_vectors(5, [pattern])[0]
         for p in enumerate_sn(5):
             assert vec[lex_rank(p)] == count_occurrences(p, pattern)
 
 
 def test_count_vector_length_two_patterns():
     pattern = MeshPattern.of((1, 2), [(0, 0), (0, 1), (1, 0), (1, 1)])
-    vec = engine.count_vector(4, pattern)
+    vec = engine.count_vectors(4, [pattern])[0]
     for p in enumerate_sn(4):
         assert vec[lex_rank(p)] == count_occurrences(p, pattern)
 
 
 def test_count_vector_per_first_value_block():
     pattern = parse_pattern("132|0/0,1/1")
-    whole = engine.count_vector(5, pattern)
-    stacked = np.concatenate([engine.count_vector(5, pattern, first=f) for f in range(1, 6)])
+    whole = engine.count_vectors(5, [pattern])[0]
+    stacked = np.concatenate([engine.count_vectors(5, [pattern], f)[0] for f in range(1, 6)])
     assert np.array_equal(whole, stacked)
 
 
@@ -334,7 +334,7 @@ def test_count_vectors_of_catalog_pairs_match_count_vector(n, first):
         pair = entry.patterns()
         both = engine.count_vectors(n, pair, first)
         for pattern, vec in zip(pair, both):
-            assert np.array_equal(vec, engine.count_vector(n, pattern, first)), (entry.id, pattern)
+            assert np.array_equal(vec, engine.count_vectors(n, [pattern], first)[0]), (entry.id, pattern)
     engine.clear_caches()
 
 
@@ -362,9 +362,9 @@ def test_count_vectors_of_mixed_patterns_match_the_direct_counter():
 
 
 def test_clear_caches_roundtrip():
-    before = engine.count_vector(4, parse_pattern("123|"))
+    before = engine.count_vectors(4, [parse_pattern("123|")])[0]
     engine.clear_caches()
-    after = engine.count_vector(4, parse_pattern("123|"))
+    after = engine.count_vectors(4, [parse_pattern("123|")])[0]
     assert np.array_equal(before, after)
 
 
@@ -372,7 +372,7 @@ def test_shading_full_kills_all_but_adjacent():
     # With every box shaded, only occurrences with no other entry anywhere
     # survive: exactly the contiguous value-interval runs.
     pattern = MeshPattern.of((1, 2, 3), ShadingSet.full(3).boxes())
-    vec = engine.count_vector(3, pattern)
+    vec = engine.count_vectors(3, [pattern])[0]
     assert vec[lex_rank((1, 2, 3))] == 1
     assert int(vec.sum()) == 1
 
@@ -399,7 +399,7 @@ def test_pair_occurrences_rows():
 
 def test_pair_occurrences_reuses_the_count_vector_table():
     engine.clear_caches()
-    engine.count_vector(5, parse_pattern("123|1/1"))
+    engine.count_vectors(5, [parse_pattern("123|1/1")])
     built = engine.subseq_tables.cache_info().misses
     engine.pair_hits(5, ShadingSet.empty(3))
     assert engine.subseq_tables.cache_info().misses == built
