@@ -138,11 +138,10 @@ def _histogram(patterns: tuple[MeshPattern, ...], n: int) -> np.ndarray:
     hist = 0
     for first in engine.blocks(n):
         vectors = engine.count_vectors(n, counted, first, inverse_pairs=True)
-        if counted is not patterns:
-            vectors = [np.array(pair) for pair in zip(vectors, vectors[len(patterns):])]
         _, involutions = engine.inverse_pair_counts(n, first)
-        others, fixed = _bins(vectors, widths, involutions)
-        hist += fixed[0] + others[0] + others[-1]
+        others, fixed = _bins(vectors[:len(patterns)], widths, involutions)
+        inverse_others = others if counted is patterns else _bins(vectors[len(patterns):], widths, involutions)[0]
+        hist += fixed[0] + others[0] + inverse_others[0]
     return hist
 
 
