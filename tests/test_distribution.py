@@ -234,7 +234,8 @@ def test_scan_block_matches_the_count_vectors():
 
 def lex_histograms(n, masks):
     """The rows of ``_pair_histograms`` for ``masks``, from each pattern's
-    count vectors over the lex tables: the histograms of (123, R) and (132, R) over S_n."""
+    count vectors over the lex tables: the histograms of (123, R) and
+    (132, R) over S_n."""
     width = math.comb(n, 3) + 1
     return np.array([sum(np.bincount(engine.count_vectors(n, [MeshPattern(tau, ShadingSet(3, mask))], first)[0],
                                      minlength=width) for first in engine.blocks(n))
