@@ -140,7 +140,8 @@ def _histogram(patterns: tuple[MeshPattern, ...], n: int) -> np.ndarray:
         vectors = engine.count_vectors(n, counted, first, inverse_pairs=True)
         _, involutions = engine.inverse_pair_counts(n, first)
         others, fixed = _bins(vectors[:len(patterns)], widths, involutions)
-        inverse_others = others if counted is patterns else _bins(vectors[len(patterns):], widths, involutions)[0]
+        inverse_others = (others if counted is patterns
+                          else _bins(vectors[len(patterns):], widths, involutions)[0])
         hist += fixed[0] + others[0] + inverse_others[0]
     return hist
 

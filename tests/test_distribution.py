@@ -359,7 +359,8 @@ def test_scan_plan_counts_each_shading_once():
     masks = (0x000F, 0x0000, 0x1111, 0x0002, 0x0021)
     patterns, inverse = _scan_plan(masks)
     assert [mask for _, mask in patterns[0::2]] == [*masks, 0x0010]
-    assert all(tau == (1, 2, 3) for tau, _ in patterns[0::2]) and all(tau == (1, 3, 2) for tau, _ in patterns[1::2])
+    assert all(tau == (1, 2, 3) for tau, _ in patterns[0::2])
+    assert all(tau == (1, 3, 2) for tau, _ in patterns[1::2])
     assert inverse == [2, 1, 0, 5, 4]
 
 
