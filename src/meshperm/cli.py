@@ -270,6 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.n_arg is not None and getattr(args, args.n_arg) < 0:
         parser.error("n must be non-negative")
     try:
+        effective_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         return args.func(args)
     except _UsageError as exc:
         parser.error(str(exc))

@@ -17,8 +17,8 @@ that split for the queries and the scan alike.  A pattern fixed by the
 inverse symmetry, as (123, R) and (132, R) are for the scan's symmetric
 R, is its own P' and is counted once.
 
-The scan plans its pending shadings once per n (their ``(tau, mask)``
-patterns and the transposes that an asymmetric R adds), counts them with
+The scan plans its pending shadings once per n (their masks and the
+transposes that an asymmetric R adds), counts 123 and 132 under each with
 :func:`meshperm.engine.occurrence_counts` a group of shadings at a time,
 and bins each group's counts with one ``np.bincount``.
 """
@@ -49,8 +49,10 @@ def effective_cap() -> int:
         return DEFAULT_MAX_N
     try:
         cap = int(raw)
+        if cap < 0:
+            raise ValueError
     except ValueError:
-        raise ValueError(f"MESHPERM_MAX_N must be an integer, got {raw!r}") from None
+        raise ValueError(f"MESHPERM_MAX_N must be a non-negative integer, got {raw!r}") from None
     return min(cap, HARD_ENUMERATION_CAP)
 
 
@@ -270,11 +272,11 @@ def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
     n, first, masks = task
     _, planes = engine.build_tables(n, 3, first, inverse_pairs=True)
     _, involutions = engine.inverse_pair_counts(n, first)
-    patterns, inverse = _scan_plan(masks)
+    counted, inverse = _scan_plan(masks)
     width = math.comb(n, 3) + 1
     marginals = []
-    for counts in engine.occurrence_counts(n, planes, patterns):
-        joint = _bins((counts[0::2], counts[1::2]), (width, width), involutions)
+    for counts in engine.occurrence_counts(n, planes, _SCAN_PAIR, counted):
+        joint = _bins((counts[:, 0], counts[:, 1]), (width, width), involutions)
         marginals.append(np.stack([joint.sum(axis=3), joint.sum(axis=2)], axis=2))
     # per counted shading, the histograms of 123 and 132 over the other rows and over the involutions
     others, fixed = np.concatenate(marginals, axis=1)
@@ -283,21 +285,19 @@ def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _scan_plan(masks: tuple[int, ...]) -> tuple[tuple[tuple[tuple[int, ...], int], ...], list[int]]:
-    """``(patterns, inverse)`` of :func:`_scan_block` for the distinct masks.
+def _scan_plan(masks: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """``(counted, inverse)`` of :func:`_scan_block` for the distinct masks.
 
-    ``patterns`` lists the ``(tau, mask)`` pairs to count, (123, R) and
-    (132, R) for each counted shading R: the masks, then each R^T of a
-    mask that is not among them.  ``inverse[i]`` is the place of
-    ``masks[i]``'s transpose among the counted shadings, i for a symmetric
-    R.  Every block of an n scans the same masks, so they are planned once
-    per n.
+    ``counted`` lists the shadings R under which to count 123 and 132: the
+    masks, then each R^T of a mask that is not among them.  ``inverse[i]``
+    is the place of ``masks[i]``'s transpose among the counted shadings, i
+    for a symmetric R.  Every block of an n scans the same masks, so they
+    are planned once per n.
     """
     counted: dict[int, int] = {}
     for mask in (*masks, *map(_transposed, masks)):
         counted.setdefault(mask, len(counted))
-    patterns = tuple((tau, mask) for mask in counted for tau in _SCAN_PAIR)
-    return patterns, [counted[_transposed(mask)] for mask in masks]
+    return tuple(counted), [counted[_transposed(mask)] for mask in masks]
 
 
 def _transposed(mask: int) -> int:
@@ -316,12 +316,8 @@ def _transposed(mask: int) -> int:
 
 
 def _pair_histograms(n: int, masks: tuple[int, ...], jobs: int) -> np.ndarray:
-    """:func:`_scan_block`'s histograms of the masks, summed over S_n."""
-    if jobs > 1 and n >= 2:
-        firsts: tuple[int | None, ...] = tuple(range(1, n + 1))
-    else:
-        firsts = engine.blocks(n)
-    tasks = [(n, first, masks) for first in firsts]
+    """:func:`_scan_block`'s histograms of the masks, summed over the blocks of S_n."""
+    tasks = [(n, first, masks) for first in engine.blocks(n)]
     if jobs > 1 and len(tasks) > 1:
         # imported here, so that a process that never fans out does not load the pool
         from concurrent.futures import ProcessPoolExecutor

@@ -31,15 +31,16 @@ read the lex tables.
 
 A block's table is built by :func:`build_tables`, and every count is read
 from the planes it returns by one kernel, :func:`occurrence_counts`, which
-counts the patterns of a call in groups of shadings, in buffers allocated
-once per call: each group fills one accumulator of at most
-``_GROUP_BYTES``, so a scan's many shadings over a small table share a few
-passes, while a table of S_8 or more takes one shading at a time.  What
-the kernel reads for each shading is planned once per pattern list and
-group size.  The build is bit-sliced as well: it works on the packed words
-themselves, one word operation for 32 combos over every row, guided by
-masks that depend only on (n, k) and are computed once per pair, on first
-use.
+counts a grid: each of a few classical patterns under each of many
+shadings, as (123, R) and (132, R) for every R of a scan.  It takes the
+shadings in groups, in buffers allocated once per call: each group fills
+one accumulator of at most ``_GROUP_BYTES``, so a scan's many shadings
+over a small table share a few passes, while a table of S_8 or more takes
+one shading at a time.  What the kernel reads for each shading is planned
+once per grid and group size.  The build is bit-sliced as well: it works
+on the packed words themselves, one word operation for 32 combos over
+every row, guided by masks that depend only on (n, k) and are computed
+once per pair, on first use.
 :func:`count_vectors` is the one entry point for counts of any length:
 the tables for k in {2, 3}, the pure-Python finder otherwise.
 Queries read :func:`subseq_tables`, the one place that decides how long a
@@ -457,67 +458,46 @@ def _or_into(out: np.ndarray, terms: Sequence[np.ndarray]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _plan(patterns: tuple[tuple[Perm, int], ...], size: int) -> tuple:
-    """``(classes, shared, split, size, groups)``: what
-    :func:`occurrence_counts` reads for ``(tau, shading mask)`` patterns of
-    one length, at most ``size`` shadings to a group.
+def _plan(k: int, tids: tuple[int, ...], masks: tuple[int, ...], size: int) -> tuple:
+    """``(shared, split, groups)``: what :func:`occurrence_counts` reads to
+    count the length-k patterns of type ids ``tids`` under each shading
+    mask, ``size`` masks to a group.
 
-    ``classes`` are the patterns' distinct type ids, ascending, and
-    ``shared`` lists ``(bit, complemented)`` for each type bit that all of
-    them share: a combo is ruled out where that type plane, or its
-    complement, has its bit set.  ``split`` lists the bits in which the ids
-    differ, low bit first.  Consecutive patterns with one mask form a run
-    that shares its shading's clear combos, and ``groups`` takes the runs
-    ``size`` at a time (:func:`_group`); the returned ``size`` is the
-    largest group's.  Nothing here depends on n, so a query's sizes n share
-    a plan wherever their group sizes agree, and every block of a scan or a
-    streamed query plans its masks once; memoized.
+    ``tids`` must be distinct and ascending, so that the one-bit path of
+    the kernel writes the id without the split bit first.  ``shared`` lists
+    ``(bit, complemented)`` for each type bit that all the ids share: a
+    combo is ruled out where that type plane, or its complement, has its
+    bit set.  ``split`` lists the bits in which the ids differ, low bit
+    first.  ``groups`` takes the masks ``size`` at a time (:func:`_group`).
+    Nothing here depends on n, so a query's sizes n share a plan wherever
+    their group sizes agree, and every block of a scan or a streamed query
+    plans its masks once; memoized.
     """
-    k = len(patterns[0][0])
-    tids = [pattern_type_id(tau) for tau, _ in patterns]
-    classes = sorted(set(tids))
+    if any(a >= b for a, b in zip(tids, tids[1:])):
+        raise ValueError(f"type ids must be distinct and ascending, got {tids}")
     differ = 0
-    for t in classes:
-        differ |= t ^ classes[0]
-    runs: list[tuple[int, list[int]]] = []
-    for (_, mask), tid in zip(patterns, tids):
-        if runs and runs[-1][0] == mask:
-            runs[-1][1].append(classes.index(tid))
-        else:
-            runs.append((mask, [classes.index(tid)]))
-    size = min(size, len(runs))
-    shared = tuple([(t, bool(classes[0] >> t & 1)) for t in range(_type_bits(k)) if not differ >> t & 1])
+    for t in tids:
+        differ |= t ^ tids[0]
+    shared = tuple([(t, bool(tids[0] >> t & 1)) for t in range(_type_bits(k)) if not differ >> t & 1])
     split = tuple([t for t in range(differ.bit_length()) if differ >> t & 1])
-    groups = tuple([_group(k, runs[lo:lo + size], len(classes)) for lo in range(0, len(runs), size)])
-    return tuple(classes), shared, split, size, groups
+    groups = tuple([_group(k, masks[lo:lo + size]) for lo in range(0, len(masks), size)])
+    return shared, split, groups
 
 
-def _group(k: int, runs: list[tuple[int, list[int]]], classes: int) -> tuple:
-    """``(shadings, always, some, gaps, take)`` of ``(mask, classes)``
-    runs of length-k patterns, in a plan that counts ``classes`` type
-    classes.
+def _group(k: int, masks: tuple[int, ...]) -> tuple:
+    """``(shadings, always, some, gaps)`` of a group of length-k shading masks.
 
-    ``shadings`` counts the runs.  ``always`` lists the box planes that
+    ``shadings`` counts the masks.  ``always`` lists the box planes that
     every shading reads, and ``some`` pairs each plane that only some read
     with a bool array of shape ``(shadings, 1, 1)``, set for those.  A
     column of a mask that shades all k + 1 boxes of its position gap is
     not read from its planes but as a gap word: ``gaps`` is an index array
     of the row of :func:`_gap_words` for each shading (see
     :func:`_full_columns`), or None when no shading has a full column.
-    ``take`` indexes the row of each pattern's counts, in order, in the
-    kernel's ``(shadings, classes, rows)`` counts flattened over the first
-    two axes: the pattern's shading, counted from the group's first, times
-    ``classes`` plus its class.  It is a slice of all rows when those are
-    in pattern order already, as for a list of (123, R), (132, R) pairs,
-    and an index array otherwise.  Only the masks of the group decide
-    which plane is ORed where, so a group of one shading reads its planes
-    and gap word with no ``where=``.
+    Only the masks decide which plane is ORed where, so a group of one
+    shading reads its planes and gap word with no ``where=``.
     """
-    reads, gaps = [], []
-    for mask, _ in runs:
-        read, gap = _full_columns(k, mask)
-        reads.append(read)
-        gaps.append(gap)
+    reads, gaps = zip(*(_full_columns(k, mask) for mask in masks))
     every = functools.reduce(operator.and_, reads)
     only_some = functools.reduce(operator.or_, reads) & ~every
     always = _bits(every)
@@ -525,9 +505,7 @@ def _group(k: int, runs: list[tuple[int, list[int]]], classes: int) -> tuple:
     if only_some:
         shaded = (np.array(reads)[:, None] >> np.arange((k + 1) ** 2) & 1).astype(bool)
         some = tuple([(p, shaded[:, p, None, None]) for p in _bits(only_some)])
-    rows = [i * classes + c for i, (_, cs) in enumerate(runs) for c in cs]
-    take = slice(None) if rows == [*range(len(rows))] else np.array(rows)
-    return len(runs), always, some, np.array(gaps) if any(gaps) else None, take
+    return len(masks), always, some, np.array(gaps) if any(gaps) else None
 
 
 def _full_columns(k: int, mask: int) -> tuple[int, int]:
@@ -596,24 +574,29 @@ def _row_counts(words: np.ndarray, pop: np.ndarray, out: np.ndarray) -> np.ndarr
 _GROUP_BYTES = 64 * 2**10
 
 
-def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[tuple[Perm, int]]) -> Iterator[np.ndarray]:
-    """Occurrence counts of each pattern for every permutation of a block.
+def occurrence_counts(n: int, planes: np.ndarray, taus: Sequence[Perm],
+                      masks: Sequence[int]) -> Iterator[np.ndarray]:
+    """Occurrence counts of each classical pattern under each shading for
+    every permutation of a block.
 
     ``planes`` is a block's table of S_n from :func:`build_tables` or
-    :func:`subseq_tables` for the patterns' one length k; each pattern is
-    a pair ``(tau, mask)`` of its classical pattern and its shading's
-    :class:`meshperm.mesh.ShadingSet` mask.  The distinct shadings are
-    counted in groups, and each group yields one array of shape (patterns
-    in the group, rows): row i counts the group's i-th pattern, entry r for
-    the block's rank-r permutation, in the narrowest unsigned dtype that
-    holds 32 bits per word of a row (uint8 through n = 12).  A group holds
-    as many shadings as fit a ``(shadings, words, rows)`` uint32
-    accumulator of ``_GROUP_BYTES``, and at least one.
+    :func:`subseq_tables` for the patterns' one length k.  ``taus`` are
+    distinct classical patterns of that length, ascending by
+    :func:`pattern_type_id`, and ``masks`` the
+    :class:`meshperm.mesh.ShadingSet` masks of the shadings: the patterns
+    counted are the grid of each tau under each mask.  The masks are
+    counted in groups, and each group yields one array of shape (shadings
+    in the group, taus, rows): entry ``[i, c, r]`` counts ``taus[c]``
+    under the group's i-th mask in the block's rank-r permutation, in the
+    narrowest unsigned dtype that holds 32 bits per word of a row (uint8
+    through n = 12).  A group holds as many shadings as fit a
+    ``(shadings, words, rows)`` uint32 accumulator of ``_GROUP_BYTES``,
+    and at least one.
 
     A combo is an occurrence when no shaded box holds a point and its type
     bits spell the pattern's type id.  The type bits that all the ids share
     are checked once per call: the OR of the type planes where the ids have
-    a 0 bit and of the complements where they have a 1.  The patterns of
+    a 0 bit and of the complements where they have a 1.  The shadings of
     a group then share one accumulator, allocated once per call: that OR
     and each shading's box planes are ORed into its slice, each plane once
     for all the shadings that read it, and it is inverted in place,
@@ -630,13 +613,14 @@ def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[tuple[Perm,
     counts the rest: the clear count minus that one.  When they differ in
     more bits, each id ANDs in the type plane or its complement that it
     calls for, bit by bit.  The count per row is a popcount of the bits
-    left set.  The groups are planned once per patterns and group size
+    left set.  The groups are planned once per taus, masks and group size
     (:func:`_plan`).
     """
     words, rows = planes.shape[1:]
-    k = len(patterns[0][0])
-    budget = max(1, _GROUP_BYTES // max(1, 4 * words * rows))
-    classes, shared_bits, split, size, groups = _plan(tuple(patterns), min(budget, len(patterns)))
+    k = len(taus[0])
+    tids = tuple([pattern_type_id(tau) for tau in taus])
+    size = min(len(masks), max(1, _GROUP_BYTES // max(1, 4 * words * rows)))
+    shared_bits, split, groups = _plan(k, tids, tuple(masks), size)
     # each plane shaped (1, words, rows), as one shading's accumulator is:
     # numpy ORs it into that as fast as into a plain (words, rows) array,
     # where a broadcast (words, rows) plane was slower (an OR over S_6:
@@ -651,22 +635,22 @@ def occurrence_counts(n: int, planes: np.ndarray, patterns: Sequence[tuple[Perm,
     hits = np.empty_like(clear) if split else None
     pop = np.empty(clear.shape, dtype=np.uint8)
     dtype = np.min_scalar_type(words * _WORD)
-    for shadings, always, some, gaps, take in groups:
+    for shadings, always, some, gaps in groups:
         at = slice(shadings)
         if gaps is not None:
             gaps = gap_words.take(gaps, axis=0)
         cleared = _clear_group(planes, always, some, gaps, shared, clear[at])
-        counted = np.empty((shadings, len(classes), rows), dtype=dtype)
+        counted = np.empty((shadings, len(tids), rows), dtype=dtype)
         if len(split) == 1:
             ones = _row_counts(np.bitwise_and(cleared, types[split[0]], out=hits[at]), pop[at], counted[:, 1])
             np.subtract(_row_counts(cleared, pop[at], counted[:, 0]), ones, out=counted[:, 0])
         else:
-            for c, tid in enumerate(classes):
+            for c, tid in enumerate(tids):
                 bits = cleared
                 for t in split:
                     bits = np.bitwise_and(bits, types[t] if tid >> t & 1 else ~types[t], out=hits[at])
                 _row_counts(bits, pop[at], counted[:, c])
-        yield counted.reshape(-1, rows)[take]
+        yield counted
 
 
 def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = None,
@@ -678,19 +662,23 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
     ``inverse_pairs`` to row r of :func:`inverse_pair_block`.  The
     patterns of each table length are counted by one
     :func:`occurrence_counts` call over the block's table from
-    :func:`subseq_tables`, which holds it for the block's other queries,
-    so a pair that shares a shading ORs its box planes once, and its
-    vectors come in that kernel's narrow dtype, the rows of its groups;
-    any other length by :func:`meshperm.mesh.count_occurrences` on each
-    row of the block, as int64.
+    :func:`subseq_tables`, which holds it for the block's other queries:
+    the grid of their distinct taus, by type id, under their distinct
+    shadings, in the order first seen, so a pair that shares a shading ORs
+    its box planes once, and each vector is a row of that grid in the
+    kernel's narrow dtype; a repeated pattern gets the same row.  Any
+    other length is counted by :func:`meshperm.mesh.count_occurrences` on
+    each row of the block, as int64.
     """
     counted = {}
     for k in dict.fromkeys(len(p) for p in patterns):
         same = [p for p in patterns if len(p) == k]
         if k in SUPPORTED_LENGTHS:
             _, planes = subseq_tables(n, k, first, inverse_pairs)
-            groups = occurrence_counts(n, planes, tuple((p.tau, p.shading.mask) for p in same))
-            counted[k] = itertools.chain.from_iterable(groups)
+            taus = sorted({p.tau for p in same}, key=pattern_type_id)
+            masks = list(dict.fromkeys(p.shading.mask for p in same))
+            grid = [row for group in occurrence_counts(n, planes, taus, masks) for row in group]
+            counted[k] = iter([grid[masks.index(p.shading.mask)][taus.index(p.tau)] for p in same])
         else:
             hosts = _table_rows(n, first, inverse_pairs).tolist()
             counted[k] = iter([np.array([count_occurrences(h, p) for h in hosts], dtype=np.int64) for p in same])

@@ -276,6 +276,14 @@ def test_env_cap_override(capsys, monkeypatch):
     assert out.splitlines()[1] == "9,0,21147"
 
 
+def test_malformed_env_cap_is_a_usage_error(capsys, monkeypatch):
+    # not "verification failed" (1) or "over the cap" (3): one line naming the variable
+    for raw, n in (("abc", "3"), ("-2", "0")):
+        monkeypatch.setenv("MESHPERM_MAX_N", raw)
+        expected = f"error: MESHPERM_MAX_N must be a non-negative integer, got {raw!r}\n"
+        assert run(capsys, ["dist", "--pattern", "123|", "--n", n]) == (EXIT_USAGE, "", expected), raw
+
+
 def test_sequence_requests_over_the_cap_are_refused_up_front(capsys, monkeypatch):
     monkeypatch.setenv("MESHPERM_MAX_N", "9")
     for argv in (

@@ -258,8 +258,8 @@ def test_pair_histograms_equal_the_lex_tables_for_every_symmetric_shading():
 
 
 def test_scan_blocks_of_each_first_value_sum_to_the_lex_tables(monkeypatch):
-    # scan --jobs splits every n >= 2 by first value, below the split of
-    # engine.blocks at n = 9 too: for every symmetric shading the n blocks
+    # the scan's blocks split S_n by first value from n = 9 on, and the
+    # split holds below that too: for every symmetric shading the n blocks
     # must sum to the lex tables' histograms of S_n.  The rows of each
     # block live only as long as its table, which the scan drops.
     masks = tuple(s.mask for s in symmetric_shadings(3))
@@ -316,26 +316,25 @@ def mixed_masks(size, seed):
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_grouped_kernel_matches_each_pattern_counted_alone(n):
     # the kernel ORs a group of shadings into one accumulator, each box
-    # plane only into the shadings that read it; every pattern's row must
-    # equal the pattern counted in a call of its own (a group of one, the
-    # path test_occurrence_counts_match_the_direct_counter pins).  Runs of
-    # one to three patterns per mask, with type ids one bit apart (123/132)
-    # and several bits apart (231/312, all six types), cross the groups'
-    # ends.
+    # plane only into the shadings that read it; each tau's row under each
+    # mask must equal that pattern counted in a call of its own (a group of
+    # one, the path test_occurrence_counts_match_the_direct_counter pins).
+    # Type ids one bit apart (123/132), several bits apart (231/312, all
+    # six types) and a single tau, under masks that cross the groups' ends.
     _, planes = engine.build_tables(n, 3, inverse_pairs=True)
     size = group_size(planes)
     assert size > 1
     masks = mixed_masks(size, n)
-    taus = list(enumerate_sn(3))
-    mixed = [[[(2, 3, 1), (3, 1, 2)], [(2, 3, 1)], taus[i % 4:i % 4 + 3]][i % 3] for i in range(len(masks))]
-    for runs in ([[(1, 2, 3), (1, 3, 2)]] * len(masks), mixed):
-        patterns = [(tau, mask) for mask, run in zip(masks, runs) for tau in run]
-        groups = list(engine.occurrence_counts(n, planes, patterns))
+    alone = {(tau, mask): next(engine.occurrence_counts(n, planes, [tau], [mask]))[0, 0]
+             for tau in enumerate_sn(3) for mask in masks}
+    for taus in ([(1, 2, 3), (1, 3, 2)], [(2, 3, 1), (3, 1, 2)], [(2, 3, 1)], list(enumerate_sn(3))):
+        groups = list(engine.occurrence_counts(n, planes, taus, masks))
         assert len(groups) == -(-len(masks) // size)
-        assert sum(len(g) for g in groups) == len(patterns)
-        for pattern, row in zip(patterns, np.concatenate(groups)):
-            (alone,) = engine.occurrence_counts(n, planes, [pattern])
-            assert np.array_equal(row, alone[0]), (n, pattern)
+        counts = np.concatenate(groups)
+        assert counts.shape[:2] == (len(masks), len(taus))
+        for mask, row in zip(masks, counts):
+            for tau, vec in zip(taus, row):
+                assert np.array_equal(vec, alone[tau, mask]), (n, tau, mask)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -357,10 +356,8 @@ def test_scan_plan_counts_each_shading_once():
     # a transpose already among the masks is read from its own place; the
     # others follow the masks, and a symmetric mask is its own transpose
     masks = (0x000F, 0x0000, 0x1111, 0x0002, 0x0021)
-    patterns, inverse = _scan_plan(masks)
-    assert [mask for _, mask in patterns[0::2]] == [*masks, 0x0010]
-    assert all(tau == (1, 2, 3) for tau, _ in patterns[0::2])
-    assert all(tau == (1, 3, 2) for tau, _ in patterns[1::2])
+    counted, inverse = _scan_plan(masks)
+    assert counted == (*masks, 0x0010)
     assert inverse == [2, 1, 0, 5, 4]
 
 
@@ -429,8 +426,9 @@ def test_scan_caches_no_tables():
 
 
 def test_scan_parallel_merge_is_deterministic():
-    single = scan_symmetric_pairs(4, jobs=1)
-    multi = scan_symmetric_pairs(4, jobs=2)
+    # the scan fans out only where engine.blocks splits S_n, from n = 9 on
+    single = scan_symmetric_pairs(9, jobs=1, long_running=True)
+    multi = scan_symmetric_pairs(9, jobs=2, long_running=True)
     assert single == multi
 
 
@@ -477,8 +475,9 @@ def test_scan_pool_has_no_more_workers_than_blocks(monkeypatch):
 
     # the scan imports the pool from concurrent.futures only when it fans out
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    assert scan_symmetric_pairs(4, jobs=64) == scan_symmetric_pairs(4, jobs=1)
-    assert sizes and max(sizes) <= 4
+    # below n = 9 there is one block and no pool; S_9 has nine blocks
+    assert scan_symmetric_pairs(9, jobs=64, long_running=True) == scan_symmetric_pairs(9, jobs=1, long_running=True)
+    assert sizes == [9]
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -497,5 +496,9 @@ def test_cap_env_override(monkeypatch):
     # The hard enumeration cap still clamps the override.
     monkeypatch.setenv("MESHPERM_MAX_N", "99")
     assert effective_cap() == 10
+    for raw in ("abc", "-2"):
+        monkeypatch.setenv("MESHPERM_MAX_N", raw)
+        with pytest.raises(ValueError, match="MESHPERM_MAX_N"):
+            effective_cap()
     monkeypatch.delenv("MESHPERM_MAX_N")
     assert effective_cap() == 8
