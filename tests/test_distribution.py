@@ -476,7 +476,8 @@ def test_scan_pool_has_no_more_workers_than_blocks(monkeypatch):
     # the scan imports the pool from concurrent.futures only when it fans out
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     # below n = 9 there is one block and no pool; S_9 has nine blocks
-    assert scan_symmetric_pairs(9, jobs=64, long_running=True) == scan_symmetric_pairs(9, jobs=1, long_running=True)
+    pooled = scan_symmetric_pairs(9, jobs=64, long_running=True)
+    assert pooled == scan_symmetric_pairs(9, jobs=1, long_running=True)
     assert sizes == [9]
 
 
