@@ -8,8 +8,9 @@ bit planes: one bit per (permutation, combo) for each of the (k+1)^2 boxes
 and for each bit of the type id, packed 32 combos to a uint32 word.
 Counting the occurrences of a mesh pattern in every permutation then takes
 an OR of the planes of its shaded boxes and of its mismatching type bits,
-and a popcount of the bits left clear, so scanning many shadings against
-the same n reuses all of the heavy work.  A shaded column that covers a
+which rules combos out, and a popcount: the occurrences are the bits left
+clear, the row's bits less those set.  Scanning many shadings against the
+same n reuses all of the heavy work.  A shaded column that covers a
 whole position gap, all k + 1 boxes between two positions of the pattern,
 is not read from the table at all: every other point lies in exactly one
 box, so the OR of that column's planes says whether the gap holds a
@@ -36,11 +37,13 @@ shadings, as (123, R) and (132, R) for every R of a scan.  It takes the
 shadings in groups, in buffers allocated once per call: each group fills
 one accumulator of at most ``_GROUP_BYTES``, so a scan's many shadings
 over a small table share a few passes, while a table of S_8 or more takes
-one shading at a time.  What the kernel reads for each shading is planned
-once per grid and group size.  The build is bit-sliced as well: it works
-on the packed words themselves, one word operation for 32 combos over
-every row, guided by masks that depend only on (n, k) and are computed
-once per pair, on first use.
+one shading at a time.  The accumulator is never inverted, so there a
+shading whose mask contains the one before it extends what that one left
+and ORs in only its new boxes.  What the kernel reads for each shading is
+planned once per grid and group size.  The build is bit-sliced as well:
+it works on the packed words themselves, one word operation for 32 combos
+over every row, guided by masks that depend only on (n, k) and are
+computed once per pair, on first use.
 :func:`count_vectors` is the one entry point for counts of any length:
 the tables for k in {2, 3}, the pure-Python finder otherwise.
 Queries read :func:`subseq_tables`, the one place that decides how long a
@@ -469,6 +472,9 @@ def _plan(k: int, tids: tuple[int, ...], masks: tuple[int, ...], size: int) -> t
     combo is ruled out where that type plane, or its complement, has its
     bit set.  ``split`` lists the bits in which the ids differ, low bit
     first.  ``groups`` takes the masks ``size`` at a time (:func:`_group`).
+    When a group holds one shading, a mask that contains the mask just
+    before it is an extension: it keeps the accumulator that mask's group
+    left and ORs in only what it adds.  The masks alone decide this.
     Nothing here depends on n, so a query's sizes n share a plan wherever
     their group sizes agree, and every block of a scan or a streamed query
     plans its masks once; memoized.
@@ -480,12 +486,16 @@ def _plan(k: int, tids: tuple[int, ...], masks: tuple[int, ...], size: int) -> t
         differ |= t ^ tids[0]
     shared = tuple([(t, bool(tids[0] >> t & 1)) for t in range(_type_bits(k)) if not differ >> t & 1])
     split = tuple([t for t in range(differ.bit_length()) if differ >> t & 1])
-    groups = tuple([_group(k, masks[lo:lo + size]) for lo in range(0, len(masks), size)])
-    return shared, split, groups
+    groups = []
+    for lo in range(0, len(masks), size):
+        previous = masks[lo - 1] if size == 1 and lo and masks[lo] & masks[lo - 1] == masks[lo - 1] else None
+        groups.append(_group(k, masks[lo:lo + size], previous))
+    return shared, split, tuple(groups)
 
 
-def _group(k: int, masks: tuple[int, ...]) -> tuple:
-    """``(shadings, always, some, gaps)`` of a group of length-k shading masks.
+def _group(k: int, masks: tuple[int, ...], previous: int | None = None) -> tuple:
+    """``(shadings, always, some, gaps, extends)`` of a group of length-k
+    shading masks.
 
     ``shadings`` counts the masks.  ``always`` lists the box planes that
     every shading reads, and ``some`` pairs each plane that only some read
@@ -496,8 +506,20 @@ def _group(k: int, masks: tuple[int, ...]) -> tuple:
     :func:`_full_columns`), or None when no shading has a full column.
     Only the masks decide which plane is ORed where, so a group of one
     shading reads its planes and gap word with no ``where=``.
+
+    ``previous`` is None, or the mask of the group of one shading just
+    before a group of one mask that contains it; then ``extends`` is True
+    and the group adds to the accumulator that ``previous`` left, which
+    already rules out every combo that ``previous`` does.  ``always`` then
+    lists only the boxes the mask reads outside ``previous``, and ``gaps``
+    only the columns that become full.  That is exact: a box of
+    ``previous`` that the mask reads is read by ``previous`` too, as its
+    column is not full, and one in a full column of the mask lies in the
+    gap word, the OR of that column's planes.
     """
     reads, gaps = zip(*(_full_columns(k, mask) for mask in masks))
+    if previous is not None:
+        reads, gaps = (reads[0] & ~previous,), (gaps[0] & ~_full_columns(k, previous)[1],)
     every = functools.reduce(operator.and_, reads)
     only_some = functools.reduce(operator.or_, reads) & ~every
     always = _bits(every)
@@ -505,7 +527,7 @@ def _group(k: int, masks: tuple[int, ...]) -> tuple:
     if only_some:
         shaded = (np.array(reads)[:, None] >> np.arange((k + 1) ** 2) & 1).astype(bool)
         some = tuple([(p, shaded[:, p, None, None]) for p in _bits(only_some)])
-    return len(masks), always, some, np.array(gaps) if any(gaps) else None
+    return len(masks), always, some, np.array(gaps) if any(gaps) else None, previous is not None
 
 
 def _full_columns(k: int, mask: int) -> tuple[int, int]:
@@ -540,12 +562,13 @@ def _gap_words(n: int, k: int) -> np.ndarray:
     return words
 
 
-def _clear_group(planes: np.ndarray, always: Sequence[int], some: Sequence[tuple[int, np.ndarray]],
-                 gaps: np.ndarray | None, ruled_out: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+def _rule_out(planes: np.ndarray, always: Sequence[int], some: Sequence[tuple[int, np.ndarray]],
+              gaps: np.ndarray | None, ruled_out: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
     """Write to ``out``, of shape ``(shadings, words, rows)``, the combos of
-    each row with no point in a box of each shading of a group (see
-    :func:`_group`), none in the gap words ``gaps`` and no bit set in
-    ``ruled_out``, and return it; one shading may drop the first axis.
+    each row that each shading of a group rules out (see :func:`_group`):
+    those with a point in one of its boxes, with a position in one of the
+    gap words ``gaps``, or with a bit set in ``ruled_out``; return it.  One
+    shading may drop the first axis, and ``ruled_out`` may be ``out`` itself.
 
     One OR covers what every shading of the group reads; a plane that only
     some read is ORed into theirs alone, through ``where=``.
@@ -556,7 +579,7 @@ def _clear_group(planes: np.ndarray, always: Sequence[int], some: Sequence[tuple
     _or_into(out, terms)
     for p, where in some:
         np.bitwise_or(out, planes[p], out=out, where=where)
-    return np.invert(out, out=out)
+    return out
 
 
 def _row_counts(words: np.ndarray, pop: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -566,7 +589,7 @@ def _row_counts(words: np.ndarray, pop: np.ndarray, out: np.ndarray) -> np.ndarr
     return np.add.reduce(np.bitwise_count(words, out=pop), axis=-2, dtype=out.dtype, out=out)
 
 
-#: Largest accumulator, in bytes, that :func:`occurrence_counts` clears a
+#: Largest accumulator, in bytes, that :func:`occurrence_counts` counts a
 #: group of shadings in.  Up to S_6 a scan's pending masks fit in a few
 #: groups; from S_8 on every block counts one shading at a time.  Budgets
 #: from 16 to 256 KB timed the same, and 1 MB made the n = 9 scan slower,
@@ -594,26 +617,35 @@ def occurrence_counts(n: int, planes: np.ndarray, taus: Sequence[Perm],
     and at least one.
 
     A combo is an occurrence when no shaded box holds a point and its type
-    bits spell the pattern's type id.  The type bits that all the ids share
-    are checked once per call: the OR of the type planes where the ids have
-    a 0 bit and of the complements where they have a 1.  The shadings of
-    a group then share one accumulator, allocated once per call: that OR
-    and each shading's box planes are ORed into its slice, each plane once
-    for all the shadings that read it, and it is inverted in place,
-    leaving the combos that are clear.  A full position-gap column of a
+    bits spell the pattern's type id.  The accumulator collects the combos
+    that are ruled out, and is never inverted: a row's count is its
+    W = 32 x words bits less those set.  The type bits that all the ids
+    share are checked once per call: the OR of the type planes where the
+    ids have a 0 bit and of the complements where they have a 1.  The
+    shadings of a group then share one accumulator, allocated once per
+    call: that OR and each shading's box planes are ORed into its slice,
+    each plane once for all the shadings that read it.  A full position-gap column of a
     shading, all k + 1 boxes between two positions of the pattern, is ORed
     in as a constant word per word from :func:`_gap_masks` instead of as
     k + 1 planes.  This is exact: every other point lies in exactly one
     box, so the column holds a point exactly when the gap holds a position,
-    which depends on the combo alone.
+    which depends on the combo alone.  With one shading to a group, a mask
+    that contains the mask before it keeps the accumulator as that one
+    left it and ORs in only its new box planes and the gap words of the
+    columns that have just become full.
 
     The ids' other bits are checked per group.  When they differ in one
-    bit, as those of 123 and 132 or 12 and 21 do, the id with that bit set
-    counts the clear combos whose type plane has it, and the other id
-    counts the rest: the clear count minus that one.  When they differ in
-    more bits, each id ANDs in the type plane or its complement that it
-    calls for, bit by bit.  The count per row is a popcount of the bits
-    left set.  The groups are planned once per taus, masks and group size
+    bit, as those of 123 and 132 or 12 and 21 do, let ``acc`` be the
+    accumulator, t that type plane and pc the popcount per row: the id
+    without bit t counts W - pc(acc | t), and the id with it the rest of
+    the W - pc(acc) clear combos, pc(acc | t) - pc(acc).  This is exact
+    because the padding bits of the last word, whose type code has every
+    bit set, are set in ``acc``: the id with bit t set is not that code,
+    so it has a 0 in some other bit, which both ids share.
+    Otherwise each id ORs in, bit by bit, the type plane or its complement
+    that rules out the other ids (none for a single id), and counts W less
+    the bits set; here too a bit in which the id is 0 rules the padding
+    out.  The groups are planned once per taus, masks and group size
     (:func:`_plan`).
     """
     words, rows = planes.shape[1:]
@@ -631,25 +663,28 @@ def occurrence_counts(n: int, planes: np.ndarray, taus: Sequence[Perm],
     if len(shared) > 1:
         shared = [_or_into(np.empty((1, words, rows), dtype=np.uint32), shared)]
     gap_words = _gap_words(n, k)
-    clear = np.empty((size, words, rows), dtype=np.uint32)
-    hits = np.empty_like(clear) if split else None
-    pop = np.empty(clear.shape, dtype=np.uint8)
+    acc = np.empty((size, words, rows), dtype=np.uint32)
+    hits = np.empty_like(acc) if split else None
+    pop = np.empty(acc.shape, dtype=np.uint8)
     dtype = np.min_scalar_type(words * _WORD)
-    for shadings, always, some, gaps in groups:
+    width = dtype.type(words * _WORD)
+    for shadings, always, some, gaps, extends in groups:
         at = slice(shadings)
         if gaps is not None:
             gaps = gap_words.take(gaps, axis=0)
-        cleared = _clear_group(planes, always, some, gaps, shared, clear[at])
+        ruled_out = _rule_out(planes, always, some, gaps, [acc[at]] if extends else shared, acc[at])
         counted = np.empty((shadings, len(tids), rows), dtype=dtype)
         if len(split) == 1:
-            ones = _row_counts(np.bitwise_and(cleared, types[split[0]], out=hits[at]), pop[at], counted[:, 1])
-            np.subtract(_row_counts(cleared, pop[at], counted[:, 0]), ones, out=counted[:, 0])
+            # the id without bit t is ruled out also where type plane t is set
+            either = _row_counts(np.bitwise_or(ruled_out, types[split[0]], out=hits[at]), pop[at], counted[:, 0])
+            np.subtract(either, _row_counts(ruled_out, pop[at], counted[:, 1]), out=counted[:, 1])
+            np.subtract(width, either, out=counted[:, 0])
         else:
             for c, tid in enumerate(tids):
-                bits = cleared
+                bits = ruled_out
                 for t in split:
-                    bits = np.bitwise_and(bits, types[t] if tid >> t & 1 else ~types[t], out=hits[at])
-                _row_counts(bits, pop[at], counted[:, c])
+                    bits = np.bitwise_or(bits, ~types[t] if tid >> t & 1 else types[t], out=hits[at])
+                np.subtract(width, _row_counts(bits, pop[at], counted[:, c]), out=counted[:, c])
         yield counted
 
 
@@ -700,8 +735,8 @@ def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> tuple[tu
     gaps = _gap_words(n, 3)[gap] if gap else None
     # the type planes follow the 16 box planes; 123 and 132 are the ids 0
     # and 1, the two with type bits 1 and 2 clear
-    clear = np.empty(planes.shape[1:], dtype=np.uint32)
-    return combos, _clear_group(planes, _bits(read), (), gaps, planes[17:19], clear)
+    ruled_out = _rule_out(planes, _bits(read), (), gaps, planes[17:19], np.empty(planes.shape[1:], dtype=np.uint32))
+    return combos, np.invert(ruled_out, out=ruled_out)
 
 
 def lex_ranks(perms: np.ndarray) -> np.ndarray:

@@ -306,6 +306,65 @@ def test_occurrence_counts_refuse_taus_out_of_type_order():
             next(engine.occurrence_counts(4, planes, taus, [0]))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_one_bit_path_matches_the_direct_counter(k):
+    # every pair of type ids one bit apart counts both ids off the
+    # accumulator uninverted, which is exact only if the shared type bits
+    # rule out the padding code; at n = 5 the 10 combos of either length
+    # leave 22 padding bits in the one word, so a padding bit left clear
+    # would miscount every row
+    hosts = list(enumerate_sn(5))
+    _, planes = engine.build_tables(5, k)
+    by_id = {engine.pattern_type_id(tau): tau for tau in enumerate_sn(k)}
+    pairs = [(a, b) for a, b in itertools.combinations(sorted(by_id), 2) if (a ^ b).bit_count() == 1]
+    assert len(pairs) == (1 if k == 2 else 7)
+    side = k + 1
+    masks = [0, (1 << side) - 1, 1 << side + 1 | 1 << side * side - 1]
+    for pair in pairs:
+        taus = [by_id[t] for t in pair]
+        assert len(engine._plan(k, pair, tuple(masks), len(masks))[1]) == 1
+        (counts,) = engine.occurrence_counts(5, planes, taus, masks)
+        for mask, row in zip(masks, counts):
+            for tau, vec in zip(taus, row):
+                pattern = MeshPattern(tau, ShadingSet(k, mask))
+                assert vec.tolist() == [count_occurrences(h, pattern) for h in hosts], (pair, mask, tau)
+
+
+#: Ascending length-3 masks: superset runs in which column 0 (0x000F),
+#: column 2 (0x0F00) and then columns 0 and 2 at once (0xF0F0 -> 0xFFFF)
+#: become full partway, broken by 0x0012 and 0xF0F0, which do not contain
+#: the mask before them.
+EXTENSION_MASKS = (0x0001, 0x0003, 0x0007, 0x000F, 0x0012, 0x0016, 0x0116, 0x0F16, 0x2F16, 0xF0F0, 0xFFFF)
+
+
+def test_superset_runs_extend_the_accumulator(monkeypatch):
+    # with one shading per group, a mask that contains the one before it
+    # ORs only its new box planes and newly full columns into what that
+    # mask left; every row must equal the pattern counted alone, on the
+    # one-bit path (123/132), the several-bit path (231/312 and all six
+    # types) and with a single tau
+    monkeypatch.setattr(engine, "_GROUP_BYTES", 1)
+    extends = [group[-1] for group in engine._plan(3, (0, 1), EXTENSION_MASKS, 1)[2]]
+    assert extends == [False, True, True, True, False, True, True, True, True, False, True]
+    assert not any(group[-1] for group in engine._plan(3, (0, 1), EXTENSION_MASKS, 2)[2])
+    # 0x000F adds no plane but column 0's gap word, 0xFFFF the words of columns 0 and 2
+    (_, always, _, gaps, _) = engine._plan(3, (0, 1), EXTENSION_MASKS, 1)[2][3]
+    assert always == () and gaps.tolist() == [0b0001]
+    (_, always, _, gaps, _) = engine._plan(3, (0, 1), EXTENSION_MASKS, 1)[2][10]
+    assert always == () and gaps.tolist() == [0b0101]
+    taus = list(enumerate_sn(3))
+    for n in (5, 6, 7):
+        _, planes = engine.build_tables(n, 3)
+        alone = {(mask, tau): next(engine.occurrence_counts(n, planes, [tau], [mask]))[0, 0]
+                 for mask in EXTENSION_MASKS for tau in taus}
+        for group in ([(1, 2, 3), (1, 3, 2)], [(2, 3, 1), (3, 1, 2)], [(2, 1, 3)], taus):
+            grid = list(engine.occurrence_counts(n, planes, group, EXTENSION_MASKS))
+            assert [counts.shape for counts in grid] == [(1, len(group), planes.shape[2])] * len(EXTENSION_MASKS)
+            for mask, (counts,) in zip(EXTENSION_MASKS, grid):
+                for tau, vec in zip(group, counts):
+                    assert np.array_equal(vec, alone[mask, tau]), (n, hex(mask), group, tau)
+
+
 def test_count_vector_matches_direct_counter():
     rng = random.Random(20260815)
     all_boxes = [(i, j) for i in range(4) for j in range(4)]
