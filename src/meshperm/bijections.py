@@ -9,8 +9,9 @@ its per-host map and its block map.  :func:`transform_for` resolves a
 catalog family record through it, and :func:`verify_pair` checks
 exhaustively over S_n that a transform is a bijection, swaps the counts and
 is its own inverse: every family's transform is an involution.  The
-families that act on occurrences get them from an occurrence provider, by
-default the pure-Python finder :func:`meshperm.mesh.occurrences`.
+families that act on occurrences get them from an occurrence provider;
+:func:`transform_for` gives them the pure-Python finder
+:func:`meshperm.mesh.occurrences`.
 
 The transforms map one host at a time and are the definitions;
 ``meshperm apply``, :func:`apply_family` and the oracle tests use them, and
@@ -52,7 +53,6 @@ Families and their parameters:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -505,7 +505,7 @@ def _a1_complement_block(n: int, first: int | None, shading: ShadingSet) -> np.n
     on its own.
     """
     images = engine.perm_block(n, first).copy()
-    _, words = engine.pair_hits(n, shading, first)
+    words = engine.pair_hits(n, shading, first)
     live = np.flatnonzero(np.bitwise_or.reduce(words, axis=0))
     if not len(live):
         return images
@@ -513,7 +513,7 @@ def _a1_complement_block(n: int, first: int | None, shading: ShadingSet) -> np.n
     out = hosts.copy()
     right_of_one = np.arange(n) > hosts.argmin(axis=1)[:, None]
     tails: dict[int, list] = {}
-    for b, c, masks in _tail_words(n):
+    for b, c, masks in engine.tail_words(n):
         tails.setdefault(b, []).append((c, masks))
     # key: (length * (n + 1) + n - start) * 16 + least value; 0 for no window
     best = np.zeros((n, len(live)), dtype=np.int16)
@@ -642,18 +642,6 @@ def _block_sweep(p: Sequence[int], shading: ShadingSet, provider: OccurrenceProv
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _tail_words(n: int) -> tuple[tuple[int, int, tuple[tuple[int, np.uint32], ...]], ...]:
-    """``(b, c, ((word, mask), ...))`` for each pair of 0-based positions
-    b < c that is the tail of some combo (a, b, c) of S_n's length-3 table:
-    the bits of those combos in the words of :func:`meshperm.engine.pair_hits`."""
-    tails: dict = {}
-    for bit, (_, b, c) in enumerate(itertools.combinations(range(n), 3)):
-        words = tails.setdefault((b, c), {})
-        words[bit // engine._WORD] = words.get(bit // engine._WORD, 0) | 1 << bit % engine._WORD
-    return tuple((b, c, tuple((w, np.uint32(mask)) for w, mask in words.items())) for (b, c), words in tails.items())
-
-
 def _block_sweep_block(n: int, first: int | None, shading: ShadingSet) -> np.ndarray:
     """:func:`_block_sweep` on every host of a block.
 
@@ -666,14 +654,14 @@ def _block_sweep_block(n: int, first: int | None, shading: ShadingSet) -> np.nda
     swaps with the largest value at a later position of its mask.
     """
     images = engine.perm_block(n, first).copy()
-    _, words = engine.pair_hits(n, shading, first)
+    words = engine.pair_hits(n, shading, first)
     live = np.flatnonzero(np.bitwise_or.reduce(words, axis=0))
     if not len(live):
         return images
     words = words[:, live]
     ties = np.empty((n, len(live)), dtype=np.uint16)
     ties[...] = (1 << np.arange(n, dtype=np.uint16))[:, None]
-    for b, c, masks in _tail_words(n):
+    for b, c, masks in engine.tail_words(n):
         tied = np.zeros(len(live), dtype=np.uint16)
         for w, mask in masks:
             tied |= (words[w] & mask) != 0
@@ -769,18 +757,18 @@ def _accepting(name: str, shading: ShadingSet) -> Family:
     return family
 
 
-def transform_for(family: dict, shading: ShadingSet, provider: OccurrenceProvider = _pair_occurrences) -> Transform:
+def transform_for(family: dict, shading: ShadingSet) -> Transform:
     """Resolve a catalog family record to the transform for ``shading``.
 
     The occurrence-driven families (``direct``, ``oth1``,
-    ``pair_swap``, ``a1_complement`` and both nine-box families) ask
-    ``provider`` for each host's occurrences; by default that is the
-    pure-Python finder :func:`meshperm.mesh.occurrences`.  Raises
+    ``pair_swap``, ``a1_complement`` and both nine-box families) read each
+    host's occurrences from the pure-Python finder
+    :func:`meshperm.mesh.occurrences`.  Raises
     :class:`UnsupportedShadingError` when the shading does not have the
     structure the family requires, and ValueError for unknown names.
     """
     transform = _accepting(family.get("name"), shading).transform
-    return lambda p: transform(p, shading, provider)
+    return lambda p: transform(p, shading, _pair_occurrences)
 
 
 def apply_family(entry, p: Sequence[int]) -> Perm:

@@ -273,7 +273,7 @@ def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
     of every n alive.
     """
     n, first, masks = task
-    _, planes = engine.build_tables(n, 3, first, inverse_pairs=True)
+    planes = engine.build_tables(n, 3, first, inverse_pairs=True)
     _, involutions = engine.inverse_pair_counts(n, first)
     counted, inverse = _scan_plan(masks)
     width = math.comb(n, 3) + 1

@@ -47,8 +47,10 @@ computed once per pair, on first use.
 :func:`count_vectors` is the one entry point for counts of any length:
 the tables for k in {2, 3}, the pure-Python finder otherwise.
 Queries read :func:`subseq_tables`, the one place that decides how long a
-table lives; the symmetric-shading scan reads each block once, so it
-builds the block's table, counts every pending shading and drops it.
+table lives, by n alone: every table up to S_9 is kept, at most 9.2 MB a
+block, while a block of S_10 takes 16 to 110 MB, so there only the last
+is held.  The symmetric-shading scan reads each block once, so it builds
+the block's table, counts every pending shading and drops it.
 """
 from __future__ import annotations
 
@@ -221,27 +223,21 @@ def _type_bits(k: int) -> int:
     return math.factorial(k).bit_length()
 
 
-def _table_shape(n: int, k: int, rows: int) -> tuple[int, int, int]:
-    """(planes, words, rows) of the uint32 length-k table of ``rows`` permutations of S_n."""
-    return (k + 1) ** 2 + _type_bits(k), -(-math.comb(n, k) // _WORD), rows
-
-
 def _table_rows(n: int, first: int | None, inverse_pairs: bool) -> np.ndarray:
     """The permutations a block's table covers: :func:`perm_block`, or with
     ``inverse_pairs`` the rows of :func:`inverse_pair_block`, built anew."""
     return inverse_pair_block(n, first) if inverse_pairs else perm_block(n, first)
 
 
-def build_tables(n: int, k: int, first: int | None = None,
-                 inverse_pairs: bool = False) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+def build_tables(n: int, k: int, first: int | None = None, inverse_pairs: bool = False) -> np.ndarray:
     """Bit planes of the length-k position subsets of every permutation in a block.
 
-    Returns ``(combos, planes)``.  ``combos`` lists the 0-based position
-    k-subsets in lexicographic order; combo c is bit ``c % 32`` of word
-    ``c // 32``.  ``planes`` is a uint32 array of shape ``(planes, words,
-    rows)``: row r is the block's rank-r permutation, or with
-    ``inverse_pairs`` row r of :func:`inverse_pair_block`, so each plane
-    word is one contiguous vector over the rows.  Plane p < (k+1)^2 has
+    The combos are the 0-based position k-subsets in lexicographic order,
+    ``itertools.combinations(range(n), k)``; combo c is bit ``c % 32`` of
+    word ``c // 32``.  Returns the planes, a uint32 array of shape
+    ``(planes, words, rows)``: row r is the block's rank-r permutation, or
+    with ``inverse_pairs`` row r of :func:`inverse_pair_block`, so each
+    plane word is one contiguous vector over the rows.  Plane p < (k+1)^2 has
     the bit of a combo set when another point of the permutation lies in
     box p of the combo's grid (the bit order of :class:`meshperm.mesh.ShadingSet`
     masks).  The planes above hold the bits of the combo's classical type
@@ -267,9 +263,8 @@ def build_tables(n: int, k: int, first: int | None = None,
     if k not in SUPPORTED_LENGTHS:
         raise ValueError(f"tables support pattern lengths {SUPPORTED_LENGTHS}, not {k}")
     cols = np.ascontiguousarray(_table_rows(n, first, inverse_pairs).T)
-    combos = tuple(itertools.combinations(range(n), k))
-    boxes = (k + 1) ** 2
-    planes = np.zeros(_table_shape(n, k, cols.shape[1]), dtype=np.uint32)
+    combos, boxes = math.comb(n, k), (k + 1) ** 2
+    planes = np.zeros((boxes + _type_bits(k), -(-combos // _WORD), cols.shape[1]), dtype=np.uint32)
     width = min(_CHUNK, cols.shape[1])
     work = (np.empty((n, width), dtype=bool), np.empty((n + k + 1, width), dtype=np.uint32))
     for lo in range(0, planes.shape[2], _CHUNK):
@@ -281,10 +276,10 @@ def build_tables(n: int, k: int, first: int | None = None,
         carry = x_y & x_z
         x_y ^= x_z
         x_z[...] = carry
-    if len(combos) % _WORD:
-        planes[boxes:, -1] |= np.uint32(~0 << len(combos) % _WORD & 0xFFFFFFFF)
+    if combos % _WORD:
+        planes[boxes:, -1] |= np.uint32(~0 << combos % _WORD & 0xFFFFFFFF)
     planes.setflags(write=False)
-    return combos, planes
+    return planes
 
 
 #: Rows per pass of the build: a 64 KB vector per word, so that the
@@ -412,28 +407,24 @@ def _at_least(words: Sequence[np.ndarray]) -> list[np.ndarray]:
     return at_least
 
 
-#: Largest block table, in bytes, that :func:`subseq_tables` keeps: each of S_9's, none of S_10's.
-_KEPT_TABLE_BYTES = 16 * 2**20
+#: Largest n whose block tables :func:`subseq_tables` keeps.
+_KEPT_MAX_N = 9
 
 
-def subseq_tables(n: int, k: int, first: int | None = None,
-                  inverse_pairs: bool = False) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+def subseq_tables(n: int, k: int, first: int | None = None, inverse_pairs: bool = False) -> np.ndarray:
     """:func:`build_tables`, held for later calls with the same block and rows.
 
-    Tables that fit ``_KEPT_TABLE_BYTES`` (every block up to n = 9) are
-    kept, so queries that revisit an n build each table once.  Above that
-    only the table asked for last is held, and dropped before the next is
-    built: a query that visits each block once builds each table once and
-    holds one at a time.  The budget is measured on the table's own rows,
-    so the smaller tables over :func:`inverse_pair_block` count as what
-    they are; their rows are counted by :func:`inverse_pair_counts`, and
-    built only when the table is.  ``cache_info()`` and ``cache_clear()``
-    are those of an ``lru_cache`` of the kept tables; :func:`clear_caches`
-    drops the held table too.
+    How long a table lives depends on n alone.  Up to ``_KEPT_MAX_N`` every
+    table is kept, so queries that revisit an n build each table once; a
+    block of S_9 takes at most 9.2 MB.  Above it only the table asked for
+    last is held, and dropped before the next is built, since a block of
+    S_10 takes 16 to 110 MB: a query that visits each block once builds
+    each table once and holds one at a time.  ``cache_info()`` and
+    ``cache_clear()`` are those of an ``lru_cache`` of the kept tables;
+    :func:`clear_caches` drops the held table too.
     """
     key = (n, k, first, inverse_pairs)
-    rows = inverse_pair_counts(n, first)[0] if inverse_pairs else math.factorial(n - (first is not None))
-    if math.prod(_table_shape(n, k, rows)) * 4 <= _KEPT_TABLE_BYTES:
+    if n <= _KEPT_MAX_N:
         return _kept_tables(*key)
     if key not in _last_table:
         _last_table.clear()
@@ -709,7 +700,7 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
     for k in dict.fromkeys(len(p) for p in patterns):
         same = [p for p in patterns if len(p) == k]
         if k in SUPPORTED_LENGTHS:
-            _, planes = subseq_tables(n, k, first, inverse_pairs)
+            planes = subseq_tables(n, k, first, inverse_pairs)
             taus = sorted({p.tau for p in same}, key=pattern_type_id)
             masks = list(dict.fromkeys(p.shading.mask for p in same))
             grid = [row for group in occurrence_counts(n, planes, taus, masks) for row in group]
@@ -720,23 +711,37 @@ def count_vectors(n: int, patterns: Sequence[MeshPattern], first: int | None = N
     return [next(counted[len(p)]) for p in patterns]
 
 
-def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> np.ndarray:
     """Occurrences of (123, R) and (132, R) in every permutation of the block, as bits.
 
-    Returns ``(combos, words)`` like :func:`build_tables`: bit ``c % 32`` of
-    ``words[c // 32, r]`` is set when combo c of the block's rank-r
-    permutation has type 123 (0) or 132 (1) and holds no point in a box of
-    ``shading``.  This is the one reading of occurrences off the tables.
+    Returns uint32 words of shape ``(words, rows)``: bit ``c % 32`` of
+    ``words[c // 32, r]`` is set when combo c, in the order of
+    :func:`build_tables`, of the block's rank-r permutation has type 123
+    (0) or 132 (1) and holds no point in a box of ``shading``.  This is the
+    one reading of occurrences off the tables; :func:`tail_words` finds
+    each tail's bits in them.
     """
     if shading.k != 3:
         raise ValueError("pair occurrences need a length-3 shading")
-    combos, planes = subseq_tables(n, 3, first)
+    planes = subseq_tables(n, 3, first)
     read, gap = _full_columns(3, shading.mask)
     gaps = _gap_words(n, 3)[gap] if gap else None
     # the type planes follow the 16 box planes; 123 and 132 are the ids 0
     # and 1, the two with type bits 1 and 2 clear
     ruled_out = _rule_out(planes, _bits(read), (), gaps, planes[17:19], np.empty(planes.shape[1:], dtype=np.uint32))
-    return combos, np.invert(ruled_out, out=ruled_out)
+    return np.invert(ruled_out, out=ruled_out)
+
+
+@functools.lru_cache(maxsize=None)
+def tail_words(n: int) -> tuple[tuple[int, int, tuple[tuple[int, np.uint32], ...]], ...]:
+    """``(b, c, ((word, mask), ...))`` for each pair of 0-based positions
+    b < c that is the tail of some combo (a, b, c) of S_n's length-3 table:
+    the bits of those combos in the words of :func:`pair_hits`."""
+    tails: dict = {}
+    for bit, (_, b, c) in enumerate(itertools.combinations(range(n), 3)):
+        words = tails.setdefault((b, c), {})
+        words[bit // _WORD] = words.get(bit // _WORD, 0) | 1 << bit % _WORD
+    return tuple((b, c, tuple((w, np.uint32(mask)) for w, mask in words.items())) for (b, c), words in tails.items())
 
 
 def lex_ranks(perms: np.ndarray) -> np.ndarray:

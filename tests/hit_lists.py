@@ -4,16 +4,20 @@
 and the per-host maps take lists; ``test_bijections`` pins these lists
 against the pure-Python finder.
 """
+import itertools
+
 import numpy as np
 
 from meshperm import engine
+from meshperm.bijections import FAMILIES
 
 
 def hit_lists(n, shading, first=None):
     """Entry r lists the 1-based position triples, in lexicographic order,
     whose bits :func:`meshperm.engine.pair_hits` sets in the row of the
     block's rank-r host."""
-    combos, words = engine.pair_hits(n, shading, first)
+    combos = list(itertools.combinations(range(n), 3))
+    words = engine.pair_hits(n, shading, first)
     hit = np.unpackbits(np.ascontiguousarray(words.T, dtype="<u4").view(np.uint8),
                         axis=1, count=len(combos), bitorder="little")
     triples = [(a + 1, b + 1, c + 1) for a, b, c in combos]
@@ -30,3 +34,12 @@ def table_provider(n, shading, first=None):
             raise ValueError(f"this provider answers for {shading.boxes()}, not {asked.boxes()}")
         return lists[tuple(host)]
     return provider
+
+
+def table_transform(name, n, shading, first=None):
+    """The per-host map of the registry row ``name`` under ``shading``, its
+    ``transform(p, shading, provider)`` with :func:`table_provider` of one
+    block; unlike ``transform_for``, it checks no accept rule."""
+    family = next(family for family in FAMILIES if family.name == name)
+    provider = table_provider(n, shading, first)
+    return lambda p: family.transform(p, shading, provider)

@@ -40,7 +40,7 @@ from meshperm.mesh import (
 )
 from meshperm.perms import complement, complement_on_set, enumerate_sn, inverse, reverse, standardize
 
-from hit_lists import table_provider
+from hit_lists import table_provider, table_transform
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -303,7 +303,7 @@ def test_criterion_11_involution_invariant():
     # test_pair_hits_match_the_finder pins against the finder on S_0..S_6.
     for entry in PROVED:
         shading = entry.patterns()[0].shading
-        f = transform_for(entry.family, shading, table_provider(6, shading))
+        f = table_transform(entry.family["name"], 6, shading)
         for host in enumerate_sn(6):
             assert f(f(host)) == host, entry.id
     # One representative per involution family at n = 7.
@@ -311,7 +311,7 @@ def test_criterion_11_involution_invariant():
     assert {e.family["name"] for e in representatives} == set(bj.FAMILY_NAMES)
     for entry in representatives:
         shading = entry.patterns()[0].shading
-        f = transform_for(entry.family, shading, table_provider(7, shading))
+        f = table_transform(entry.family["name"], 7, shading)
         for host in enumerate_sn(7):
             assert f(f(host)) == host, entry.id
     # The same representatives on S_6 with the pure-Python finder.
@@ -340,7 +340,7 @@ def test_criterion_11_occurrence_free_identity_invariant():
     for entry in entries:
         p1, p2 = entry.patterns()
         for n in range(1, 7):
-            f = transform_for(entry.family, p1.shading, table_provider(n, p1.shading))
+            f = table_transform(entry.family["name"], n, p1.shading)
             occ1, occ2 = engine.count_vectors(n, (p1, p2))
             hosts = engine.perm_block(n, None)[(occ1 == 0) & (occ2 == 0)].tolist()
             for host in map(tuple, hosts):
@@ -405,15 +405,17 @@ def test_long_running_scan_to_ten_in_bounded_memory(tmp_path):
 @pytest.mark.long_running
 @pytest.mark.parametrize("argv, md5, bound_mb", [
     (["dist", "--pattern", "123|0/0,1/1", "--n", "10"], "28f7b7d7da6dbbbc61485d90397ef1e6", 150),
+    (["dist", "--pattern", "12|0/0", "--n", "10"], "9b5299a0aca07e33140daf1f31a051fe", 150),
     (["joint", "--pattern", "123|0/0,1/1", "--pattern2", "132|0/0,1/1", "--n", "10"],
      "4c94f72c5e1fc73939d2f5f01ea32e81", 150),
     (["verify", "--pair-id", "13", "--n", "10"], "0c2b02f1b23cc740a3e02a37f62bb795", 400),
-], ids=["dist", "joint", "verify"])
+], ids=["dist", "dist-length-2", "joint", "verify"])
 def test_long_running_query_at_ten_in_bounded_memory(argv, md5, bound_mb):
-    # about 1-2 s each; 99, 99 and 263 MB peaks on two cores.  dist and
+    # about 1-2 s each; 99, 67, 99 and 263 MB peaks on two cores.  dist and
     # joint count over balanced inverse-pair blocks (160 and 165 MB when
-    # p <=_lex p^-1 chose the rows, 181 and 193 MB over every row); verify
-    # reads the lex tables, a block of S_10 at a time
+    # p <=_lex p^-1 chose the rows, 181 and 193 MB over every row), and
+    # the length-2 dist holds one of them at a time (187 MB when all ten
+    # stayed cached); verify reads the lex tables, a block of S_10 at a time
     stdout, peak_mb = run_cli_in_child(argv)
     assert hashlib.md5(stdout).hexdigest() == md5, stdout[:200]
     assert peak_mb < bound_mb, peak_mb
@@ -432,7 +434,7 @@ def test_long_running_every_family_entry_is_an_involution_at_seven():
     for entry in entries:
         shading = entry.patterns()[0].shading
         if entry.family["name"] in finder_path:
-            f = transform_for(entry.family, shading, table_provider(7, shading))
+            f = table_transform(entry.family["name"], 7, shading)
         else:
             finder_path.add(entry.family["name"])
             f = transform_for(entry.family, shading)

@@ -25,7 +25,7 @@ from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.mesh import ShadingSet, count_occurrences
 from meshperm.perms import enumerate_sn, left_to_right_minima
 
-from hit_lists import hit_lists, table_provider
+from hit_lists import hit_lists, table_provider, table_transform
 
 
 def pair_counts(host, entry):
@@ -186,7 +186,7 @@ def test_block_sweep_images_on_s7_match_the_old_maps():
     for eid, digest in BLOCK_SWEEP_DIGESTS_S7.items():
         entry = entry_by_id(eid)
         shading = entry.patterns()[0].shading
-        transform = transform_for(entry.family, shading, table_provider(7, shading))
+        transform = table_transform(entry.family["name"], 7, shading)
         walked = bj._image_ranks(transform, bj._hosts(7, None), 7)
         mapped = bj._table_ranks(bj._BY_NAME[entry.family["name"]].block_map(7, None, shading))
         for ranks in (walked, mapped):
@@ -197,9 +197,10 @@ def host_and_block_images(family, shading, n, first):
     """The images of a block's hosts under a family's per-host map for
     ``shading``, walked on occurrences read from the block's table, and
     under its block map."""
-    transform = transform_for({"name": family}, shading, table_provider(n, shading, first) if shading.k == 3 else None)
-    walked = np.array([transform(host) for host in bj._hosts(n, first)], dtype=np.int8)
-    return walked.reshape(len(engine.perm_block(n, first)), n), bj._BY_NAME[family].block_map(n, first, shading)
+    row = bj._BY_NAME[family]
+    provider = table_provider(n, shading, first) if shading.k == 3 else None
+    walked = np.array([row.transform(host, shading, provider) for host in bj._hosts(n, first)], dtype=np.int8)
+    return walked.reshape(len(engine.perm_block(n, first)), n), row.block_map(n, first, shading)
 
 
 def test_block_maps_match_the_host_maps_on_small_n():
@@ -692,7 +693,7 @@ def test_verify_entry_reads_occurrences_from_the_tables(monkeypatch):
 
 
 def test_verify_entry_builds_each_streamed_block_once(monkeypatch):
-    # With the table budget at 0, S_9 streams as S_10 does: each block's
+    # With the kept n at 8, S_9 streams as S_10 does: each block's
     # table is built once, for its counts and then its hosts' occurrences
     # (entry 39, pair_swap, and entry 41, a1_complement, read both), and
     # only the last one is held.  The keys end in False: verification reads
@@ -705,7 +706,7 @@ def test_verify_entry_builds_each_streamed_block_once(monkeypatch):
     engine.clear_caches()
     built = []
     build_tables = engine.build_tables
-    monkeypatch.setattr(engine, "_KEPT_TABLE_BYTES", 0)
+    monkeypatch.setattr(engine, "_KEPT_MAX_N", 8)
     monkeypatch.setattr(engine, "build_tables", lambda *key: built.append(key) or build_tables(*key))
     for entry, report in zip(entries, expected):
         built.clear()
@@ -770,7 +771,7 @@ def test_oth1_reads_the_occurrences_of_its_host_once():
         asked.append(tuple(p))
         return bj._pair_occurrences(p, shading)
 
-    image = transform_for({"name": "oth1"}, bj._OTH1_SHADING, provider)(host)
+    image = bj._BY_NAME["oth1"].transform(host, bj._OTH1_SHADING, provider)
     assert asked == [host]
     assert image == (10, 7, 9, 5, 6, 4, 2, 3, 1, 8, 11)
 

@@ -165,8 +165,8 @@ def test_apply_reports_a_failing_map_as_a_defect(capsys, monkeypatch):
     assert (code, out, err) == (EXIT_OK, "2,5,1,4,3,9,7,8,6\n", "")
     build = bijections.transform_for
 
-    def transform_for(family, shading, *provider):
-        transform = build(family, shading, *provider)
+    def transform_for(family, shading):
+        transform = build(family, shading)
 
         def partial(p):
             if tuple(p) == (2, 5, 1, 3, 4, 6, 8, 7, 9):
@@ -180,7 +180,7 @@ def test_apply_reports_a_failing_map_as_a_defect(capsys, monkeypatch):
     assert err == "error: the map of entry 41 failed on 2,5,1,3,4,6,8,7,9: ValueError: no image\n"
     # a shading the family does not support is still a usage error
 
-    def unsupported(family, shading, *provider):
+    def unsupported(family, shading):
         raise bijections.UnsupportedShadingError("not this shading")
 
     monkeypatch.setattr(bijections, "transform_for", unsupported)

@@ -321,7 +321,7 @@ def test_grouped_kernel_matches_each_pattern_counted_alone(n):
     # one, the path test_occurrence_counts_match_the_direct_counter pins).
     # Type ids one bit apart (123/132), several bits apart (231/312, all
     # six types) and a single tau, under masks that cross the groups' ends.
-    _, planes = engine.build_tables(n, 3, inverse_pairs=True)
+    planes = engine.build_tables(n, 3, inverse_pairs=True)
     size = group_size(planes)
     assert size > 1
     masks = mixed_masks(size, n)
@@ -342,7 +342,7 @@ def test_pair_histograms_of_mixed_masks_equal_the_lex_tables(n):
     # the scan bins each group with one bincount; masks that are not their
     # own transposes count (123, R^T) and (132, R^T) too, which may fall in
     # another group than R's
-    _, planes = engine.build_tables(n, 3, inverse_pairs=True)
+    planes = engine.build_tables(n, 3, inverse_pairs=True)
     masks = mixed_masks(group_size(planes), n)
     assert np.array_equal(_pair_histograms(n, masks, jobs=1), lex_histograms(n, masks))
     engine.clear_caches()
@@ -398,7 +398,7 @@ def test_long_running_inverse_pair_histograms_of_non_invariant_entries_at_nine()
 
 
 def test_histograms_build_each_streamed_inverse_pair_table_once(monkeypatch):
-    # With the table budget at 0, S_9 streams as S_10 does: a joint query
+    # With the kept n at 8, S_9 streams as S_10 does: a joint query
     # builds each block's table over inverse pairs once, for the pair and
     # its inverse patterns (entry 110 is not its own inverse), and holds
     # only the last one.
@@ -407,7 +407,7 @@ def test_histograms_build_each_streamed_inverse_pair_table_once(monkeypatch):
     engine.clear_caches()
     built = []
     build_tables = engine.build_tables
-    monkeypatch.setattr(engine, "_KEPT_TABLE_BYTES", 0)
+    monkeypatch.setattr(engine, "_KEPT_MAX_N", 8)
     monkeypatch.setattr(engine, "build_tables", lambda *key: built.append(key) or build_tables(*key))
     assert joint_distribution(p1, p2, 9, cap=9) == expected
     assert built == [(9, 3, first, True) for first in engine.blocks(9)]

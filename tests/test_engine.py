@@ -125,8 +125,8 @@ def test_inverse_pair_tables_are_the_rows_of_the_lex_tables():
     # their ranks, bit for bit
     for n, first in ((6, None), (9, 2)):
         for k in (2, 3):
-            _, planes = engine.build_tables(n, k, first)
-            _, pairs = engine.subseq_tables(n, k, first, inverse_pairs=True)
+            planes = engine.build_tables(n, k, first)
+            pairs = engine.subseq_tables(n, k, first, inverse_pairs=True)
             rows = engine.inverse_pair_block(n, first)
             offset = engine.lex_ranks(engine.perm_block(n, first)[:1])[0]
             assert np.array_equal(pairs, planes[:, :, engine.lex_ranks(rows) - offset]), (n, first, k)
@@ -135,22 +135,28 @@ def test_inverse_pair_tables_are_the_rows_of_the_lex_tables():
     engine.clear_caches()
 
 
-def test_subseq_tables_budget_counts_the_rows_of_the_table(monkeypatch):
-    # the budget is measured on the table's own rows, counted without
-    # building them: under 5 MB the table over the 17756 inverse-pair rows
-    # of the last block of S_9 (4.0 MB) is kept, and the lex table of its
-    # 40320 rows (9.2 MB) only held
+def test_subseq_tables_keep_every_table_to_nine_and_hold_one_above(monkeypatch):
+    # the rule reads n alone, so a recorder stands in for the build: every
+    # table of S_9 is kept, and of S_10 only the one asked for last is
+    # held, the length-2 tables over inverse pairs (16 MB a block) too
     engine.clear_caches()
-    monkeypatch.setattr(engine, "_KEPT_TABLE_BYTES", 5 * 2**20)
-    built, block = [], engine.inverse_pair_block
-    monkeypatch.setattr(engine, "inverse_pair_block", lambda *key: built.append(key) or block(*key))
-    _, pairs = engine.subseq_tables(9, 3, 9, inverse_pairs=True)
-    assert pairs.shape[2] == 17756 and pairs.nbytes < 5 * 2**20
-    assert engine.subseq_tables(9, 3, 9, inverse_pairs=True)[1] is pairs
-    assert built == [(9, 9)] and engine.subseq_tables.cache_info().currsize == 1
-    _, lex = engine.subseq_tables(9, 3, 9)
-    assert lex.nbytes > 5 * 2**20 and list(engine._last_table) == [(9, 3, 9, False)]
-    assert engine.subseq_tables.cache_info().currsize == 1
+    built = []
+    monkeypatch.setattr(engine, "build_tables", lambda *key: built.append(key) or np.zeros(1, dtype=np.uint32))
+    kinds = list(itertools.product((2, 3), (False, True)))
+    nine = [(9, k, first, pairs) for k, pairs in kinds for first in engine.blocks(9)]
+    tables = [engine.subseq_tables(*key) for key in nine]
+    assert all(engine.subseq_tables(*key) is table for key, table in zip(nine, tables))
+    assert built == nine and engine.subseq_tables.cache_info().currsize == len(nine)
+    assert not engine._last_table
+    for key in [(10, k, first, pairs) for k, pairs in kinds for first in engine.blocks(10)]:
+        built.clear()
+        table = engine.subseq_tables(*key)
+        assert engine.subseq_tables(*key) is table
+        assert built == [key] and list(engine._last_table) == [key]
+    built.clear()
+    engine.subseq_tables(10, 2, 1, True)
+    assert built == [(10, 2, 1, True)] and list(engine._last_table) == built
+    assert engine.subseq_tables.cache_info().currsize == len(nine)
     engine.clear_caches()
 
 
@@ -161,14 +167,12 @@ def test_pattern_type_ids_distinct():
 
 
 def test_subseq_tables_shapes_and_length_guard():
-    combos, planes = engine.subseq_tables(5, 3)
-    assert len(combos) == 10
+    planes = engine.subseq_tables(5, 3)
     # 16 box planes and 3 type-bit planes; the 10 combos fill one word
     assert planes.shape == (19, 1, 120)
     assert planes.dtype == np.uint32
-    combos, planes = engine.subseq_tables(9, 2, 4)
+    planes = engine.subseq_tables(9, 2, 4)
     # 9 box planes and 2 type-bit planes; 36 combos take two words
-    assert len(combos) == 36
     assert planes.shape == (11, 2, 40320)
     with pytest.raises(ValueError):
         engine.subseq_tables(5, 7)
@@ -183,7 +187,8 @@ def assert_bits_match_the_definition(n, k, first, rows):
     of the last word must hold no box bit and read as the all-ones type
     code.
     """
-    combos, planes = engine.build_tables(n, k, first)
+    planes = engine.build_tables(n, k, first)
+    combos = list(itertools.combinations(range(n), k))
     block = engine.perm_block(n, first)
     boxes = (k + 1) ** 2
     expected = np.zeros((len(planes), planes.shape[1] * 32), dtype=np.uint8)
@@ -275,7 +280,7 @@ def test_occurrence_counts_match_the_direct_counter(n):
     # as the gap's constant mask, which must be the OR of its box planes.
     rng = random.Random(n)
     for k in (2, 3):
-        _, planes = engine.build_tables(n, k)
+        planes = engine.build_tables(n, k)
         hosts = list(enumerate_sn(n))
         gaps = engine._gap_masks(n, k)
         for i in range(k + 1):
@@ -300,7 +305,7 @@ def test_occurrence_counts_match_the_direct_counter(n):
 def test_occurrence_counts_refuse_taus_out_of_type_order():
     # the one-bit path writes the lower id first, so 132 before 123 would
     # swap their counts; repeated taus are refused as well
-    _, planes = engine.build_tables(4, 3)
+    planes = engine.build_tables(4, 3)
     for taus in ([(1, 3, 2), (1, 2, 3)], [(1, 2, 3), (1, 2, 3)], [(3, 2, 1), (1, 2, 3), (1, 3, 2)]):
         with pytest.raises(ValueError, match="distinct and ascending"):
             next(engine.occurrence_counts(4, planes, taus, [0]))
@@ -314,7 +319,7 @@ def test_one_bit_path_matches_the_direct_counter(k):
     # leave 22 padding bits in the one word, so a padding bit left clear
     # would miscount every row
     hosts = list(enumerate_sn(5))
-    _, planes = engine.build_tables(5, k)
+    planes = engine.build_tables(5, k)
     by_id = {engine.pattern_type_id(tau): tau for tau in enumerate_sn(k)}
     pairs = [(a, b) for a, b in itertools.combinations(sorted(by_id), 2) if (a ^ b).bit_count() == 1]
     assert len(pairs) == (1 if k == 2 else 7)
@@ -354,7 +359,7 @@ def test_superset_runs_extend_the_accumulator(monkeypatch):
     assert always == () and gaps.tolist() == [0b0101]
     taus = list(enumerate_sn(3))
     for n in (5, 6, 7):
-        _, planes = engine.build_tables(n, 3)
+        planes = engine.build_tables(n, 3)
         alone = {(mask, tau): next(engine.occurrence_counts(n, planes, [tau], [mask]))[0, 0]
                  for mask in EXTENSION_MASKS for tau in taus}
         for group in ([(1, 2, 3), (1, 3, 2)], [(2, 3, 1), (3, 1, 2)], [(2, 1, 3)], taus):
@@ -449,8 +454,7 @@ def test_pair_occurrences_rows():
     # column per host in rank order; the tests' hit_lists reads them as
     # 1-based triples, and bijections tests those lists against the
     # pure-Python finder on all of S_0..S_6
-    combos, words = engine.pair_hits(4, ShadingSet.empty(3))
-    assert combos == tuple(itertools.combinations(range(4), 3))
+    words = engine.pair_hits(4, ShadingSet.empty(3))
     assert words.dtype == np.uint32 and words.shape == (1, 24)
     # every triple of 1243 has type 123 or 132; none of 4321 has
     assert words[0, lex_rank((1, 2, 4, 3))] == 0b1111
@@ -461,7 +465,10 @@ def test_pair_occurrences_rows():
     with pytest.raises(ValueError):
         engine.pair_hits(4, ShadingSet.empty(2))
     # a block key selects the rows of the hosts with that first value
-    assert np.array_equal(engine.pair_hits(4, ShadingSet.empty(3), 2)[1], words[:, 6:12])
+    assert np.array_equal(engine.pair_hits(4, ShadingSet.empty(3), 2), words[:, 6:12])
+    # the combos (a, b, c) in lexicographic order are bits 0..3 of word 0,
+    # and tail (2, 3) ends two of them
+    assert engine.tail_words(4) == ((1, 2, ((0, 0b1),)), (1, 3, ((0, 0b10),)), (2, 3, ((0, 0b1100),)))
 
 
 def test_pair_occurrences_reuses_the_count_vector_table():
