@@ -21,9 +21,9 @@ The scan plans its pending shadings once per n (their masks and the
 transposes that an asymmetric R adds), counts 123 and 132 under each with
 :func:`meshperm.engine.occurrence_counts` a group of shadings at a time,
 and bins each group's counts with one ``np.bincount``.  Its shadings are
-symmetric and reach the kernel in ascending order of mask, so where a
-table holds one shading to a group (S_8 on), a mask that contains the
-one before it adds its new boxes to what that one left.
+symmetric and reach the kernel in ascending order of mask, so at every n
+a mask that contains the one before it adds its new boxes to what that
+one left.
 """
 from __future__ import annotations
 

@@ -33,14 +33,15 @@ read the lex tables.
 A block's table is built by :func:`build_tables`, and every count is read
 from the planes it returns by one kernel, :func:`occurrence_counts`, which
 counts a grid: each of a few classical patterns under each of many
-shadings, as (123, R) and (132, R) for every R of a scan.  It takes the
-shadings in groups, in buffers allocated once per call: each group fills
-one accumulator of at most ``_GROUP_BYTES``, so a scan's many shadings
-over a small table share a few passes, while a table of S_8 or more takes
-one shading at a time.  The accumulator is never inverted, so there a
-shading whose mask contains the one before it extends what that one left
-and ORs in only its new boxes.  What the kernel reads for each shading is
-planned once per grid and group size.  The build is bit-sliced as well:
+shadings, as (123, R) and (132, R) for every R of a scan.  Each shading
+fills its own slice of an accumulator that is never inverted, by one
+rule: it ORs its box planes into the type bits' word, or, when its mask
+contains the one before it, extends what that one left and ORs in only
+its new boxes.  The slices are counted in groups of at most
+``_GROUP_BYTES``, in buffers allocated once per call, so a scan's many
+shadings over a small table share a few counting passes, while a table
+of S_8 or more counts one shading at a time.  What the kernel reads for
+each shading is planned once per grid.  The build is bit-sliced as well:
 it works on the packed words themselves, one word operation for 32 combos
 over every row, guided by masks that depend only on (n, k) and are
 computed once per pair, on first use.
@@ -57,7 +58,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -452,23 +452,27 @@ def _or_into(out: np.ndarray, terms: Sequence[np.ndarray]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _plan(k: int, tids: tuple[int, ...], masks: tuple[int, ...], size: int) -> tuple:
-    """``(shared, split, groups)``: what :func:`occurrence_counts` reads to
+def _plan(k: int, tids: tuple[int, ...], masks: tuple[int, ...]) -> tuple:
+    """``(shared, split, steps)``: what :func:`occurrence_counts` reads to
     count the length-k patterns of type ids ``tids`` under each shading
-    mask, ``size`` masks to a group.
+    mask.
 
     ``tids`` must be distinct and ascending, so that the one-bit path of
     the kernel writes the id without the split bit first.  ``shared`` lists
     ``(bit, complemented)`` for each type bit that all the ids share: a
     combo is ruled out where that type plane, or its complement, has its
     bit set.  ``split`` lists the bits in which the ids differ, low bit
-    first.  ``groups`` takes the masks ``size`` at a time (:func:`_group`).
-    When a group holds one shading, a mask that contains the mask just
-    before it is an extension: it keeps the accumulator that mask's group
-    left and ORs in only what it adds.  The masks alone decide this.
-    Nothing here depends on n, so a query's sizes n share a plan wherever
-    their group sizes agree, and every block of a scan or a streamed query
-    plans its masks once; memoized.
+    first.  ``steps`` holds one ``(reads, gap, extends)`` per mask: the box
+    planes it reads and the row of :func:`_gap_words` of its full columns
+    (see :func:`_full_columns`).  A mask that contains the mask before it
+    extends that one's accumulator, which already rules out every combo
+    the previous mask does; then ``reads`` holds only the boxes outside
+    the previous mask and ``gap`` only the columns that become full.  That
+    is exact: a box of the previous mask that this one reads is read by
+    the previous one too, as its column is not full, and one in a full
+    column lies in the gap word, the OR of that column's planes.  Nothing
+    here depends on n, so a query's sizes n share a plan, and every block
+    of a scan or a streamed query plans its masks once; memoized.
     """
     if any(a >= b for a, b in zip(tids, tids[1:])):
         raise ValueError(f"type ids must be distinct and ascending, got {tids}")
@@ -477,48 +481,15 @@ def _plan(k: int, tids: tuple[int, ...], masks: tuple[int, ...], size: int) -> t
         differ |= t ^ tids[0]
     shared = tuple([(t, bool(tids[0] >> t & 1)) for t in range(_type_bits(k)) if not differ >> t & 1])
     split = tuple([t for t in range(differ.bit_length()) if differ >> t & 1])
-    groups = []
-    for lo in range(0, len(masks), size):
-        previous = masks[lo - 1] if size == 1 and lo and masks[lo] & masks[lo - 1] == masks[lo - 1] else None
-        groups.append(_group(k, masks[lo:lo + size], previous))
-    return shared, split, tuple(groups)
-
-
-def _group(k: int, masks: tuple[int, ...], previous: int | None = None) -> tuple:
-    """``(shadings, always, some, gaps, extends)`` of a group of length-k
-    shading masks.
-
-    ``shadings`` counts the masks.  ``always`` lists the box planes that
-    every shading reads, and ``some`` pairs each plane that only some read
-    with a bool array of shape ``(shadings, 1, 1)``, set for those.  A
-    column of a mask that shades all k + 1 boxes of its position gap is
-    not read from its planes but as a gap word: ``gaps`` is an index array
-    of the row of :func:`_gap_words` for each shading (see
-    :func:`_full_columns`), or None when no shading has a full column.
-    Only the masks decide which plane is ORed where, so a group of one
-    shading reads its planes and gap word with no ``where=``.
-
-    ``previous`` is None, or the mask of the group of one shading just
-    before a group of one mask that contains it; then ``extends`` is True
-    and the group adds to the accumulator that ``previous`` left, which
-    already rules out every combo that ``previous`` does.  ``always`` then
-    lists only the boxes the mask reads outside ``previous``, and ``gaps``
-    only the columns that become full.  That is exact: a box of
-    ``previous`` that the mask reads is read by ``previous`` too, as its
-    column is not full, and one in a full column of the mask lies in the
-    gap word, the OR of that column's planes.
-    """
-    reads, gaps = zip(*(_full_columns(k, mask) for mask in masks))
-    if previous is not None:
-        reads, gaps = (reads[0] & ~previous,), (gaps[0] & ~_full_columns(k, previous)[1],)
-    every = functools.reduce(operator.and_, reads)
-    only_some = functools.reduce(operator.or_, reads) & ~every
-    always = _bits(every)
-    some: tuple[tuple[int, np.ndarray], ...] = ()
-    if only_some:
-        shaded = (np.array(reads)[:, None] >> np.arange((k + 1) ** 2) & 1).astype(bool)
-        some = tuple([(p, shaded[:, p, None, None]) for p in _bits(only_some)])
-    return len(masks), always, some, np.array(gaps) if any(gaps) else None, previous is not None
+    steps, before, before_gap = [], None, 0
+    for mask in masks:
+        read, gap = _full_columns(k, mask)
+        if before is not None and mask & before == before:
+            steps.append((_bits(read & ~before), gap & ~before_gap, True))
+        else:
+            steps.append((_bits(read), gap, False))
+        before, before_gap = mask, gap
+    return shared, split, tuple(steps)
 
 
 def _full_columns(k: int, mask: int) -> tuple[int, int]:
@@ -553,24 +524,26 @@ def _gap_words(n: int, k: int) -> np.ndarray:
     return words
 
 
-def _rule_out(planes: np.ndarray, always: Sequence[int], some: Sequence[tuple[int, np.ndarray]],
-              gaps: np.ndarray | None, ruled_out: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Write to ``out``, of shape ``(shadings, words, rows)``, the combos of
-    each row that each shading of a group rules out (see :func:`_group`):
-    those with a point in one of its boxes, with a position in one of the
-    gap words ``gaps``, or with a bit set in ``ruled_out``; return it.  One
-    shading may drop the first axis, and ``ruled_out`` may be ``out`` itself.
+def _rule_out(planes: np.ndarray, gap_words: np.ndarray, step: tuple, ruled_out: Sequence[np.ndarray],
+              out: np.ndarray) -> np.ndarray:
+    """Write to ``out`` the combos of each row that a step of :func:`_plan`
+    rules out: those with a point in one of its box planes, with a position
+    in its gap word from ``gap_words``, or with a bit set in ``ruled_out``;
+    return it.  ``ruled_out`` may hold ``out`` itself."""
+    reads, gap, _ = step
+    terms = [*ruled_out, *(planes[p] for p in reads)]
+    if gap:
+        terms.append(gap_words[gap])
+    return _or_into(out, terms)
 
-    One OR covers what every shading of the group reads; a plane that only
-    some read is ORed into theirs alone, through ``where=``.
-    """
-    terms = [*ruled_out, *(planes[p] for p in always)]
-    if gaps is not None:
-        terms.append(gaps)
-    _or_into(out, terms)
-    for p, where in some:
-        np.bitwise_or(out, planes[p], out=out, where=where)
-    return out
+
+def _type_terms(planes: np.ndarray, k: int, bits: Sequence[tuple[int, bool]]) -> list[np.ndarray]:
+    """The type planes of a length-k table named by ``(bit, complemented)``
+    pairs, as ``shared`` of :func:`_plan` lists them, each complemented
+    where asked: their OR rules out every combo whose type differs in one
+    of those bits."""
+    types = planes[(k + 1) ** 2:]
+    return [~types[t] if complemented else types[t] for t, complemented in bits]
 
 
 def _row_counts(words: np.ndarray, pop: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -581,10 +554,10 @@ def _row_counts(words: np.ndarray, pop: np.ndarray, out: np.ndarray) -> np.ndarr
 
 
 #: Largest accumulator, in bytes, that :func:`occurrence_counts` counts a
-#: group of shadings in.  Up to S_6 a scan's pending masks fit in a few
-#: groups; from S_8 on every block counts one shading at a time.  Budgets
-#: from 16 to 256 KB timed the same, and 1 MB made the n = 9 scan slower,
-#: its masked ORs then running over many shadings (2-core Xeon).
+#: group of shadings in: each shading fills its own slice, and the group's
+#: slices are counted, and the scan's bins made, in one pass.  Up to S_6 a
+#: scan's pending masks fit in a few groups; from S_8 on every block counts
+#: one shading at a time.
 _GROUP_BYTES = 64 * 2**10
 
 
@@ -604,26 +577,26 @@ def occurrence_counts(n: int, planes: np.ndarray, taus: Sequence[Perm],
     under the group's i-th mask in the block's rank-r permutation, in the
     narrowest unsigned dtype that holds 32 bits per word of a row (uint8
     through n = 12).  A group holds as many shadings as fit a
-    ``(shadings, words, rows)`` uint32 accumulator of ``_GROUP_BYTES``,
-    and at least one.
+    ``(shadings, words, rows)`` accumulator of ``_GROUP_BYTES``, and at
+    least one.
 
     A combo is an occurrence when no shaded box holds a point and its type
     bits spell the pattern's type id.  The accumulator collects the combos
     that are ruled out, and is never inverted: a row's count is its
     W = 32 x words bits less those set.  The type bits that all the ids
     share are checked once per call: the OR of the type planes where the
-    ids have a 0 bit and of the complements where they have a 1.  The
-    shadings of a group then share one accumulator, allocated once per
-    call: that OR and each shading's box planes are ORed into its slice,
-    each plane once for all the shadings that read it.  A full position-gap column of a
-    shading, all k + 1 boxes between two positions of the pattern, is ORed
-    in as a constant word per word from :func:`_gap_masks` instead of as
-    k + 1 planes.  This is exact: every other point lies in exactly one
-    box, so the column holds a point exactly when the gap holds a position,
-    which depends on the combo alone.  With one shading to a group, a mask
-    that contains the mask before it keeps the accumulator as that one
-    left it and ORs in only its new box planes and the gap words of the
-    columns that have just become full.
+    ids have a 0 bit and of the complements where they have a 1.  Mask i
+    fills slot i mod size of the accumulator, allocated once per call, by
+    one rule at every group size: it ORs that shared word with its box
+    planes and its gap word, or, when it contains the mask before it, ORs
+    only what it adds into the slot that mask left, i - 1 mod size, which
+    still holds it across a group's edge (see :func:`_plan`).  A full
+    position-gap column of a shading, all k + 1 boxes between two positions
+    of the pattern, is ORed in as a constant word per word from
+    :func:`_gap_masks` instead of as k + 1 planes.  This is exact: every
+    other point lies in exactly one box, so the column holds a point
+    exactly when the gap holds a position, which depends on the combo
+    alone.
 
     The ids' other bits are checked per group.  When they differ in one
     bit, as those of 123 and 132 or 12 and 21 do, let ``acc`` be the
@@ -636,35 +609,37 @@ def occurrence_counts(n: int, planes: np.ndarray, taus: Sequence[Perm],
     Otherwise each id ORs in, bit by bit, the type plane or its complement
     that rules out the other ids (none for a single id), and counts W less
     the bits set; here too a bit in which the id is 0 rules the padding
-    out.  The groups are planned once per taus, masks and group size
+    out.  What each mask reads is planned once per taus and masks
     (:func:`_plan`).
     """
     words, rows = planes.shape[1:]
     k = len(taus[0])
     tids = tuple([pattern_type_id(tau) for tau in taus])
-    size = min(len(masks), max(1, _GROUP_BYTES // max(1, 4 * words * rows)))
-    shared_bits, split, groups = _plan(k, tids, tuple(masks), size)
-    # each plane shaped (1, words, rows), as one shading's accumulator is:
-    # numpy ORs it into that as fast as into a plain (words, rows) array,
-    # where a broadcast (words, rows) plane was slower (an OR over S_6:
-    # 0.41 and 0.39 against 0.71 us, 2-core Xeon)
+    size = min(len(masks), max(1, _GROUP_BYTES // max(1, _WORD // 8 * words * rows)))
+    shared_bits, split, steps = _plan(k, tids, tuple(masks))
+    # each plane shaped (1, words, rows), as one shading's slot is: numpy
+    # ORs it into that as fast as into a plain (words, rows) array, where a
+    # broadcast (words, rows) plane was slower (an OR over S_6: 0.41 and
+    # 0.39 against 0.71 us, 2-core Xeon)
     planes = planes[:, None]
     types = planes[(k + 1) ** 2:]
-    shared = [~types[t] if complemented else types[t] for t, complemented in shared_bits]
+    shared = _type_terms(planes, k, shared_bits)
     if len(shared) > 1:
         shared = [_or_into(np.empty((1, words, rows), dtype=np.uint32), shared)]
     gap_words = _gap_words(n, k)
     acc = np.empty((size, words, rows), dtype=np.uint32)
+    slots = [acc[j:j + 1] for j in range(size)]
     hits = np.empty_like(acc) if split else None
     pop = np.empty(acc.shape, dtype=np.uint8)
     dtype = np.min_scalar_type(words * _WORD)
     width = dtype.type(words * _WORD)
-    for shadings, always, some, gaps, extends in groups:
-        at = slice(shadings)
-        if gaps is not None:
-            gaps = gap_words.take(gaps, axis=0)
-        ruled_out = _rule_out(planes, always, some, gaps, [acc[at]] if extends else shared, acc[at])
-        counted = np.empty((shadings, len(tids), rows), dtype=dtype)
+    for lo in range(0, len(steps), size):
+        group = steps[lo:lo + size]
+        for i, step in enumerate(group, lo):
+            _rule_out(planes, gap_words, step, [slots[(i - 1) % size]] if step[2] else shared, slots[i % size])
+        at = slice(len(group))
+        ruled_out = acc[at]
+        counted = np.empty((len(group), len(tids), rows), dtype=dtype)
         if len(split) == 1:
             # the id without bit t is ruled out also where type plane t is set
             either = _row_counts(np.bitwise_or(ruled_out, types[split[0]], out=hits[at]), pop[at], counted[:, 0])
@@ -724,11 +699,9 @@ def pair_hits(n: int, shading: ShadingSet, first: int | None = None) -> np.ndarr
     if shading.k != 3:
         raise ValueError("pair occurrences need a length-3 shading")
     planes = subseq_tables(n, 3, first)
-    read, gap = _full_columns(3, shading.mask)
-    gaps = _gap_words(n, 3)[gap] if gap else None
-    # the type planes follow the 16 box planes; 123 and 132 are the ids 0
-    # and 1, the two with type bits 1 and 2 clear
-    ruled_out = _rule_out(planes, _bits(read), (), gaps, planes[17:19], np.empty(planes.shape[1:], dtype=np.uint32))
+    shared, _, (step,) = _plan(3, (0, 1), (shading.mask,))
+    ruled_out = _rule_out(planes, _gap_words(n, 3), step, _type_terms(planes, 3, shared),
+                          np.empty(planes.shape[1:], dtype=np.uint32))
     return np.invert(ruled_out, out=ruled_out)
 
 

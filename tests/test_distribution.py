@@ -291,7 +291,7 @@ def test_scan_from_four_skips_sizes_that_cannot_separate_a_pair():
 def group_size(planes):
     """Shadings per group of ``engine.occurrence_counts`` over ``planes``."""
     words, rows = planes.shape[1:]
-    return max(1, engine._GROUP_BYTES // (4 * words * rows))
+    return max(1, engine._GROUP_BYTES // (engine._WORD // 8 * words * rows))
 
 
 def mixed_masks(size, seed):
@@ -315,8 +315,9 @@ def mixed_masks(size, seed):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_grouped_kernel_matches_each_pattern_counted_alone(n):
-    # the kernel ORs a group of shadings into one accumulator, each box
-    # plane only into the shadings that read it; each tau's row under each
+    # the kernel fills one slot of a group's accumulator per shading, from
+    # its own planes or, for a mask that contains the one before it, from
+    # that one's slot, even in the group before; each tau's row under each
     # mask must equal that pattern counted in a call of its own (a group of
     # one, the path test_occurrence_counts_match_the_direct_counter pins).
     # Type ids one bit apart (123/132), several bits apart (231/312, all

@@ -327,7 +327,7 @@ def test_one_bit_path_matches_the_direct_counter(k):
     masks = [0, (1 << side) - 1, 1 << side + 1 | 1 << side * side - 1]
     for pair in pairs:
         taus = [by_id[t] for t in pair]
-        assert len(engine._plan(k, pair, tuple(masks), len(masks))[1]) == 1
+        assert len(engine._plan(k, pair, tuple(masks))[1]) == 1
         (counts,) = engine.occurrence_counts(5, planes, taus, masks)
         for mask, row in zip(masks, counts):
             for tau, vec in zip(taus, row):
@@ -343,31 +343,32 @@ EXTENSION_MASKS = (0x0001, 0x0003, 0x0007, 0x000F, 0x0012, 0x0016, 0x0116, 0x0F1
 
 
 def test_superset_runs_extend_the_accumulator(monkeypatch):
-    # with one shading per group, a mask that contains the one before it
-    # ORs only its new box planes and newly full columns into what that
-    # mask left; every row must equal the pattern counted alone, on the
-    # one-bit path (123/132), the several-bit path (231/312 and all six
-    # types) and with a single tau
-    monkeypatch.setattr(engine, "_GROUP_BYTES", 1)
-    extends = [group[-1] for group in engine._plan(3, (0, 1), EXTENSION_MASKS, 1)[2]]
-    assert extends == [False, True, True, True, False, True, True, True, True, False, True]
-    assert not any(group[-1] for group in engine._plan(3, (0, 1), EXTENSION_MASKS, 2)[2])
+    # a mask that contains the one before it ORs only its new box planes
+    # and newly full columns into the slot that mask left, at every group
+    # size: in groups of 3, 0x0007 -> 0x000F and 0x0016 -> 0x0116 extend
+    # across a group's edge.  Every row must equal the pattern counted
+    # alone, on the one-bit path (123/132), the several-bit path (231/312
+    # and all six types) and with a single tau
+    steps = engine._plan(3, (0, 1), EXTENSION_MASKS)[2]
+    assert [extends for _, _, extends in steps] == [False, True, True, True, False, True, True, True, True, False, True]
     # 0x000F adds no plane but column 0's gap word, 0xFFFF the words of columns 0 and 2
-    (_, always, _, gaps, _) = engine._plan(3, (0, 1), EXTENSION_MASKS, 1)[2][3]
-    assert always == () and gaps.tolist() == [0b0001]
-    (_, always, _, gaps, _) = engine._plan(3, (0, 1), EXTENSION_MASKS, 1)[2][10]
-    assert always == () and gaps.tolist() == [0b0101]
+    assert steps[3] == ((), 0b0001, True)
+    assert steps[10] == ((), 0b0101, True)
     taus = list(enumerate_sn(3))
-    for n in (5, 6, 7):
+    for n, size in itertools.product((5, 6, 7), (1, 3)):
         planes = engine.build_tables(n, 3)
+        words, rows = planes.shape[1:]
+        monkeypatch.setattr(engine, "_GROUP_BYTES", size * engine._WORD // 8 * words * rows)
         alone = {(mask, tau): next(engine.occurrence_counts(n, planes, [tau], [mask]))[0, 0]
                  for mask in EXTENSION_MASKS for tau in taus}
         for group in ([(1, 2, 3), (1, 3, 2)], [(2, 3, 1), (3, 1, 2)], [(2, 1, 3)], taus):
             grid = list(engine.occurrence_counts(n, planes, group, EXTENSION_MASKS))
-            assert [counts.shape for counts in grid] == [(1, len(group), planes.shape[2])] * len(EXTENSION_MASKS)
-            for mask, (counts,) in zip(EXTENSION_MASKS, grid):
+            assert [len(counts) for counts in grid] == [size] * (len(EXTENSION_MASKS) // size) + [2] * (size == 3)
+            grid = np.concatenate(grid)
+            assert grid.shape == (len(EXTENSION_MASKS), len(group), planes.shape[2])
+            for mask, counts in zip(EXTENSION_MASKS, grid):
                 for tau, vec in zip(group, counts):
-                    assert np.array_equal(vec, alone[mask, tau]), (n, hex(mask), group, tau)
+                    assert np.array_equal(vec, alone[mask, tau]), (n, size, hex(mask), group, tau)
 
 
 def test_count_vector_matches_direct_counter():
