@@ -143,7 +143,7 @@ def _histogram(patterns: tuple[MeshPattern, ...], n: int) -> np.ndarray:
     hist = 0
     for first in engine.blocks(n):
         vectors = engine.count_vectors(n, counted, first, inverse_pairs=True)
-        _, involutions = engine.inverse_pair_counts(n, first)
+        involutions = engine.involutions(n, first)
         others, fixed = _bins(vectors[:len(patterns)], widths, involutions)
         inverse_others = (others if counted is patterns
                           else _bins(vectors[len(patterns):], widths, involutions)[0])
@@ -274,7 +274,7 @@ def _scan_block(task: tuple[int, int | None, tuple[int, ...]]) -> np.ndarray:
     """
     n, first, masks = task
     planes = engine.build_tables(n, 3, first, inverse_pairs=True)
-    _, involutions = engine.inverse_pair_counts(n, first)
+    involutions = engine.involutions(n, first)
     counted, inverse = _scan_plan(masks)
     width = math.comb(n, 3) + 1
     marginals = []

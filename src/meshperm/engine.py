@@ -24,7 +24,7 @@ A block's table covers its rows in lexicographic order, or with
 ``inverse_pairs`` only one permutation of each inverse pair {p, p^-1}:
 the rows of :func:`inverse_pair_block`, about n!/(2n) in every block of
 S_n, built with the table and dropped after it, while
-:func:`inverse_pair_counts` gives their number without building them.
+:func:`involutions` gives the number of involutions that lead them.
 A host's counts of P and of its inverse pattern swap between p
 and p^-1, so histograms over S_n need only those rows; counts that
 address hosts by lex rank (count vectors, occurrence bits, verification)
@@ -47,15 +47,17 @@ over every row, guided by masks that depend only on (n, k) and are
 computed once per pair, on first use.
 :func:`count_vectors` is the one entry point for counts of any length:
 the tables for k in {2, 3}, the pure-Python finder otherwise.
-Queries read :func:`subseq_tables`, the one place that decides how long a
-table lives, by n alone: every table up to S_9 is kept, at most 9.2 MB a
-block, while a block of S_10 takes 16 to 110 MB, so there only the last
-is held.  The symmetric-shading scan reads each block once, so it builds
-the block's table, counts every pending shading and drops it.
+Queries read :func:`perm_block` and :func:`subseq_tables`, which keep a
+block's rows and tables by one rule, n alone (:func:`_kept_by_n`): every
+block up to S_9 is kept, its table at most 9.2 MB, while a table of S_10
+takes 16 to 110 MB, so there only the last is held.  The scan reads each
+block once, so it builds the block's table, counts and drops it.
 """
 from __future__ import annotations
 
+import collections
 import functools
+import inspect
 import itertools
 import math
 from collections.abc import Iterator, Sequence
@@ -79,15 +81,56 @@ def blocks(n: int) -> tuple[int | None, ...]:
     return tuple(range(1, n + 1))
 
 
-@functools.lru_cache(maxsize=64)
-def perm_block(n: int, first: int | None = None) -> np.ndarray:
-    """S_n in lexicographic order as an int8 array, optionally with p(1) fixed.
+#: Largest n whose blocks :func:`_kept_by_n` keeps.
+_KEPT_MAX_N = 9
 
-    S_0 is the one empty permutation, shape ``(1, 0)``.
-    """
-    arr = _block_rows(n, first)
-    arr.setflags(write=False)
-    return arr
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses currsize held")
+
+
+def _kept_by_n(build):
+    """Memoize ``build(n, ...)`` by how long a block's rows or table live:
+    up to n = ``_KEPT_MAX_N`` every result is kept, above it only the one
+    asked for last is held, dropped before the next is built.  Calls are
+    keyed on all arguments, defaults filled in, and results made read-only,
+    as they are shared.  ``cache_info()`` counts every build as a miss and
+    reports the kept entries and held keys; ``cache_clear()`` drops both."""
+    kept, held, counts = {}, {}, collections.Counter()
+
+    @functools.lru_cache(maxsize=None)
+    def key_of(*args, **kwargs):
+        bound = inspect.signature(build).bind(*args, **kwargs)
+        bound.apply_defaults()
+        return bound.args
+
+    @functools.wraps(build)
+    def memo(*args, **kwargs):
+        key = key_of(*args, **kwargs)
+        entries = kept if key[0] <= _KEPT_MAX_N else held
+        if key in entries:
+            counts["hits"] += 1
+            return entries[key]
+        counts["misses"] += 1
+        if entries is held:
+            held.clear()
+        entries[key] = build(*key)
+        entries[key].setflags(write=False)
+        return entries[key]
+
+    def cache_clear() -> None:
+        for entries in (kept, held, counts):
+            entries.clear()
+
+    memo.cache_info = lambda: _CacheInfo(counts["hits"], counts["misses"], len(kept), tuple(held))
+    memo.cache_clear = cache_clear
+    return memo
+
+
+@_kept_by_n
+def perm_block(n: int, first: int | None = None) -> np.ndarray:
+    """S_n in lexicographic order as an int8 array, optionally with p(1)
+    fixed, kept or held by :func:`_kept_by_n`; S_0 is the one empty
+    permutation, shape ``(1, 0)``."""
+    return _block_rows(n, first)
 
 
 def _block_rows(n: int, first: int | None) -> np.ndarray:
@@ -105,7 +148,7 @@ def inverse_pair_block(n: int, first: int | None = None) -> np.ndarray:
 
     The rows p of :func:`perm_block` that the pair keeps, as a new int8
     array: the involutions (p = p^-1) first and then the others, each part
-    in lexicographic order; :func:`inverse_pair_counts` gives both sizes.
+    in lexicographic order; :func:`involutions` gives their number.
     Over the keys of :func:`blocks` every pair has exactly one row.  A
     host's counts of a pattern P and of ``transform_pattern(P, "inverse")``
     swap between p and p^-1, so counts over these rows give a histogram
@@ -119,8 +162,8 @@ def inverse_pair_block(n: int, first: int | None = None) -> np.ndarray:
     2, ..., n, and at exactly m/2 steps when f < g.  So every block f >= 2
     keeps the same share of its rows, and each block holds about n!/(2n).
 
-    Nothing is cached: a block's rows live only as long as the table built
-    over them.
+    Nothing is cached: the rows live as long as the table built over
+    them, which :func:`subseq_tables` keeps or holds (:func:`_kept_by_n`).
     """
     rows = _block_rows(n, first)
     if n > 1:
@@ -156,33 +199,15 @@ def _ones_at(n: int, first: int | None) -> np.ndarray:
     return np.ones_like(at) if first == 1 else at + 1
 
 
-def _involutions(n: int) -> int:
-    """Involutions of S_n: I(n) = I(n - 1) + (n - 1) I(n - 2), with I(0) = I(1) = 1."""
+def involutions(n: int, first: int | None = None) -> int:
+    """Involutions in a block of S_n, which lead :func:`inverse_pair_block`:
+    I(n) in all of S_n, I(n - 1) in block 1 (they fix 1), I(n - 2) in block
+    f >= 2 (they swap 1 and f), where I(m) = I(m - 1) + (m - 1) I(m - 2)
+    and I(0) = I(1) = 1."""
     a, b = 1, 1
-    for m in range(2, n + 1):
+    for m in range(2, n - (0 if first is None else min(first, 2)) + 1):
         a, b = b, b + (m - 1) * a
     return b
-
-
-@functools.lru_cache(maxsize=None)
-def inverse_pair_counts(n: int, first: int | None = None) -> tuple[int, int]:
-    """``(rows, involutions)`` of :func:`inverse_pair_block`, from closed
-    forms, without building the rows.
-
-    A block keeps all its involutions and half of the rest.  S_n has I(n)
-    involutions; block 1 holds the I(n - 1) that fix 1, and block f >= 2
-    the I(n - 2) that swap 1 and f, among the (n - 2)! rows with 1 at
-    position f.  Block f >= 2 also keeps every one of the (n - 2)! rows
-    with 1 at position g for each g less than m/2 steps ahead of f, where
-    m = n - 1: floor((m - 1) / 2) of them, and one more for even m when f
-    lies in the first half of 2..n.  Memoized, since every query asks for
-    each block's counts.
-    """
-    fixed = 0 if first is None else min(first, 2)  # entries the key pins: none, 1 -> 1, or 1 <-> first
-    size, involutions = math.factorial(n - fixed), _involutions(n - fixed)
-    m = n - 1
-    ahead = (m - 1) // 2 + (m % 2 == 0 and first - 2 < m // 2) if fixed == 2 else 0
-    return (size + involutions) // 2 + ahead * size, involutions
 
 
 def _prefixed(rest: np.ndarray, first: int) -> np.ndarray:
@@ -407,36 +432,11 @@ def _at_least(words: Sequence[np.ndarray]) -> list[np.ndarray]:
     return at_least
 
 
-#: Largest n whose block tables :func:`subseq_tables` keeps.
-_KEPT_MAX_N = 9
-
-
+@_kept_by_n
 def subseq_tables(n: int, k: int, first: int | None = None, inverse_pairs: bool = False) -> np.ndarray:
-    """:func:`build_tables`, held for later calls with the same block and rows.
-
-    How long a table lives depends on n alone.  Up to ``_KEPT_MAX_N`` every
-    table is kept, so queries that revisit an n build each table once; a
-    block of S_9 takes at most 9.2 MB.  Above it only the table asked for
-    last is held, and dropped before the next is built, since a block of
-    S_10 takes 16 to 110 MB: a query that visits each block once builds
-    each table once and holds one at a time.  ``cache_info()`` and
-    ``cache_clear()`` are those of an ``lru_cache`` of the kept tables;
-    :func:`clear_caches` drops the held table too.
-    """
-    key = (n, k, first, inverse_pairs)
-    if n <= _KEPT_MAX_N:
-        return _kept_tables(*key)
-    if key not in _last_table:
-        _last_table.clear()
-        _last_table[key] = build_tables(*key)
-    return _last_table[key]
-
-
-# the lambda looks build_tables up at call time, as the held-block path does
-_kept_tables = functools.lru_cache(maxsize=None)(lambda *key: build_tables(*key))
-_last_table: dict = {}
-subseq_tables.cache_info = _kept_tables.cache_info
-subseq_tables.cache_clear = _kept_tables.cache_clear
+    """:func:`build_tables`, kept up to S_9 for later calls with the same
+    block and rows, and above held until the next (:func:`_kept_by_n`)."""
+    return build_tables(n, k, first, inverse_pairs)
 
 
 def _or_into(out: np.ndarray, terms: Sequence[np.ndarray]) -> np.ndarray:
@@ -737,10 +737,9 @@ def lex_ranks(perms: np.ndarray) -> np.ndarray:
 
 
 def clear_caches() -> None:
-    """Drop all memoized blocks and tables, so that the next query starts
+    """Drop every block and table that :func:`perm_block` and
+    :func:`subseq_tables` keep or hold, so that the next query starts
     cold: the tests call it to free the tables they built, and the
-    benchmark before each pass.  The rows of :func:`inverse_pair_block`
-    are never memoized; they go with the table built over them."""
+    benchmark before each pass."""
     perm_block.cache_clear()
     subseq_tables.cache_clear()
-    _last_table.clear()

@@ -713,7 +713,7 @@ def test_verify_entry_builds_each_streamed_block_once(monkeypatch):
         assert verify_entry(entry, 9) == report, entry.id
         assert built == [(9, 3, first, False) for first in engine.blocks(9)], entry.id
     assert engine.subseq_tables.cache_info().currsize == 0
-    assert list(engine._last_table) == [(9, 3, 9, False)]
+    assert engine.subseq_tables.cache_info().held == ((9, 3, 9, False),)
     engine.clear_caches()
 
 

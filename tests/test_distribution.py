@@ -219,7 +219,7 @@ def test_scan_block_matches_the_count_vectors():
     width = math.comb(n, 3) + 1
     assert hists.shape == (2 * len(shadings), width)
     rows = engine.inverse_pair_block(n, first)
-    _, involutions = engine.inverse_pair_counts(n, first)
+    involutions = engine.involutions(n, first)
     at = engine.lex_ranks(rows) - engine.lex_ranks(engine.perm_block(n, first)[:1])[0]
     hist_rows = iter(hists.tolist())
     for shading in shadings:
@@ -413,7 +413,7 @@ def test_histograms_build_each_streamed_inverse_pair_table_once(monkeypatch):
     assert joint_distribution(p1, p2, 9, cap=9) == expected
     assert built == [(9, 3, first, True) for first in engine.blocks(9)]
     assert engine.subseq_tables.cache_info().currsize == 0
-    assert list(engine._last_table) == [(9, 3, 9, True)]
+    assert engine.subseq_tables.cache_info().held == ((9, 3, 9, True),)
     engine.clear_caches()
 
 

@@ -78,16 +78,15 @@ def test_inverse_pair_block_keeps_one_permutation_of_each_inverse_pair():
     # over every block key of S_0..S_9, and the per-first-value blocks below
     # the split: each permutation once, as a row or as the inverse of a row;
     # the involutions first and each part in lexicographic order; every row
-    # the one the rule keeps; and the sizes of inverse_pair_counts
+    # the one the rule keeps; and as many involutions as engine.involutions
     for n in range(10):
         keys = [engine.blocks(n)] if n > engine._SINGLE_BLOCK_MAX else [(None,), range(1, n + 1)][:1 + (n > 0)]
         for firsts in keys:
             ranks, involution_total = [], 0
             for first in firsts:
                 rows = engine.inverse_pair_block(n, first)
-                size, involutions = engine.inverse_pair_counts(n, first)
+                involutions = engine.involutions(n, first)
                 assert rows.dtype == np.int8 and not rows.flags.writeable, (n, first)
-                assert len(rows) == size, (n, first)
                 inverses = np.argsort(rows, axis=1).astype(np.int8) + 1
                 fixed = (rows == inverses).all(axis=1)
                 assert fixed[:involutions].all() and not fixed[involutions:].any(), (n, first)
@@ -101,7 +100,7 @@ def test_inverse_pair_block_keeps_one_permutation_of_each_inverse_pair():
             ranks = np.concatenate(ranks)
             assert np.array_equal(np.sort(ranks), np.arange(math.factorial(n))), n
             assert involution_total == [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620][n], n
-    assert [engine.inverse_pair_counts(9, f)[0] for f in engine.blocks(9)] == [20542] + [22796] * 4 + [17756] * 4
+    assert [len(engine.inverse_pair_block(9, f)) for f in engine.blocks(9)] == [20542] + [22796] * 4 + [17756] * 4
     engine.clear_caches()
 
 
@@ -115,7 +114,7 @@ def test_long_running_inverse_pair_blocks_of_ten_are_balanced():
         rows = engine.inverse_pair_block(10, first)
         fixed = (rows == np.argsort(rows, axis=1).astype(np.int8) + 1).all(axis=1)
         sizes.append((len(rows), int(fixed.sum())))
-        assert sizes[-1] == engine.inverse_pair_counts(10, first), first
+        assert sizes[-1][1] == engine.involutions(10, first), first
     assert sizes == [(182750, 2620)] + [(181822, 764)] * 9
     assert sum(size for size, _ in sizes) == (math.factorial(10) + 9496) // 2
 
@@ -147,16 +146,39 @@ def test_subseq_tables_keep_every_table_to_nine_and_hold_one_above(monkeypatch):
     tables = [engine.subseq_tables(*key) for key in nine]
     assert all(engine.subseq_tables(*key) is table for key, table in zip(nine, tables))
     assert built == nine and engine.subseq_tables.cache_info().currsize == len(nine)
-    assert not engine._last_table
+    assert not engine.subseq_tables.cache_info().held
     for key in [(10, k, first, pairs) for k, pairs in kinds for first in engine.blocks(10)]:
         built.clear()
         table = engine.subseq_tables(*key)
         assert engine.subseq_tables(*key) is table
-        assert built == [key] and list(engine._last_table) == [key]
+        assert built == [key] and engine.subseq_tables.cache_info().held == (key,)
     built.clear()
     engine.subseq_tables(10, 2, 1, True)
-    assert built == [(10, 2, 1, True)] and list(engine._last_table) == built
-    assert engine.subseq_tables.cache_info().currsize == len(nine)
+    assert built == [(10, 2, 1, True)] and engine.subseq_tables.cache_info().held == tuple(built)
+    info = engine.subseq_tables.cache_info()
+    assert info.currsize == len(nine) and info.misses == len(nine) + 4 * 10 + 1
+    engine.clear_caches()
+    assert engine.subseq_tables.cache_info() == (0, 0, 0, ())
+
+
+def test_perm_block_keeps_every_block_to_nine_and_holds_one_above(monkeypatch):
+    # perm_block follows the rule of subseq_tables: every block of S_9 is
+    # kept, and of S_10 only the one asked for last is held
+    engine.clear_caches()
+    built = []
+    monkeypatch.setattr(engine, "_block_rows", lambda *key: built.append(key) or np.zeros((1, 0), dtype=np.int8))
+    nine = [(9, first) for first in (None, *engine.blocks(9))]
+    blocks = [engine.perm_block(*key) for key in nine]
+    assert all(engine.perm_block(*key) is block for key, block in zip(nine, blocks))
+    assert built == nine and engine.perm_block.cache_info().currsize == len(nine)
+    assert not engine.perm_block.cache_info().held
+    for key in [(10, first) for first in (*engine.blocks(10), 1, None)]:
+        built.clear()
+        block = engine.perm_block(*key)
+        assert engine.perm_block(*key) is block and engine.perm_block(key[0], first=key[1]) is block
+        assert built == [key] and engine.perm_block.cache_info().held == (key,)
+    assert engine.perm_block.cache_info().currsize == len(nine)
+    assert engine.perm_block(9) is blocks[0] and built == [(10, None)]
     engine.clear_caches()
 
 
