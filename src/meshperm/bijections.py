@@ -863,7 +863,8 @@ def verify_pair(pattern1: MeshPattern, pattern2: MeshPattern, transform: Transfo
     :func:`meshperm.engine.blocks`); a host on which it raises fails the
     check.  Each image is ranked in S_n, and all three properties are read
     from that table: an image in S_n is itself a host, so T(T(p)) is the
-    image of the image.  ``n`` obeys the same size cap as the distributions.
+    image of the image.  ``n`` is checked first by
+    :func:`meshperm.distribution.check_cap`, the size limit of the queries.
     """
     return _verify(pattern1, pattern2, n, lambda first: _image_ranks(transform, _hosts(n, first), n))
 
@@ -917,7 +918,7 @@ def verify_entry(entry, n: int) -> VerificationReport:
     ``oth1``, ``pair_swap``, ``nine_box`` and ``per_interval_nine_box``,
     and ``a1_complement``) read their occurrence bits from the table the
     block's count vectors were read from.  The images are ranked and
-    checked as in :func:`verify_pair`.
+    checked as in :func:`verify_pair`, under the same size limit.
     """
     pattern1, pattern2 = entry.patterns()
     shading = pattern1.shading

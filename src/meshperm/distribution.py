@@ -4,9 +4,9 @@ symmetric-shading scan.
 Two mesh patterns are equidistributed at size n when they have the same
 number of hosts in S_n for every occurrence count; the scan hunts for the
 smallest n at which paired shadings of 123 and 132 stop being
-equidistributed.  Exhaustive enumeration is guarded by a size cap: the
-default is 8, the MESHPERM_MAX_N environment variable raises it, and the
-hard ceiling of the enumeration layer still applies.
+equidistributed.  Every query refuses an n above the active cap of
+:func:`check_cap`, 8 or MESHPERM_MAX_N up to the hard ceiling; the scan
+keeps its own rule, ``long_running`` from n = 9 and the hard ceiling.
 
 Every histogram here counts one permutation of each inverse pair
 {p, p^-1}, which is exact because the count of P in p^-1 is that of
@@ -59,9 +59,10 @@ def effective_cap() -> int:
     return min(cap, HARD_ENUMERATION_CAP)
 
 
-def check_cap(n: int, cap: int | None = None) -> None:
-    """Raise CapExceededError when n exceeds ``cap`` (default: the active cap)."""
-    limit = min(cap, HARD_ENUMERATION_CAP) if cap is not None else effective_cap()
+def check_cap(n: int) -> None:
+    """The one size limit of the queries and of verification: n above
+    :func:`effective_cap` raises CapExceededError, a negative n ValueError."""
+    limit = effective_cap()
     if n > limit:
         raise CapExceededError(f"n = {n} exceeds the active cap of {limit}")
     if n < 0:
@@ -113,13 +114,13 @@ class JointTable:
         }
 
 
-def distribution(pattern: MeshPattern, n: int, *, cap: int | None = None) -> DistributionTable:
+def distribution(pattern: MeshPattern, n: int) -> DistributionTable:
     """Occurrence-count distribution of ``pattern`` over all of S_n.
 
-    Counted over one permutation of each inverse pair {p, p^-1}, as every
-    histogram is (see :func:`_histogram`).
+    ``n`` is checked by :func:`check_cap`.  Counted over one permutation of
+    each inverse pair {p, p^-1}, as every histogram is (see :func:`_histogram`).
     """
-    check_cap(n, cap)
+    check_cap(n)
     return DistributionTable(pattern, n, _counts(_histogram((pattern,), n)))
 
 
@@ -182,11 +183,11 @@ def _counts(hist: np.ndarray) -> dict[int, int]:
     return {k: c for k, c in enumerate(hist.tolist()) if c}
 
 
-def joint_distribution(
-    pattern1: MeshPattern, pattern2: MeshPattern, n: int, *, cap: int | None = None
-) -> JointTable:
-    """Joint distribution of the two patterns' occurrence counts over S_n."""
-    check_cap(n, cap)
+def joint_distribution(pattern1: MeshPattern, pattern2: MeshPattern, n: int) -> JointTable:
+    """Joint distribution of the two patterns' occurrence counts over S_n.
+
+    ``n`` is checked by :func:`check_cap`."""
+    check_cap(n)
     hist = _histogram((pattern1, pattern2), n)
     # the nonzero cells in row-major order, so the table lists (k, l) ascending
     ks, ls = np.nonzero(hist)
@@ -194,16 +195,12 @@ def joint_distribution(
     return JointTable(pattern1, pattern2, n, counts)
 
 
-def first_divergence(
-    pattern1: MeshPattern, pattern2: MeshPattern, max_n: int, *, cap: int | None = None
-) -> int | None:
+def first_divergence(pattern1: MeshPattern, pattern2: MeshPattern, max_n: int) -> int | None:
     """Smallest n <= max_n where the two distributions differ, else None.
 
-    ``max_n`` is checked against the cap before any table is built.
+    ``max_n`` is checked by :func:`check_cap` before any table is built.
     """
-    if cap is None:
-        cap = max_n
-    check_cap(max_n, cap)
+    check_cap(max_n)
     for n in range(max_n + 1):
         # each pattern's distribution is a marginal of the joint histogram
         joint = _histogram((pattern1, pattern2), n)
@@ -212,15 +209,13 @@ def first_divergence(
     return None
 
 
-def avoidance_sequence(pattern: MeshPattern, max_n: int, *, cap: int | None = None) -> list[int]:
+def avoidance_sequence(pattern: MeshPattern, max_n: int) -> list[int]:
     """Number of pattern-avoiding permutations of S_n for n = 0..max_n.
 
-    ``max_n`` is checked against the cap before any table is built.
+    ``max_n`` is checked by :func:`check_cap` before any table is built.
     """
-    if cap is None:
-        cap = max_n
-    check_cap(max_n, cap)
-    return [distribution(pattern, n, cap=cap).counts.get(0, 0) for n in range(max_n + 1)]
+    check_cap(max_n)
+    return [distribution(pattern, n).counts.get(0, 0) for n in range(max_n + 1)]
 
 
 # ---------------------------------------------------------------------------

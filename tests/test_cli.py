@@ -11,11 +11,6 @@ from meshperm.catalog import entry_by_id
 from meshperm.cli import EXIT_CAP, EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
-@pytest.fixture(autouse=True)
-def _default_cap(monkeypatch):
-    monkeypatch.delenv("MESHPERM_MAX_N", raising=False)
-
-
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()

@@ -15,6 +15,7 @@ import pytest
 import sympy
 
 from meshperm import engine
+from meshperm.bijections import verify_entry
 from meshperm.catalog import entry_by_id, load_catalog
 from meshperm.distribution import (
     CapExceededError,
@@ -153,11 +154,12 @@ def test_bins_keys_outgrow_the_count_dtype():
     assert others.tolist() == [[0, 1, 0, 2]] and fixed.tolist() == [[1, 0, 0, 0]]
 
 
-def test_counts_keys_are_ascending():
+def test_counts_keys_are_ascending(monkeypatch):
     # at n = 9 every block adds its counts to one histogram, so the keys
     # follow the occurrence counts, not the block in which each first shows
+    monkeypatch.setenv("MESHPERM_MAX_N", "9")
     p1, p2 = entry_by_id(28).patterns()
-    for table in (distribution(p1, 9, cap=9), joint_distribution(p1, p2, 9, cap=9)):
+    for table in (distribution(p1, 9), joint_distribution(p1, p2, 9)):
         assert list(table.counts) == sorted(table.counts)
     engine.clear_caches()
 
@@ -374,7 +376,7 @@ def assert_inverse_pair_histograms_match_the_lex_tables(entries, n):
         lex = lex_joint_histogram(p1, p2, n)
         assert np.array_equal(_histogram((p1, p2), n), lex), (entry.id, n)
         for pattern, marginal in ((p1, lex.sum(axis=1)), (p2, lex.sum(axis=0))):
-            assert distribution(pattern, n, cap=n).counts == {k: c for k, c in enumerate(marginal.tolist()) if c}
+            assert distribution(pattern, n).counts == {k: c for k, c in enumerate(marginal.tolist()) if c}
 
 
 def test_inverse_pair_histograms_equal_the_lex_tables_for_every_catalog_entry():
@@ -389,9 +391,10 @@ def test_inverse_pair_histograms_equal_the_lex_tables_for_every_catalog_entry():
 
 
 @pytest.mark.long_running
-def test_long_running_inverse_pair_histograms_of_non_invariant_entries_at_nine():
+def test_long_running_inverse_pair_histograms_of_non_invariant_entries_at_nine(monkeypatch):
     # the 37 entries whose patterns are not their own inverses, over the
     # nine blocks of S_9 (about 2 s)
+    monkeypatch.setenv("MESHPERM_MAX_N", "9")
     entries = [e for e in load_catalog() if any(transform_pattern(p, "inverse") != p for p in e.patterns())]
     assert len(entries) == 37
     assert_inverse_pair_histograms_match_the_lex_tables(entries, 9)
@@ -403,14 +406,15 @@ def test_histograms_build_each_streamed_inverse_pair_table_once(monkeypatch):
     # builds each block's table over inverse pairs once, for the pair and
     # its inverse patterns (entry 110 is not its own inverse), and holds
     # only the last one.
+    monkeypatch.setenv("MESHPERM_MAX_N", "9")
     p1, p2 = entry_by_id(110).patterns()
-    expected = joint_distribution(p1, p2, 9, cap=9)
+    expected = joint_distribution(p1, p2, 9)
     engine.clear_caches()
     built = []
     build_tables = engine.build_tables
     monkeypatch.setattr(engine, "_KEPT_MAX_N", 8)
     monkeypatch.setattr(engine, "build_tables", lambda *key: built.append(key) or build_tables(*key))
-    assert joint_distribution(p1, p2, 9, cap=9) == expected
+    assert joint_distribution(p1, p2, 9) == expected
     assert built == [(9, 3, first, True) for first in engine.blocks(9)]
     assert engine.subseq_tables.cache_info().currsize == 0
     assert engine.subseq_tables.cache_info().held == ((9, 3, 9, True),)
@@ -433,27 +437,56 @@ def test_scan_parallel_merge_is_deterministic():
     assert single == multi
 
 
-def test_caps():
+def test_caps(monkeypatch):
     assert effective_cap() == 8
     with pytest.raises(CapExceededError):
         distribution(P123, 9)
     with pytest.raises(CapExceededError):
-        avoidance_sequence(P123, 9, cap=4)
-    with pytest.raises(CapExceededError):
         scan_symmetric_pairs(9)
-    with pytest.raises(CapExceededError):
-        distribution(P123, 7, cap=6)
     with pytest.raises(ValueError):
         distribution(P123, -1)
+    monkeypatch.setenv("MESHPERM_MAX_N", "4")
+    with pytest.raises(CapExceededError):
+        avoidance_sequence(P123, 9)
+    monkeypatch.setenv("MESHPERM_MAX_N", "6")
+    with pytest.raises(CapExceededError):
+        distribution(P123, 7)
 
 
-def test_sequence_caps_are_checked_before_any_table_is_built():
+def test_sequence_caps_are_checked_before_any_table_is_built(monkeypatch):
+    monkeypatch.setenv("MESHPERM_MAX_N", "4")
     engine.clear_caches()
     with pytest.raises(CapExceededError):
-        avoidance_sequence(P123, 9, cap=4)
+        avoidance_sequence(P123, 9)
     with pytest.raises(CapExceededError):
-        first_divergence(P123, P132, 9, cap=4)
+        first_divergence(P123, P132, 9)
     assert engine.subseq_tables.cache_info().currsize == 0
+
+
+def test_every_query_and_verification_obeys_the_active_cap(monkeypatch):
+    # one rule: n above the active cap is refused before any table is
+    # built, by the library as by the CLI, and n at the cap runs
+    entry = entry_by_id(23)
+    p1, p2 = entry.patterns()
+    calls = {
+        "distribution": lambda n: distribution(p1, n),
+        "joint_distribution": lambda n: joint_distribution(p1, p2, n),
+        "first_divergence": lambda n: first_divergence(p1, p2, n),
+        "avoidance_sequence": lambda n: avoidance_sequence(p1, n),
+        "verify_entry": lambda n: verify_entry(entry, n),
+    }
+    with pytest.raises(CapExceededError, match="exceeds the active cap of 8"):
+        first_divergence(P123, P132, 9)
+    monkeypatch.setenv("MESHPERM_MAX_N", "4")
+    for name, call in calls.items():
+        engine.clear_caches()
+        with pytest.raises(CapExceededError, match="n = 5 exceeds the active cap of 4"):
+            call(5)
+        assert engine.subseq_tables.cache_info().currsize == 0, name
+        assert engine.perm_block.cache_info().currsize == 0, name
+        call(4)
+    assert verify_entry(entry, 4).ok()
+    engine.clear_caches()
 
 
 def test_scan_pool_has_no_more_workers_than_blocks(monkeypatch):
